@@ -75,17 +75,33 @@ def jacobian(model: DiscreteModel, theta) -> np.ndarray:
     return J
 
 
-def fisher_info(model: DiscreteModel, theta) -> np.ndarray:
-    """k x k information matrix D^T D with D = diag(q^{-1/2}) J."""
-    q = np.maximum(model.cell_prob(theta), PROB_FLOOR)
-    J = jacobian(model, theta)
-    D = J / np.sqrt(q)[:, None]
+def _cells_and_jacobian(model: DiscreteModel, theta) -> tuple[np.ndarray, np.ndarray]:
+    """Unfloored cell probabilities q and the Jacobian J at ``theta``."""
+    return model.cell_prob(theta), jacobian(model, theta)
+
+
+def _information(model: DiscreteModel, q: np.ndarray, J: np.ndarray) -> np.ndarray:
+    qf = np.maximum(q, PROB_FLOOR)
+    D = J / np.sqrt(qf)[:, None]
     info = D.T @ D
-    if np.linalg.cond(info) > _COND_LIMIT:
+    # the 1-norm condition number needs only the LU solve that the projection
+    # makes anyway; the 2-norm one adds an SVD, whose first call costs 1 MB RSS
+    if np.linalg.cond(info, 1) > _COND_LIMIT:
         raise SingularInformation(
             f"information matrix of {model.name!r} is numerically singular"
         )
     return info
+
+
+def _projection(model: DiscreteModel, q: np.ndarray, J: np.ndarray) -> np.ndarray:
+    info = _information(model, q, J)
+    qf = np.maximum(q, PROB_FLOOR)
+    return J @ np.linalg.solve(info, (J / qf[:, None]).T)
+
+
+def fisher_info(model: DiscreteModel, theta) -> np.ndarray:
+    """k x k information matrix D^T D with D = diag(q^{-1/2}) J."""
+    return _information(model, *_cells_and_jacobian(model, theta))
 
 
 def sigma(p) -> np.ndarray:
@@ -97,33 +113,26 @@ def sigma(p) -> np.ndarray:
 
 def m_matrix(model: DiscreteModel, theta) -> np.ndarray:
     """Projection M = J I^{-1} J^T diag(1/q); satisfies M J = J."""
-    q = np.maximum(model.cell_prob(theta), PROB_FLOOR)
-    J = jacobian(model, theta)
-    info = fisher_info(model, theta)
-    return J @ np.linalg.solve(info, (J / q[:, None]).T)
+    return _projection(model, *_cells_and_jacobian(model, theta))
 
 
 def lambda_correct(model: DiscreteModel, theta) -> np.ndarray:
     """Covariance of sqrt(n)(phat - fitted probs) under a correctly
     specified model: (I - M) Sigma (I - M)^T expanded as the four-term
     sandwich."""
-    S = sigma(model.cell_prob(theta))
-    M = m_matrix(model, theta)
+    q, J = _cells_and_jacobian(model, theta)
+    S = sigma(q)
+    M = _projection(model, q, J)
     return S - S @ M.T - M @ S + M @ S @ M.T
 
 
 def asymptotic_matrices(model: DiscreteModel, theta) -> AsymptoticMatrices:
     """All the per-model matrices in one pass."""
-    q = np.maximum(model.cell_prob(theta), PROB_FLOOR)
-    J = jacobian(model, theta)
-    D = J / np.sqrt(q)[:, None]
-    info = D.T @ D
-    if np.linalg.cond(info) > _COND_LIMIT:
-        raise SingularInformation(
-            f"information matrix of {model.name!r} is numerically singular"
-        )
-    M = J @ np.linalg.solve(info, (J / q[:, None]).T)
-    S = sigma(model.cell_prob(theta))
+    q, J = _cells_and_jacobian(model, theta)
+    D = J / np.sqrt(np.maximum(q, PROB_FLOOR))[:, None]
+    info = _information(model, q, J)
+    M = _projection(model, q, J)
+    S = sigma(q)
     Lam = S - S @ M.T - M @ S + M @ S @ M.T
     return AsymptoticMatrices(J=J, D=D, I=info, Sigma=S, M=M, Lambda=Lam)
 
@@ -136,10 +145,10 @@ def omega_sq(p, model: DiscreteModel, theta1, h: float) -> float:
     """
     h = check_penalty_weight(h)
     P = as_prob_vector(p)
-    q = model.cell_prob(theta1)
+    q, J = _cells_and_jacobian(model, theta1)
     K = grad_phd_first(P, q, h)
     Q = grad_phd_second(P, q, h, floor=PROB_FLOOR)
-    M = m_matrix(model, theta1)
+    M = _projection(model, q, J)
     w = K + M.T @ Q
     S = sigma(P)
     return max(float(w @ S @ w), 0.0)
@@ -161,14 +170,14 @@ def lambda_star_hat(phat, model1: DiscreteModel, theta1,
     """
     h = check_penalty_weight(h)
     P = as_prob_vector(phat)
-    q1 = model1.cell_prob(theta1)
-    q2 = model2.cell_prob(theta2)
+    q1, J1 = _cells_and_jacobian(model1, theta1)
+    q2, J2 = _cells_and_jacobian(model2, theta2)
     K1 = grad_phd_first(P, q1, h)
     K2 = grad_phd_first(P, q2, h)
     Q1 = grad_phd_second(P, q1, h, floor=PROB_FLOOR)
     Q2 = grad_phd_second(P, q2, h, floor=PROB_FLOOR)
-    M1 = m_matrix(model1, theta1)
-    M2 = m_matrix(model2, theta2)
+    M1 = _projection(model1, q1, J1)
+    M2 = _projection(model2, q2, J2)
     S = sigma(P)
 
     v = (K1 - K2) + M1.T @ Q1 - M2.T @ Q2

@@ -34,7 +34,7 @@ def as_prob_vector(p, atol: float = SIMPLEX_ATOL) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CellPartition:
     """Ordered boundaries 0 = cuts[0] < cuts[1] < ... < cuts[m] = +inf."""
 
@@ -66,17 +66,6 @@ class CellPartition:
         the last cell."""
         vals = np.asarray(values, dtype=float)
         return np.searchsorted(self.interior_cuts, vals, side="right")
-
-    def integer_cell_ranges(self, support_start: int) -> list[tuple[int, int]]:
-        """Half-open integer ranges ``[a, b)`` covered by each interior cell,
-        restricted to integers >= support_start.  The last (infinite) cell is
-        not listed; its mass is the residual."""
-        ranges = []
-        for lo, hi in zip(self.cuts[:-2], self.cuts[1:-1]):
-            a = max(math.ceil(lo), support_start)
-            b = max(math.ceil(hi), support_start)
-            ranges.append((a, b))
-        return ranges
 
 
 def default_partition() -> CellPartition:

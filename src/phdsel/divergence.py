@@ -89,6 +89,16 @@ def hellinger(p, q) -> float:
     return float(2.0 * np.sum((np.sqrt(P) - np.sqrt(Q)) ** 2))
 
 
+def _phd_rows(root_p: np.ndarray, occupied: np.ndarray, Q: np.ndarray,
+              h: float) -> np.ndarray:
+    """Penalized Hellinger distance of each row of the (B, m) array ``Q``
+    from observed frequencies whose square roots on the ``occupied`` cells
+    are ``root_p``; no validation."""
+    fit = ((root_p - np.sqrt(Q.compress(occupied, axis=1))) ** 2).sum(axis=1)
+    penalty = h * Q.compress(~occupied, axis=1).sum(axis=1)
+    return 2.0 * (fit + penalty)
+
+
 def penalized_hellinger(phat, ptheta, h: float) -> float:
     """Penalized Hellinger distance with empty-cell weight ``h``.
 
@@ -98,9 +108,20 @@ def penalized_hellinger(phat, ptheta, h: float) -> float:
     h = check_penalty_weight(h)
     P, Q = _pair(phat, ptheta)
     occupied = P > 0.0
-    fit = np.sum((np.sqrt(P[occupied]) - np.sqrt(Q[occupied])) ** 2)
-    penalty = h * np.sum(Q[~occupied])
-    return float(2.0 * (fit + penalty))
+    return float(_phd_rows(np.sqrt(P[occupied]), occupied, Q[None, :], h)[0])
+
+
+def _kl_modified_rows(P: np.ndarray, occupied: np.ndarray,
+                      Q: np.ndarray) -> np.ndarray:
+    """Modified KL divergence of each row of the (B, m) model array ``Q``
+    from the observed frequencies ``P``; +inf where a row puts zero mass on
+    an occupied cell.  No validation."""
+    p = P[occupied]
+    q = Q.compress(occupied, axis=1)
+    with np.errstate(divide="ignore"):
+        fit = np.sum(p * np.log(p / q) + q - p, axis=1)
+    # empty cells contribute q_i, the limit slope of -log x + x - 1
+    return fit + np.sum(Q.compress(~occupied, axis=1), axis=1)
 
 
 def kl_modified(ptheta, phat) -> float:
@@ -111,15 +132,7 @@ def kl_modified(ptheta, phat) -> float:
     likelihood problem.
     """
     Q, P = _pair(ptheta, phat)  # Q = model, P = observed
-    total = 0.0
-    for qi, pi in zip(Q, P):
-        if pi > 0.0:
-            if qi == 0.0:
-                return math.inf
-            total += pi * math.log(pi / qi) + qi - pi
-        else:
-            total += qi  # limit_slope of -log x + x - 1 is 1
-    return total
+    return float(_kl_modified_rows(P, P > 0.0, Q[None, :])[0])
 
 
 def grad_phd_first(phat, ptheta, h: float) -> np.ndarray:

@@ -1,10 +1,13 @@
 """Derivative-free bounded minimization and the model-fitting front ends.
 
-Scalar objectives are minimized by a 32-point uniform grid multi-start
-followed by golden-section refinement of the best bracket; ties between
-starts are broken toward the smaller parameter so repeated runs are
-bit-identical.  Two-parameter models use simplex descent from 16
-deterministic starts.
+Scalar objectives are minimized by a 32-point uniform grid multi-start,
+evaluated in one batched call, followed by golden-section refinement of the
+best bracket; ties between starts are broken toward the smaller parameter so
+repeated runs are bit-identical.  Two-parameter models use simplex descent
+from 16 deterministic starts.
+
+The fit front ends validate their inputs once; the objective they minimize
+calls the model's batched cell kernel directly.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .cells import BinnedSample, as_prob_vector
-from .divergence import check_penalty_weight, kl_modified, penalized_hellinger
+from .divergence import _kl_modified_rows, _phd_rows, check_penalty_weight
 from .errors import FitFailed, InvalidInput
 from .models import DiscreteModel
 
@@ -43,12 +46,13 @@ class FitResult:
     converged: bool
 
 
-def minimize_scalar(f: Callable[[float], float], lo: float, hi: float,
-                    tol: float | None = None) -> ScalarMin:
-    """Minimize ``f`` on [lo, hi]; returns the best point evaluated.
+def _minimize_rows(f_rows: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
+                   tol: float | None = None) -> ScalarMin:
+    """Minimize on [lo, hi] an objective that maps a 1-D array of points to
+    their values; returns the best point evaluated.
 
-    The default tolerance is 1e-8 of the box width, applied to the bracket
-    diameter at exit.
+    The grid is one call on all its points, each golden-section step a call
+    on one point.
     """
     if not lo < hi:
         raise InvalidInput(f"need lo < hi, got [{lo}, {hi}]")
@@ -57,14 +61,17 @@ def minimize_scalar(f: Callable[[float], float], lo: float, hi: float,
 
     evals = 0
 
-    def fc(x: float) -> float:
+    def fc(xs: np.ndarray) -> np.ndarray:
         nonlocal evals
-        evals += 1
-        v = f(x)
-        return v if v == v else math.inf  # NaN -> +inf
+        evals += xs.size
+        v = np.asarray(f_rows(xs), dtype=float)
+        return np.where(np.isnan(v), math.inf, v)
+
+    def fc1(x: float) -> float:
+        return float(fc(np.array([x]))[0])
 
     xs = np.linspace(lo, hi, GRID_POINTS)
-    fs = np.array([fc(x) for x in xs])
+    fs = fc(xs)
     if not np.any(np.isfinite(fs)):
         raise FitFailed("objective non-finite at every grid start")
     j = int(np.argmin(fs))  # first minimum = smallest x on ties
@@ -74,22 +81,32 @@ def minimize_scalar(f: Callable[[float], float], lo: float, hi: float,
     b = float(xs[min(j + 1, GRID_POINTS - 1)])
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
-    f1, f2 = fc(x1), fc(x2)
+    f1, f2 = fc1(x1), fc1(x2)
     for _ in range(200):
         if b - a < tol:
             break
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - GOLDEN * (b - a)
-            f1 = fc(x1)
+            f1 = fc1(x1)
         else:
             a, x1, f1 = x1, x2, f2
             x2 = a + GOLDEN * (b - a)
-            f2 = fc(x2)
+            f2 = fc1(x2)
     for x, v in ((x1, f1), (x2, f2)):
         if v < best_f or (v == best_f and x < best_x):
             best_x, best_f = float(x), float(v)
     return ScalarMin(best_x, best_f, evals, converged=(b - a) < tol)
+
+
+def minimize_scalar(f: Callable[[float], float], lo: float, hi: float,
+                    tol: float | None = None) -> ScalarMin:
+    """Minimize ``f`` on [lo, hi]; returns the best point evaluated.
+
+    The default tolerance is 1e-8 of the box width, applied to the bracket
+    diameter at exit.
+    """
+    return _minimize_rows(lambda xs: [f(x) for x in xs], lo, hi, tol)
 
 
 def _minimize_simplex(f: Callable[[np.ndarray], float],
@@ -121,15 +138,25 @@ def _minimize_simplex(f: Callable[[np.ndarray], float],
 
 
 def _fit_to_frequencies(model: DiscreteModel,
-                        objective_of: Callable[[np.ndarray], float]) -> FitResult:
+                        objective_rows: Callable[[np.ndarray], np.ndarray]) -> FitResult:
+    """Fit ``model`` by minimizing ``objective_rows``, which maps a (B, k)
+    parameter array to B objective values."""
     if model.k == 1:
         lo, hi = model.bounds[0]
-        res = minimize_scalar(lambda t: objective_of(np.array([t])), lo, hi)
+        res = _minimize_rows(lambda ts: objective_rows(ts[:, None]), lo, hi)
         return FitResult(theta_hat=np.array([res.x]), objective=float(res.fun),
                          evaluations=res.evaluations, converged=res.converged)
     if model.k == 2:
-        return _minimize_simplex(objective_of, model.bounds)
+        return _minimize_simplex(lambda th: float(objective_rows(th[None, :])[0]),
+                                 model.bounds)
     raise InvalidInput(f"only k <= 2 models are supported, got k={model.k}")
+
+
+def _check_sample(model: DiscreteModel, sample: BinnedSample) -> None:
+    if sample.n < 1:
+        raise InvalidInput("empty sample")
+    if sample.m != model.partition.m:
+        raise InvalidInput(f"sample has {sample.m} cells, model {model.partition.m}")
 
 
 def fit_phd_to_probs(model: DiscreteModel, p: np.ndarray, h: float) -> FitResult:
@@ -137,27 +164,26 @@ def fit_phd_to_probs(model: DiscreteModel, p: np.ndarray, h: float) -> FitResult
     (population version, used for pseudo-true parameters)."""
     h = check_penalty_weight(h)
     target = as_prob_vector(p)
+    if target.size != model.partition.m:
+        raise InvalidInput(f"target has {target.size} cells, model {model.partition.m}")
+    occupied = target > 0.0
+    root_p = np.sqrt(target[occupied])
     return _fit_to_frequencies(
-        model, lambda th: penalized_hellinger(target, model.cell_prob(th), h)
+        model, lambda th: _phd_rows(root_p, occupied, model.cell_fn(th), h)
     )
 
 
 def minimize_phd(model: DiscreteModel, sample: BinnedSample, h: float) -> FitResult:
     """Minimum penalized Hellinger distance estimate from binned counts."""
-    if sample.n < 1:
-        raise InvalidInput("empty sample")
-    if sample.m != model.partition.m:
-        raise InvalidInput(f"sample has {sample.m} cells, model {model.partition.m}")
+    _check_sample(model, sample)
     return fit_phd_to_probs(model, sample.frequencies(), h)
 
 
 def mle_binned(model: DiscreteModel, sample: BinnedSample) -> FitResult:
     """Grouped-data maximum likelihood via the modified KL divergence."""
-    if sample.n < 1:
-        raise InvalidInput("empty sample")
-    if sample.m != model.partition.m:
-        raise InvalidInput(f"sample has {sample.m} cells, model {model.partition.m}")
+    _check_sample(model, sample)
     phat = as_prob_vector(sample.frequencies())
+    occupied = phat > 0.0
     return _fit_to_frequencies(
-        model, lambda th: kl_modified(model.cell_prob(th), phat)
+        model, lambda th: _kl_modified_rows(phat, occupied, model.cell_fn(th))
     )

@@ -1,13 +1,31 @@
 """Parametric cell-probability models and the mixture data generator.
 
-A model maps a parameter vector to the probabilities of the partition cells.
-Interior cells sum the pmf over the integers they cover; the last cell
-absorbs the residual 1 - sum(interior), so the output is normalized exactly
+A model maps parameters to the probabilities of the partition cells through
+one array kernel, ``cell_fn``, built once per model from the partition's
+integer cell edges: interior cell i covers the integers [e_i, e_{i+1}) of
+the family's support, where e_i is the cut ceil(cuts[i]) raised to the
+support's first point.  The kernel takes a (B, k) parameter array and
+returns (B, m) cell probabilities without validation.  The last cell
+absorbs the residual 1 - sum(interior), so each row is normalized exactly
 rather than by truncated summation.
+
+* Poisson: the cumulative pmf, pmf(0) = exp(-lam) and
+  pmf(x) = pmf(x-1) * lam / x by cumulative product, differenced at the
+  edges.  The sum stops at T = min(e_{m-1}, floor(lam + 12 sqrt(lam) + 40))
+  with lam the largest rate of the batch.  The Poisson mass beyond T is
+  below 3e-34 for every rate up to 1e4, far below half an ulp of the running
+  cdf, which is within rounding of 1 there; adding those terms would not
+  change one bit of the sums, so the truncation is exact, and the cost no
+  longer grows with the largest cut.
+* Geometric on {1, 2, ...}: cell [a, b) in closed form,
+  (1-p)^(a-1) (1 - (1-p)^(b-a)) evaluated as
+  exp((a-1) log1p(-p)) * -expm1((b-a) log1p(-p)), which keeps full relative
+  accuracy where (1-p)**k would amplify the rounding of 1-p.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,8 +42,10 @@ GEOMETRIC_BOUNDS = (1e-6, 1.0 - 1e-6)
 class DiscreteModel:
     """A named parametric family of cell-probability vectors.
 
-    ``cell_fn`` maps a length-k parameter array to the m cell probabilities
-    of ``partition``.  ``bounds`` is the box the optimizer searches.
+    ``cell_fn`` maps a (B, k) parameter array to the (B, m) cell
+    probabilities of ``partition`` and does no validation; ``cell_prob`` is
+    its validated batch of one.  ``bounds`` is the box the optimizer
+    searches.
     """
 
     name: str
@@ -53,42 +73,68 @@ class DiscreteModel:
         return arr
 
     def cell_prob(self, theta) -> np.ndarray:
-        """Cell probabilities at ``theta`` (validated simplex point)."""
-        return as_prob_vector(self.cell_fn(self.theta_array(theta)))
+        """Cell probabilities at ``theta``: the kernel's validated batch of
+        one, a simplex point."""
+        return as_prob_vector(self.cell_fn(self.theta_array(theta)[None, :])[0])
 
 
-def _cell_sums(pmf_fn, part: CellPartition, support_start: int, theta1: float) -> np.ndarray:
-    """Sum a pmf over the integers of each interior cell; residual tail."""
-    ranges = part.integer_cell_ranges(support_start)
-    top = max(b for _, b in ranges)
-    xs = np.arange(support_start, top)
-    pmf = pmf_fn(xs, theta1)
-    csum = np.concatenate(([0.0], np.cumsum(pmf)))
-    probs = np.empty(part.m)
-    for i, (a, b) in enumerate(ranges):
-        probs[i] = csum[b - support_start] - csum[a - support_start]
-    probs[-1] = max(1.0 - probs[:-1].sum(), 0.0)
+def _integer_edges(part: CellPartition, support_start: int) -> np.ndarray:
+    """Edges e_0 <= ... <= e_{m-1} (as floats): interior cell i covers the
+    support integers [e_i, e_{i+1}); the last cell is [e_{m-1}, inf)."""
+    return np.maximum(np.ceil(np.asarray(part.cuts[:-1])), float(support_start))
+
+
+def _residual_last(probs: np.ndarray) -> np.ndarray:
+    np.maximum(1.0 - probs[:, :-1].sum(axis=1), 0.0, out=probs[:, -1])
     return probs
 
 
-def _poisson_pmf(xs: np.ndarray, lam: float) -> np.ndarray:
-    # pmf(0) = exp(-lam); pmf(x) = pmf(x-1) * lam / x, evaluated by cumprod
-    if xs.size == 0:
-        return np.empty(0)
-    base = np.exp(-lam)
-    ratios = np.cumprod(lam / np.arange(1.0, xs[-1] + 1.0))
-    return np.concatenate(([base], base * ratios))[xs]
+def _poisson_kernel(part: CellPartition) -> Callable[[np.ndarray], np.ndarray]:
+    """Batched Poisson kernel on {0, 1, 2, ...}: (B, 1) rates -> (B, m)."""
+    edges = _integer_edges(part, 0)
+    top = edges[-1]
+
+    def cell_fn(theta: np.ndarray) -> np.ndarray:
+        lam = theta[:, :1]
+        lam_max = float(lam.max())
+        n = int(min(top, math.floor(lam_max + 12.0 * math.sqrt(lam_max) + 40.0)))
+        # csum[:, x] = cdf(x - 1): pmf terms in columns 1..n, summed in place
+        csum = np.zeros((lam.shape[0], n + 1))
+        base = np.exp(-lam)
+        csum[:, 1:2] = base
+        np.multiply(base, np.cumprod(lam / np.arange(1.0, n), axis=1), out=csum[:, 2:])
+        np.cumsum(csum[:, 1:], axis=1, out=csum[:, 1:])
+        # take, unlike fancy indexing, returns C-ordered rows, so each row sum
+        # below is bit-identical to that of a batch of one
+        at = np.take(csum, np.minimum(edges, n).astype(np.intp), axis=1)
+        probs = np.empty_like(at)
+        probs[:, :-1] = at[:, 1:] - at[:, :-1]
+        return _residual_last(probs)
+
+    return cell_fn
 
 
-def _geometric_pmf(xs: np.ndarray, p: float) -> np.ndarray:
-    return p * (1.0 - p) ** (xs - 1.0)
+def _geometric_kernel(part: CellPartition) -> Callable[[np.ndarray], np.ndarray]:
+    """Batched geometric kernel on {1, 2, ...}: (B, 1) success
+    probabilities -> (B, m); the cell [0, 1) carries no mass."""
+    edges = _integer_edges(part, 1)
+    start, width = edges[:-1] - 1.0, np.diff(edges)
+
+    def cell_fn(theta: np.ndarray) -> np.ndarray:
+        log_q = np.log1p(-theta[:, :1])
+        probs = np.empty((theta.shape[0], part.m))
+        # 0.0 - expm1 keeps empty cells at +0.0
+        probs[:, :-1] = np.exp(start * log_q) * (0.0 - np.expm1(width * log_q))
+        return _residual_last(probs)
+
+    return cell_fn
 
 
 def poisson_cell_probs(lam: float, part: CellPartition) -> np.ndarray:
     """Cell probabilities of a Poisson rate-``lam`` pmf on {0, 1, 2, ...}."""
     if not (np.isfinite(lam) and lam > 0.0):
         raise InvalidParameter(f"poisson rate must be > 0, got {lam!r}")
-    return as_prob_vector(_cell_sums(_poisson_pmf, part, 0, float(lam)))
+    return as_prob_vector(_poisson_kernel(part)(np.array([[float(lam)]]))[0])
 
 
 def geometric_cell_probs(p: float, part: CellPartition) -> np.ndarray:
@@ -96,27 +142,21 @@ def geometric_cell_probs(p: float, part: CellPartition) -> np.ndarray:
     {1, 2, ...}; the cell [0, 1) carries no mass."""
     if not (np.isfinite(p) and 0.0 < p < 1.0):
         raise InvalidParameter(f"geometric success probability must be in (0,1), got {p!r}")
-    return as_prob_vector(_cell_sums(_geometric_pmf, part, 1, float(p)))
+    return as_prob_vector(_geometric_kernel(part)(np.array([[float(p)]]))[0])
 
 
 def poisson_model(part: CellPartition | None = None,
                   bounds: tuple[float, float] = POISSON_BOUNDS) -> DiscreteModel:
     part = part or default_partition()
-
-    def cell_fn(theta: np.ndarray) -> np.ndarray:
-        return poisson_cell_probs(theta[0], part)
-
-    return DiscreteModel(name="poisson", bounds=(bounds,), partition=part, cell_fn=cell_fn)
+    return DiscreteModel(name="poisson", bounds=(bounds,), partition=part,
+                         cell_fn=_poisson_kernel(part))
 
 
 def geometric_model(part: CellPartition | None = None,
                     bounds: tuple[float, float] = GEOMETRIC_BOUNDS) -> DiscreteModel:
     part = part or default_partition()
-
-    def cell_fn(theta: np.ndarray) -> np.ndarray:
-        return geometric_cell_probs(theta[0], part)
-
-    return DiscreteModel(name="geometric", bounds=(bounds,), partition=part, cell_fn=cell_fn)
+    return DiscreteModel(name="geometric", bounds=(bounds,), partition=part,
+                         cell_fn=_geometric_kernel(part))
 
 
 MODEL_BUILDERS: dict[str, Callable[[CellPartition | None], DiscreteModel]] = {

@@ -175,7 +175,7 @@ class TestOmegaSq:
         perm = rng.permutation(8)
         permuted = DiscreteModel(name="perm", bounds=base.bounds,
                                  partition=base.partition,
-                                 cell_fn=lambda th: base.cell_prob(th)[perm])
+                                 cell_fn=lambda th: base.cell_fn(th)[:, perm])
         om_perm = omega_sq(P[perm], permuted, theta1, 0.5)
         assert om_perm == pytest.approx(om, rel=1e-6)
 

@@ -113,6 +113,16 @@ class TestSelect:
         assert float(fields["hi"]) < -float(fields["z"])
         assert fields["degenerate"] == "false"
 
+    def test_huge_cut_exits_zero(self, capsys, poisson_file):
+        # the cell kernels never size an array by the largest cut
+        code, out, _ = run(capsys, ["select", "--data", poisson_file,
+                                    "--model1", "poisson",
+                                    "--model2", "geometric", "--h", "0.5",
+                                    "--cuts", "1,2,3,1e12"])
+        assert code == 0
+        fields = dict(line.split("=", 1) for line in out.strip().split("\n"))
+        assert fields["decision"] in ("favor_first", "favor_second", "indecisive")
+
     def test_identical_models_degenerate_exit_zero(self, capsys, poisson_file):
         code, out, _ = run(capsys, ["select", "--data", poisson_file,
                                     "--model1", "poisson",

@@ -9,6 +9,7 @@ from phdsel import (HELLINGER_KERNEL, KL_MODIFIED_KERNEL, DegenerateGradient,
                     InvalidInput, InvalidParameter, PhiKernel, grad_phd_first,
                     grad_phd_second, hellinger, kl_modified,
                     penalized_hellinger, phi_divergence)
+from phdsel.divergence import _phd_rows
 
 HD_EXAMPLE = 2.0 * ((1.0 - math.sqrt(0.5)) ** 2 + 0.5)          # (1,0) vs (.5,.5)
 PHD_HALF_EXAMPLE = 2.0 * ((1.0 - math.sqrt(0.5)) ** 2 + 0.25)   # same pair, h=1/2
@@ -117,6 +118,16 @@ class TestPenalizedHellinger:
     def test_nonnegative(self, p, h):
         q = np.roll(p, 1)
         assert penalized_hellinger(p, q, h) >= 0.0
+
+    @pytest.mark.parametrize("m", [3, 8, 10, 17])
+    def test_batched_rows_equal_single_evaluations(self, m):
+        # the fit evaluates its start grid as one (B, m) batch
+        rng = np.random.default_rng(m)
+        p, _ = random_simplex_pair(rng, m, zeros=True)
+        Q = rng.dirichlet(np.ones(m), size=32)
+        occupied = p > 0.0
+        rows = _phd_rows(np.sqrt(p[occupied]), occupied, Q, 0.5)
+        assert np.array_equal(rows, [penalized_hellinger(p, q, 0.5) for q in Q])
 
     def test_zero_iff_agreement_and_no_missed_mass(self):
         # agreement on occupied cells but model mass on the empty cell

@@ -28,8 +28,8 @@ class TestGofTest:
         part = CellPartition(cuts=(0.0, 1.0, 2.0, math.inf))
 
         def cell_fn(theta):
-            t = theta[0]
-            return np.array([t, 0.5 * (1.0 - t), 0.5 * (1.0 - t)])
+            t = theta[:, :1]
+            return np.hstack([t, 0.5 * (1.0 - t), 0.5 * (1.0 - t)])
 
         model = DiscreteModel(name="wedge", bounds=((0.05, 0.9),),
                               partition=part, cell_fn=cell_fn)
@@ -61,7 +61,7 @@ class TestGofTest:
         perm = rng.permutation(8)
         permuted = DiscreteModel(name="perm", bounds=base.bounds,
                                  partition=base.partition,
-                                 cell_fn=lambda th: base.cell_prob(th)[perm])
+                                 cell_fn=lambda th: base.cell_fn(th)[:, perm])
         r1 = gof_test(sample, base, 0.5)
         r2 = gof_test(BinnedSample(counts=sample.counts[perm]), permuted, 0.5)
         assert r1.statistic == pytest.approx(r2.statistic, abs=1e-8)

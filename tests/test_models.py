@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -6,8 +7,16 @@ from scipy import stats
 
 from phdsel import (CellPartition, InvalidInput, InvalidParameter, MixtureDGP,
                     default_partition, geometric_cell_probs, geometric_model,
-                    mixture_cell_probs, model_by_name, poisson_cell_probs,
-                    poisson_model, sample_mixture)
+                    mixture_cell_probs, model_by_name, parse_cuts,
+                    poisson_cell_probs, poisson_model, sample_mixture)
+from phdsel.models import GEOMETRIC_BOUNDS, POISSON_BOUNDS
+
+KERNEL_PARTITIONS = {
+    "default": default_partition(),
+    "wide": parse_cuts("1,2,5,10,20,50,100,1000,10000"),
+    "long_tail": parse_cuts("3,6,9,12,15,18,100000"),
+}
+HUGE_CUT = parse_cuts("1,2,3,1e12")
 
 
 def brute_force_cells(pmf_values: np.ndarray, support: np.ndarray,
@@ -17,6 +26,40 @@ def brute_force_cells(pmf_values: np.ndarray, support: np.ndarray,
     out = np.zeros(part.m)
     np.add.at(out, idx, pmf_values)
     return out
+
+
+def integer_edges(part: CellPartition, support_start: int) -> list[int]:
+    return [max(math.ceil(c), support_start) for c in part.cuts[:-1]]
+
+
+def summed_poisson_cells(lam: float, part: CellPartition) -> np.ndarray:
+    """Poisson cells by summing the pmf over every integer below the largest
+    cut: pmf(0) = exp(-lam), the cumulative product of lam / x, a cumulative
+    sum differenced at the cell edges, and the last cell as the residual.
+    The kernel truncates this sum and must reproduce it bit for bit."""
+    edges = integer_edges(part, 0)
+    top = edges[-1]
+    xs = np.arange(0, top)
+    base = np.exp(-lam)
+    ratios = np.cumprod(lam / np.arange(1.0, xs[-1] + 1.0))
+    pmf = np.concatenate(([base], base * ratios))[xs]
+    csum = np.concatenate(([0.0], np.cumsum(pmf)))
+    probs = np.empty(part.m)
+    for i, (a, b) in enumerate(zip(edges, edges[1:])):
+        probs[i] = csum[b] - csum[a]
+    probs[-1] = max(1.0 - probs[:-1].sum(), 0.0)
+    return probs
+
+
+def decimal_geometric_cells(p: float, part: CellPartition) -> np.ndarray:
+    """Geometric cells on {1, 2, ...} from the survival function (1-p)^(e-1)
+    in 50-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        q = 1 - Decimal(float(p))
+        surv = [q ** (e - 1) for e in integer_edges(part, 1)]
+        cells = [a - b for a, b in zip(surv, surv[1:])] + [surv[-1]]
+        return np.array([float(c) for c in cells])
 
 
 class TestPoissonCells:
@@ -109,6 +152,55 @@ class TestModels:
         for t in theta_grid:
             p = model.cell_prob([t])
             assert abs(p.sum() - 1.0) <= 1e-12 and np.all(p >= 0.0)
+
+
+class TestCellKernels:
+    @pytest.mark.parametrize("name", sorted(KERNEL_PARTITIONS))
+    def test_poisson_kernel_equals_pmf_summation(self, name):
+        part = KERNEL_PARTITIONS[name]
+        model = poisson_model(part)
+        for lam in np.linspace(*POISSON_BOUNDS, 3001):
+            assert np.array_equal(model.cell_prob([lam]),
+                                  summed_poisson_cells(float(lam), part)), lam
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_PARTITIONS))
+    def test_geometric_kernel_matches_decimal_closed_form(self, name):
+        part = KERNEL_PARTITIONS[name]
+        model = geometric_model(part)
+        lo, hi = GEOMETRIC_BOUNDS
+        ps = np.concatenate([np.linspace(lo, hi, 201), np.geomspace(lo, 1e-2, 25),
+                             1.0 - np.geomspace(1.0 - hi, 1e-2, 25)])
+        worst = max(np.abs(model.cell_prob([p]) - decimal_geometric_cells(p, part)).max()
+                    for p in ps)
+        assert worst <= 1e-15
+
+    @pytest.mark.parametrize("build,grid", [
+        (poisson_model, np.linspace(*POISSON_BOUNDS, 37)),
+        (geometric_model, np.linspace(*GEOMETRIC_BOUNDS, 37)),
+    ])
+    @pytest.mark.parametrize("name", sorted(KERNEL_PARTITIONS))
+    def test_batch_equals_stacked_batches_of_one(self, build, grid, name):
+        model = build(KERNEL_PARTITIONS[name])
+        batch = model.cell_fn(grid[:, None])
+        stacked = np.vstack([model.cell_fn(np.array([[t]])) for t in grid])
+        assert batch.shape == (grid.size, model.partition.m)
+        assert np.array_equal(batch, stacked)
+
+    @pytest.mark.parametrize("lam", [*POISSON_BOUNDS, 0.3, 4.0, 17.5])
+    def test_poisson_huge_cut_matches_scipy_cdf(self, lam):
+        q = poisson_model(HUGE_CUT).cell_prob([lam])
+        edges = np.array(integer_edges(HUGE_CUT, 0), dtype=float)
+        cdf = stats.poisson.cdf(edges - 1.0, lam)
+        oracle = np.append(np.diff(cdf), stats.poisson.sf(edges[-1] - 1.0, lam))
+        assert np.all(np.isfinite(q)) and abs(q.sum() - 1.0) <= 1e-12
+        np.testing.assert_allclose(q, oracle, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("p", [*GEOMETRIC_BOUNDS, 0.2, 0.5])
+    def test_geometric_huge_cut_matches_decimal_closed_form(self, p):
+        q = geometric_model(HUGE_CUT).cell_prob([p])
+        assert np.all(np.isfinite(q)) and abs(q.sum() - 1.0) <= 1e-12
+        np.testing.assert_allclose(q, decimal_geometric_cells(p, HUGE_CUT),
+                                   rtol=0.0, atol=1e-15)
 
 
 class TestMixtureSampling:
