@@ -8,15 +8,13 @@ between two competing families with an asymptotically standard-normal
 studentized statistic, and reproduces replicated mixture experiments.
 """
 
-from .asymptotics import (AsymptoticMatrices, SelectionVariance,
-                          asymptotic_matrices, fisher_info, jacobian,
+from .asymptotics import (SelectionVariance, fisher_info, jacobian,
                           lambda_correct, lambda_star_hat, m_matrix, omega_sq,
                           sigma)
 from .cells import (BinnedSample, CellPartition, as_prob_vector,
                     default_partition, empirical_frequencies, parse_cuts)
-from .divergence import (HELLINGER_KERNEL, KL_MODIFIED_KERNEL, PhiKernel,
-                         grad_phd_first, grad_phd_second, hellinger,
-                         kl_modified, penalized_hellinger, phi_divergence)
+from .divergence import (grad_phd_first, grad_phd_second, hellinger,
+                         kl_modified, penalized_hellinger)
 from .errors import (BoundaryParameter, DegenerateGradient,
                      DegenerateVariance, FitFailed, InvalidInput,
                      InvalidParameter, NoEquidistance, PhdselError,
@@ -37,24 +35,22 @@ from .simulate import (EquidistanceResult, ExperimentConfig, ExperimentRow,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticMatrices", "BinnedSample", "BoundaryParameter", "CellPartition",
+    "BinnedSample", "BoundaryParameter", "CellPartition",
     "DegenerateGradient", "DegenerateVariance", "DiscreteModel",
     "EquidistanceResult", "ExperimentConfig", "ExperimentRow", "FAVOR_FIRST",
-    "FAVOR_SECOND", "FitFailed", "FitResult", "GofReport", "HELLINGER_KERNEL",
-    "INDECISIVE", "InvalidInput", "InvalidParameter", "KL_MODIFIED_KERNEL",
-    "MODEL_BUILDERS", "MixtureDGP", "NoEquidistance", "PhdselError",
-    "PhiKernel", "SelectionReport", "SelectionVariance",
-    "SingularInformation", "as_prob_vector", "asymptotic_matrices",
-    "chi2_cdf", "chi2_quantile", "config_from_dict", "decide",
-    "default_partition", "emit_table", "empirical_frequencies",
-    "equidistance_gap", "equidistance_pi", "fisher_info", "fit_phd_to_probs",
-    "geometric_cell_probs", "geometric_model", "gof_test", "grad_phd_first",
-    "grad_phd_second", "hellinger", "jacobian", "kl_modified",
-    "lambda_correct", "lambda_star_hat", "load_config", "m_matrix",
-    "minimize_phd", "minimize_scalar", "mixture_cell_probs", "mle_binned",
-    "model_by_name", "model_select", "normal_cdf", "normal_quantile",
-    "omega_sq", "parse_cuts", "penalized_hellinger", "phi_divergence",
-    "poisson_cell_probs", "poisson_model", "power_approx",
-    "required_sample_size", "run_experiment", "sample_mixture", "sigma",
-    "substream",
+    "FAVOR_SECOND", "FitFailed", "FitResult", "GofReport", "INDECISIVE",
+    "InvalidInput", "InvalidParameter", "MODEL_BUILDERS", "MixtureDGP",
+    "NoEquidistance", "PhdselError", "SelectionReport", "SelectionVariance",
+    "SingularInformation", "as_prob_vector", "chi2_cdf", "chi2_quantile",
+    "config_from_dict", "decide", "default_partition", "emit_table",
+    "empirical_frequencies", "equidistance_gap", "equidistance_pi",
+    "fisher_info", "fit_phd_to_probs", "geometric_cell_probs",
+    "geometric_model", "gof_test", "grad_phd_first", "grad_phd_second",
+    "hellinger", "jacobian", "kl_modified", "lambda_correct",
+    "lambda_star_hat", "load_config", "m_matrix", "minimize_phd",
+    "minimize_scalar", "mixture_cell_probs", "mle_binned", "model_by_name",
+    "model_select", "normal_cdf", "normal_quantile", "omega_sq", "parse_cuts",
+    "penalized_hellinger", "poisson_cell_probs", "poisson_model",
+    "power_approx", "required_sample_size", "run_experiment",
+    "sample_mixture", "sigma", "substream",
 ]

@@ -31,18 +31,6 @@ _GAMMA_SQ_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
-class AsymptoticMatrices:
-    """Jacobian and derived matrices of one model at one parameter."""
-
-    J: np.ndarray       # m x k Jacobian of cell probabilities
-    D: np.ndarray       # diag(q^{-1/2}) J
-    I: np.ndarray       # k x k information matrix D^T D
-    Sigma: np.ndarray   # m x m multinomial covariance at the model point
-    M: np.ndarray       # m x m projection J I^{-1} J^T diag(1/q)
-    Lambda: np.ndarray  # m x m covariance of sqrt(n)(phat - fitted probs)
-
-
-@dataclass(frozen=True)
 class SelectionVariance:
     """Plug-in ingredients of the selection-statistic variance."""
 
@@ -124,17 +112,6 @@ def lambda_correct(model: DiscreteModel, theta) -> np.ndarray:
     S = sigma(q)
     M = _projection(model, q, J)
     return S - S @ M.T - M @ S + M @ S @ M.T
-
-
-def asymptotic_matrices(model: DiscreteModel, theta) -> AsymptoticMatrices:
-    """All the per-model matrices in one pass."""
-    q, J = _cells_and_jacobian(model, theta)
-    D = J / np.sqrt(np.maximum(q, PROB_FLOOR))[:, None]
-    info = _information(model, q, J)
-    M = _projection(model, q, J)
-    S = sigma(q)
-    Lam = S - S @ M.T - M @ S + M @ S @ M.T
-    return AsymptoticMatrices(J=J, D=D, I=info, Sigma=S, M=M, Lambda=Lam)
 
 
 def omega_sq(p, model: DiscreteModel, theta1, h: float) -> float:

@@ -17,10 +17,11 @@ from .errors import InvalidInput
 SIMPLEX_ATOL = 1e-12
 
 
-def as_prob_vector(p, atol: float = SIMPLEX_ATOL) -> np.ndarray:
+def as_prob_vector(p) -> np.ndarray:
     """Validate and return ``p`` as a probability vector.
 
-    Entries must be nonnegative and sum to one within ``atol``.
+    Entries must be finite and nonnegative and sum to one within
+    ``SIMPLEX_ATOL``.
     """
     arr = np.asarray(p, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
@@ -29,7 +30,7 @@ def as_prob_vector(p, atol: float = SIMPLEX_ATOL) -> np.ndarray:
         raise InvalidInput("probability vector has non-finite entries")
     if np.any(arr < 0.0):
         raise InvalidInput("probability vector has negative entries")
-    if abs(arr.sum() - 1.0) > atol:
+    if abs(arr.sum() - 1.0) > SIMPLEX_ATOL:
         raise InvalidInput(f"probability vector sums to {arr.sum()!r}, not 1")
     return arr
 
@@ -49,7 +50,8 @@ class CellPartition:
             raise InvalidInput("first cut must be 0")
         if not math.isinf(cuts[-1]):
             raise InvalidInput("last cut must be +inf")
-        if any(a >= b for a, b in zip(cuts, cuts[1:])):
+        # written so that a NaN cut, which compares False both ways, fails
+        if not all(a < b for a, b in zip(cuts, cuts[1:])):
             raise InvalidInput("cuts must be strictly increasing")
 
     @property
@@ -87,10 +89,10 @@ def parse_cuts(text: str) -> CellPartition:
 
 @dataclass(frozen=True)
 class BinnedSample:
-    """Cell counts and total sample size."""
+    """Cell counts; ``n`` is their total, the sample size."""
 
     counts: np.ndarray
-    n: int = field(default=0)
+    n: int = field(init=False)
 
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=np.int64)
@@ -99,12 +101,10 @@ class BinnedSample:
             raise InvalidInput("counts must be 1-D with at least 2 cells")
         if np.any(counts < 0):
             raise InvalidInput("negative cell count")
-        n = int(self.n) if self.n else int(counts.sum())
-        object.__setattr__(self, "n", n)
+        n = int(counts.sum())
         if n < 1:
             raise InvalidInput("sample size must be >= 1")
-        if counts.sum() != n:
-            raise InvalidInput(f"counts sum to {counts.sum()}, expected n={n}")
+        object.__setattr__(self, "n", n)
 
     @property
     def m(self) -> int:
@@ -125,5 +125,5 @@ def empirical_frequencies(data, part: CellPartition) -> tuple[BinnedSample, np.n
         raise InvalidInput("data contains negative values")
     idx = part.bin_indices(values)
     counts = np.bincount(idx, minlength=part.m)
-    sample = BinnedSample(counts=counts, n=values.size)
+    sample = BinnedSample(counts=counts)
     return sample, as_prob_vector(sample.frequencies())

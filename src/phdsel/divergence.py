@@ -9,10 +9,6 @@ used only as a test oracle.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .cells import as_prob_vector
@@ -25,61 +21,11 @@ def check_penalty_weight(h: float) -> float:
     return float(h)
 
 
-@dataclass(frozen=True)
-class PhiKernel:
-    """Convex kernel for a phi-divergence sum(q_i * phi(p_i / q_i)).
-
-    ``limit_slope`` is lim phi(u)/u as u -> inf, used for the convention
-    0 * phi(p/0) = p * limit_slope.
-    """
-
-    name: str
-    phi: Callable[[float], float]
-    limit_slope: float
-
-    def __post_init__(self):
-        if abs(self.phi(1.0)) > 1e-12:
-            raise InvalidInput(f"kernel {self.name!r} must satisfy phi(1) = 0")
-        # convexity spot check on a grid: midpoint below chord
-        grid = np.linspace(0.05, 5.0, 25)
-        for a, b in zip(grid, grid[1:]):
-            mid = self.phi(0.5 * (a + b))
-            if mid > 0.5 * (self.phi(a) + self.phi(b)) + 1e-12:
-                raise InvalidInput(f"kernel {self.name!r} fails convexity at [{a}, {b}]")
-
-
-def _phi_hellinger(x: float) -> float:
-    return -4.0 * (math.sqrt(x) - 0.5 * (x + 1.0))
-
-
-def _phi_kl_modified(x: float) -> float:
-    if x == 0.0:
-        return math.inf
-    return -math.log(x) + x - 1.0
-
-
-HELLINGER_KERNEL = PhiKernel(name="hellinger", phi=_phi_hellinger, limit_slope=2.0)
-KL_MODIFIED_KERNEL = PhiKernel(name="kl_modified", phi=_phi_kl_modified, limit_slope=1.0)
-
-
 def _pair(p, q) -> tuple[np.ndarray, np.ndarray]:
     P, Q = as_prob_vector(p), as_prob_vector(q)
     if P.size != Q.size:
         raise InvalidInput(f"length mismatch: {P.size} vs {Q.size}")
     return P, Q
-
-
-def phi_divergence(p, q, kernel: PhiKernel) -> float:
-    """sum(q_i * phi(p_i/q_i)) with the usual zero conventions."""
-    P, Q = _pair(p, q)
-    total = 0.0
-    for pi, qi in zip(P, Q):
-        if qi > 0.0:
-            total += qi * kernel.phi(pi / qi)
-        elif pi > 0.0:
-            total += pi * kernel.limit_slope
-        # qi == pi == 0 contributes 0
-    return total
 
 
 def hellinger(p, q) -> float:

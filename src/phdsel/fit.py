@@ -2,9 +2,9 @@
 
 Scalar objectives are minimized by a 32-point uniform grid multi-start,
 evaluated in one batched call, followed by golden-section refinement of the
-best bracket; ties between starts are broken toward the smaller parameter so
-repeated runs are bit-identical.  Two-parameter models use simplex descent
-from 16 deterministic starts.
+best bracket until it is narrower than 1e-8 of the box width; ties between
+starts are broken toward the smaller parameter so repeated runs are
+bit-identical.  Every model fitted here has one parameter.
 
 The fit front ends validate their inputs once; the objective they minimize
 calls the model's batched cell kernel directly.
@@ -12,7 +12,6 @@ calls the model's batched cell kernel directly.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -26,7 +25,6 @@ from .models import DiscreteModel
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GRID_POINTS = 32
-SIMPLEX_STARTS_PER_AXIS = 4  # 16 starts for k = 2
 
 
 class ScalarMin(NamedTuple):
@@ -46,8 +44,8 @@ class FitResult:
     converged: bool
 
 
-def _minimize_rows(f_rows: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-                   tol: float | None = None) -> ScalarMin:
+def _minimize_rows(f_rows: Callable[[np.ndarray], np.ndarray], lo: float,
+                   hi: float) -> ScalarMin:
     """Minimize on [lo, hi] an objective that maps a 1-D array of points to
     their values; returns the best point evaluated.
 
@@ -56,8 +54,7 @@ def _minimize_rows(f_rows: Callable[[np.ndarray], np.ndarray], lo: float, hi: fl
     """
     if not lo < hi:
         raise InvalidInput(f"need lo < hi, got [{lo}, {hi}]")
-    if tol is None:
-        tol = 1e-8 * (hi - lo)
+    tol = 1e-8 * (hi - lo)
 
     evals = 0
 
@@ -99,73 +96,40 @@ def _minimize_rows(f_rows: Callable[[np.ndarray], np.ndarray], lo: float, hi: fl
     return ScalarMin(best_x, best_f, evals, converged=(b - a) < tol)
 
 
-def minimize_scalar(f: Callable[[float], float], lo: float, hi: float,
-                    tol: float | None = None) -> ScalarMin:
+def minimize_scalar(f: Callable[[float], float], lo: float, hi: float) -> ScalarMin:
     """Minimize ``f`` on [lo, hi]; returns the best point evaluated.
 
-    The default tolerance is 1e-8 of the box width, applied to the bracket
-    diameter at exit.
+    The search stops once the golden-section bracket is narrower than 1e-8
+    of the box width.
     """
-    return _minimize_rows(lambda xs: [f(x) for x in xs], lo, hi, tol)
-
-
-def _minimize_simplex(f: Callable[[np.ndarray], float],
-                      bounds: tuple[tuple[float, float], ...]) -> FitResult:
-    """Nelder-Mead from a deterministic grid of starts, best result kept;
-    ties broken toward the lexicographically smallest parameter."""
-    from scipy.optimize import minimize as scipy_minimize
-
-    evals = 0
-
-    def fc(x: np.ndarray) -> float:
-        nonlocal evals
-        evals += 1
-        v = f(x)
-        return v if v == v else math.inf
-
-    axes = [np.linspace(lo, hi, SIMPLEX_STARTS_PER_AXIS + 2)[1:-1] for lo, hi in bounds]
-    best = None
-    for x0 in itertools.product(*axes):
-        res = scipy_minimize(fc, np.array(x0), method="Nelder-Mead", bounds=bounds,
-                             options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 2000})
-        cand = (float(res.fun), tuple(float(v) for v in res.x), bool(res.success))
-        if best is None or cand < best:
-            best = cand
-    if best is None or not math.isfinite(best[0]):
-        raise FitFailed("objective non-finite at every simplex start")
-    return FitResult(theta_hat=np.array(best[1]), objective=best[0],
-                     evaluations=evals, converged=best[2])
+    return _minimize_rows(lambda xs: [f(x) for x in xs], lo, hi)
 
 
 def _fit_to_frequencies(model: DiscreteModel,
                         objective_rows: Callable[[np.ndarray], np.ndarray]) -> FitResult:
-    """Fit ``model`` by minimizing ``objective_rows``, which maps a (B, k)
+    """Fit ``model`` by minimizing ``objective_rows``, which maps a (B, 1)
     parameter array to B objective values."""
-    if model.k == 1:
-        lo, hi = model.bounds[0]
-        res = _minimize_rows(lambda ts: objective_rows(ts[:, None]), lo, hi)
-        return FitResult(theta_hat=np.array([res.x]), objective=float(res.fun),
-                         evaluations=res.evaluations, converged=res.converged)
-    if model.k == 2:
-        return _minimize_simplex(lambda th: float(objective_rows(th[None, :])[0]),
-                                 model.bounds)
-    raise InvalidInput(f"only k <= 2 models are supported, got k={model.k}")
+    if model.k != 1:
+        raise InvalidInput(f"only one-parameter models are supported, got k={model.k}")
+    lo, hi = model.bounds[0]
+    res = _minimize_rows(lambda ts: objective_rows(ts[:, None]), lo, hi)
+    return FitResult(theta_hat=np.array([res.x]), objective=float(res.fun),
+                     evaluations=res.evaluations, converged=res.converged)
 
 
-def _check_sample(model: DiscreteModel, sample: BinnedSample) -> None:
-    if sample.n < 1:
-        raise InvalidInput("empty sample")
-    if sample.m != model.partition.m:
-        raise InvalidInput(f"sample has {sample.m} cells, model {model.partition.m}")
+def _target(model: DiscreteModel, p) -> np.ndarray:
+    """``p`` validated as a probability vector on the cells of ``model``."""
+    target = as_prob_vector(p)
+    if target.size != model.partition.m:
+        raise InvalidInput(f"target has {target.size} cells, model {model.partition.m}")
+    return target
 
 
 def fit_phd_to_probs(model: DiscreteModel, p: np.ndarray, h: float) -> FitResult:
     """Minimum penalized Hellinger fit of ``model`` to a probability vector
     (population version, used for pseudo-true parameters)."""
     h = check_penalty_weight(h)
-    target = as_prob_vector(p)
-    if target.size != model.partition.m:
-        raise InvalidInput(f"target has {target.size} cells, model {model.partition.m}")
+    target = _target(model, p)
     occupied = target > 0.0
     root_p = np.sqrt(target[occupied])
     return _fit_to_frequencies(
@@ -175,14 +139,12 @@ def fit_phd_to_probs(model: DiscreteModel, p: np.ndarray, h: float) -> FitResult
 
 def minimize_phd(model: DiscreteModel, sample: BinnedSample, h: float) -> FitResult:
     """Minimum penalized Hellinger distance estimate from binned counts."""
-    _check_sample(model, sample)
     return fit_phd_to_probs(model, sample.frequencies(), h)
 
 
 def mle_binned(model: DiscreteModel, sample: BinnedSample) -> FitResult:
     """Grouped-data maximum likelihood via the modified KL divergence."""
-    _check_sample(model, sample)
-    phat = as_prob_vector(sample.frequencies())
+    phat = _target(model, sample.frequencies())
     occupied = phat > 0.0
     return _fit_to_frequencies(
         model, lambda th: _kl_modified_rows(phat, occupied, model.cell_fn(th))

@@ -145,18 +145,16 @@ def geometric_cell_probs(p: float, part: CellPartition) -> np.ndarray:
     return as_prob_vector(_geometric_kernel(part)(np.array([[float(p)]]))[0])
 
 
-def poisson_model(part: CellPartition | None = None,
-                  bounds: tuple[float, float] = POISSON_BOUNDS) -> DiscreteModel:
+def poisson_model(part: CellPartition | None = None) -> DiscreteModel:
     part = part or default_partition()
-    return DiscreteModel(name="poisson", bounds=(bounds,), partition=part,
-                         cell_fn=_poisson_kernel(part))
+    return DiscreteModel(name="poisson", bounds=(POISSON_BOUNDS,),
+                         partition=part, cell_fn=_poisson_kernel(part))
 
 
-def geometric_model(part: CellPartition | None = None,
-                    bounds: tuple[float, float] = GEOMETRIC_BOUNDS) -> DiscreteModel:
+def geometric_model(part: CellPartition | None = None) -> DiscreteModel:
     part = part or default_partition()
-    return DiscreteModel(name="geometric", bounds=(bounds,), partition=part,
-                         cell_fn=_geometric_kernel(part))
+    return DiscreteModel(name="geometric", bounds=(GEOMETRIC_BOUNDS,),
+                         partition=part, cell_fn=_geometric_kernel(part))
 
 
 MODEL_BUILDERS: dict[str, Callable[[CellPartition | None], DiscreteModel]] = {

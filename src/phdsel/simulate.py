@@ -54,8 +54,8 @@ class ExperimentConfig:
             raise InvalidInput("sizes must be nonempty")
         if any(n < 1 for n in self.sizes):
             raise InvalidInput("every size must be >= 1")
-        if any(h <= 0 for h in self.h_values):
-            raise InvalidInput("every h must be > 0")
+        if not all(math.isfinite(h) and h > 0 for h in self.h_values):
+            raise InvalidInput(f"h_values must be finite and > 0, got {self.h_values!r}")
         if not 0.0 < self.alpha < 1.0:
             raise InvalidInput(f"alpha must be in (0,1), got {self.alpha!r}")
 
@@ -104,7 +104,7 @@ def _replicate(config: ExperimentConfig, dgp: MixtureDGP,
     data = sample_mixture(dgp, n, rng)
     idx = config.partition.bin_indices(data)
     counts = np.bincount(idx, minlength=config.partition.m)
-    sample = BinnedSample(counts=counts, n=n)
+    sample = BinnedSample(counts=counts)
     rep_out = model_select(sample, pois, geom, h, config.alpha)
     return (rep_out.fit1.theta_hat[0], rep_out.fit2.theta_hat[0],
             rep_out.d1, rep_out.d2, rep_out.hi, rep_out.decision,

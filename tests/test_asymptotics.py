@@ -5,11 +5,11 @@ import pytest
 from scipy import stats as sps
 
 from phdsel import (BinnedSample, BoundaryParameter, CellPartition,
-                    DegenerateVariance, InvalidParameter, asymptotic_matrices,
-                    default_partition, fisher_info, fit_phd_to_probs,
-                    geometric_model, jacobian, lambda_correct, lambda_star_hat,
-                    m_matrix, minimize_phd, mixture_cell_probs, omega_sq,
-                    penalized_hellinger, poisson_model, sigma)
+                    DegenerateVariance, InvalidParameter, default_partition,
+                    fisher_info, fit_phd_to_probs, geometric_model, jacobian,
+                    lambda_correct, lambda_star_hat, m_matrix, minimize_phd,
+                    mixture_cell_probs, omega_sq, penalized_hellinger,
+                    poisson_model, sigma)
 
 
 def analytic_poisson_jacobian(lam, part):
@@ -269,14 +269,3 @@ class TestLambdaStarHat:
             rep = model_select(BinnedSample(counts=counts), pois, geom, 0.5)
             his[r] = rep.hi
         assert 0.67 <= his.std(ddof=1) <= 1.1
-
-
-class TestAsymptoticMatrices:
-    def test_bundle_consistency(self):
-        model = poisson_model()
-        am = asymptotic_matrices(model, [4.0])
-        np.testing.assert_allclose(am.I, fisher_info(model, [4.0]), rtol=1e-12)
-        np.testing.assert_allclose(am.M, m_matrix(model, [4.0]), rtol=1e-12)
-        np.testing.assert_allclose(am.Lambda, lambda_correct(model, [4.0]), rtol=1e-10)
-        np.testing.assert_allclose(am.D * np.sqrt(model.cell_prob([4.0]))[:, None],
-                                   am.J, rtol=1e-12)

@@ -41,6 +41,8 @@ class TestCellPartition:
             parse_cuts("")
         with pytest.raises(InvalidInput):
             parse_cuts("a,b")
+        with pytest.raises(InvalidInput):
+            parse_cuts("1,nan,3")
 
 
 class TestProbVector:
@@ -100,7 +102,7 @@ class TestEmpiricalFrequencies:
 
 class TestBinnedSample:
     def test_validates_total(self):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(TypeError):  # n is the counts' total, not an input
             BinnedSample(counts=np.array([1, 2]), n=5)
         with pytest.raises(InvalidInput):
             BinnedSample(counts=np.array([0, 0]))

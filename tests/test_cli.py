@@ -123,6 +123,15 @@ class TestSelect:
         fields = dict(line.split("=", 1) for line in out.strip().split("\n"))
         assert fields["decision"] in ("favor_first", "favor_second", "indecisive")
 
+    def test_nan_cut_exits_2(self, capsys, poisson_file):
+        code, out, err = run(capsys, ["select", "--data", poisson_file,
+                                      "--model1", "poisson",
+                                      "--model2", "geometric",
+                                      "--cuts", "1,nan,3"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("phdsel: error:")
+
     def test_identical_models_degenerate_exit_zero(self, capsys, poisson_file):
         code, out, _ = run(capsys, ["select", "--data", poisson_file,
                                     "--model1", "poisson",

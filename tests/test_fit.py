@@ -11,7 +11,6 @@ from phdsel import (BinnedSample, CellPartition, DiscreteModel, FitFailed,
                     hellinger, kl_modified, minimize_phd, minimize_scalar,
                     mle_binned, parse_cuts, penalized_hellinger,
                     poisson_model, sample_mixture)
-from phdsel.fit import _minimize_simplex
 
 ORACLE_PARTITIONS = (default_partition(), parse_cuts("1,2,5,10,20,50,100,1000,10000"))
 FIT_TOL = 1e-8  # the minimizer's bracket at exit, as a share of the box width
@@ -74,18 +73,6 @@ class TestMinimizeScalar:
     def test_counts_evaluations(self):
         res = minimize_scalar(lambda x: (x - 0.5) ** 2, 0.0, 1.0)
         assert res.evaluations >= 32
-
-
-class TestMinimizeSimplex:
-    def test_quadratic_bowl(self):
-        f = lambda v: (v[0] - 0.3) ** 2 + (v[1] - 0.7) ** 2
-        res = _minimize_simplex(f, ((0.0, 1.0), (0.0, 1.0)))
-        np.testing.assert_allclose(res.theta_hat, [0.3, 0.7], atol=1e-6)
-
-    def test_respects_bounds(self):
-        f = lambda v: (v[0] + 1.0) ** 2 + v[1] ** 2
-        res = _minimize_simplex(f, ((0.0, 1.0), (0.0, 1.0)))
-        np.testing.assert_allclose(res.theta_hat, [0.0, 0.0], atol=1e-6)
 
 
 class TestMinimizePhd:

@@ -2,12 +2,31 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phdsel import (FAVOR_FIRST, FAVOR_SECOND, INDECISIVE, BinnedSample,
                     CellPartition, DegenerateVariance, DiscreteModel,
                     InvalidInput, chi2_quantile, decide, default_partition,
                     geometric_model, gof_test, model_select, normal_quantile,
-                    poisson_model, power_approx, required_sample_size)
+                    parse_cuts, poisson_model, power_approx,
+                    required_sample_size)
+
+
+@st.composite
+def edge_samples(draw):
+    """A partition and a count vector on it: arbitrary counts, or all of
+    the sample in one cell."""
+    part = draw(st.sampled_from(
+        (default_partition(), parse_cuts("1,2,5,10,20,50,100,1000,10000"))))
+    if draw(st.booleans()):
+        counts = np.zeros(part.m, dtype=int)
+        counts[draw(st.integers(0, part.m - 1))] = draw(st.integers(1, 300))
+    else:
+        counts = np.array(draw(st.lists(st.integers(0, 60), min_size=part.m,
+                                        max_size=part.m)))
+        counts[draw(st.integers(0, part.m - 1))] += 1
+    return part, BinnedSample(counts=counts)
 
 
 def binned(rng, n, pi=1.0, part=None):
@@ -165,18 +184,23 @@ class TestModelSelect:
         assert report.hi < -report.z
         assert not report.degenerate
 
-    def test_antisymmetry_under_model_swap(self):
-        rng = np.random.default_rng(23)
-        pois, geom = poisson_model(), geometric_model()
-        for n, pi in ((40, 1.0), (300, 0.0), (300, 0.535)):
-            sample = binned(rng, n, pi=pi)
-            fwd = model_select(sample, pois, geom, 0.5)
-            rev = model_select(sample, geom, pois, 0.5)
-            assert fwd.hi == pytest.approx(-rev.hi, abs=1e-10)
-            assert fwd.gamma_hat == pytest.approx(rev.gamma_hat, rel=1e-10)
-            swap = {FAVOR_FIRST: FAVOR_SECOND, FAVOR_SECOND: FAVOR_FIRST,
-                    INDECISIVE: INDECISIVE}
-            assert rev.decision == swap[fwd.decision]
+    @given(edge_samples(), st.sampled_from([0.5, 1.0]))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_antisymmetry_under_model_swap(self, drawn, h):
+        part, sample = drawn
+        pois, geom = poisson_model(part), geometric_model(part)
+        fwd = model_select(sample, pois, geom, h)
+        rev = model_select(sample, geom, pois, h)
+        assert (rev.d1, rev.d2) == (fwd.d2, fwd.d1)
+        assert rev.degenerate == fwd.degenerate
+        if fwd.degenerate:
+            assert math.isnan(fwd.hi) and math.isnan(rev.hi)
+        else:
+            assert abs(fwd.hi + rev.hi) <= 1e-12 * abs(fwd.hi)
+            assert rev.gamma_hat == pytest.approx(fwd.gamma_hat, rel=1e-12)
+        swap = {FAVOR_FIRST: FAVOR_SECOND, FAVOR_SECOND: FAVOR_FIRST,
+                INDECISIVE: INDECISIVE}
+        assert rev.decision == swap[fwd.decision]
 
     def test_identical_models_are_degenerate_indecisive(self):
         rng = np.random.default_rng(29)

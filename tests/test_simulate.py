@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -49,6 +50,8 @@ class TestConfig:
             config_from_dict({**raw, "extra": 1})
         with pytest.raises(InvalidInput, match="cuts"):
             config_from_dict({**raw, "cuts": [3, 2, 1]})
+        with pytest.raises(InvalidInput, match="h_values"):
+            config_from_dict({**raw, "h_values": [math.nan]})
 
     def test_load_config_round_trip(self, tmp_path):
         raw = dict(pi=0.0, sizes=[20, 50], reps=7, h_values=[1.0, 0.5],
@@ -160,7 +163,7 @@ class TestEquidistance:
         # a Poisson family restricted to huge rates loses at every mixture,
         # so the distance gap never changes sign
         part = default_partition()
-        far_pois = poisson_model(part, bounds=(30.0, 50.0))
+        far_pois = dataclasses.replace(poisson_model(part), bounds=((30.0, 50.0),))
         geom = geometric_model(part)
         with pytest.raises(NoEquidistance):
             equidistance_pi(far_pois, geom, part, 0.5)
