@@ -7,6 +7,7 @@ and values at or beyond the last finite cut go to the last cell.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -71,13 +72,24 @@ class CellPartition:
 
 
 def default_partition() -> CellPartition:
-    """Eight cells: [0,1), [1,2), ..., [6,7) and [7, +inf)."""
-    return CellPartition(cuts=(0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, math.inf))
+    """Eight cells: [0,1), [1,2), ..., [6,7) and [7, +inf).
+
+    Partitions are immutable, so every call returns the same instance.
+    """
+    return _DEFAULT_PARTITION
 
 
+_DEFAULT_PARTITION = CellPartition(cuts=(0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, math.inf))
+
+
+@functools.lru_cache(maxsize=32)
 def parse_cuts(text: str) -> CellPartition:
     """Build a partition from comma-separated finite cuts, e.g. ``"1,2,3"``
-    means cuts (0, 1, 2, 3, +inf)."""
+    means cuts (0, 1, 2, 3, +inf).
+
+    Repeated texts return the same immutable partition, so callers that
+    build one study config per block from the same cuts hold one partition.
+    """
     try:
         interior = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:

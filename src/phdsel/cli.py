@@ -109,6 +109,7 @@ def _cmd_estimate(args) -> int:
     print(f"objective={fit.objective:.10g}")
     print(f"evaluations={fit.evaluations}")
     print(f"converged={str(fit.converged).lower()}")
+    print(f"at_bound={str(fit.at_bound).lower()}")
     return 0
 
 

@@ -36,13 +36,17 @@ def hellinger(p, q) -> float:
 
 
 def _phd_rows(root_p: np.ndarray, occupied: np.ndarray, Q: np.ndarray,
-              h: float) -> np.ndarray:
-    """Penalized Hellinger distance of each row of the (B, m) array ``Q``
-    from observed frequencies whose square roots on the ``occupied`` cells
-    are ``root_p``; no validation."""
-    fit = ((root_p - np.sqrt(Q.compress(occupied, axis=1))) ** 2).sum(axis=1)
-    penalty = h * Q.compress(~occupied, axis=1).sum(axis=1)
-    return 2.0 * (fit + penalty)
+              h) -> np.ndarray:
+    """Penalized Hellinger distance of each model vector along the last
+    axis of ``Q`` from observed frequencies with square roots ``root_p`` and
+    occupied cells ``occupied``; the three arrays and the weight ``h``
+    broadcast against each other.  No validation.
+
+    Each cell contributes (sqrt p - sqrt q)^2 where occupied and h q where
+    empty; the terms are summed per vector over the cell axis.
+    """
+    terms = np.where(occupied, np.square(root_p - np.sqrt(Q)), h * Q)
+    return np.add.reduce(terms, axis=-1) * 2.0
 
 
 def penalized_hellinger(phat, ptheta, h: float) -> float:
@@ -53,8 +57,7 @@ def penalized_hellinger(phat, ptheta, h: float) -> float:
     """
     h = check_penalty_weight(h)
     P, Q = _pair(phat, ptheta)
-    occupied = P > 0.0
-    return float(_phd_rows(np.sqrt(P[occupied]), occupied, Q[None, :], h)[0])
+    return float(_phd_rows(np.sqrt(P), P > 0.0, Q, h))
 
 
 def _kl_modified_rows(P: np.ndarray, occupied: np.ndarray,

@@ -144,6 +144,14 @@ def model_select(sample: BinnedSample, model1: DiscreteModel,
     fit2 = minimize_phd(model2, sample, h)
     phat = as_prob_vector(sample.frequencies())
     z = normal_quantile(1.0 - alpha / 2.0)
+    return _studentize(phat, sample.n, model1, fit1, model2, fit2, h, z)
+
+
+def _studentize(phat: np.ndarray, n: int, model1: DiscreteModel, fit1: FitResult,
+                model2: DiscreteModel, fit2: FitResult, h: float,
+                z: float) -> SelectionReport:
+    """The selection report of two fits to the frequencies ``phat`` of a
+    sample of size ``n``, at the critical value ``z``."""
     d1, d2 = fit1.objective, fit2.objective
     try:
         sv = lambda_star_hat(phat,
@@ -154,7 +162,7 @@ def model_select(sample: BinnedSample, model1: DiscreteModel,
                                decision=INDECISIVE, degenerate=True,
                                fit1=fit1, fit2=fit2)
     gamma = math.sqrt(sv.GammaSq)
-    hi = math.sqrt(sample.n) * (d1 - d2) / gamma
+    hi = math.sqrt(n) * (d1 - d2) / gamma
     return SelectionReport(hi=hi, gamma_hat=gamma, d1=d1, d2=d2, z=z,
                            decision=decide(hi, z), degenerate=False,
                            fit1=fit1, fit2=fit2)

@@ -36,6 +36,9 @@ from .errors import InvalidInput, InvalidParameter
 
 POISSON_BOUNDS = (1e-6, 50.0)
 GEOMETRIC_BOUNDS = (1e-6, 1.0 - 1e-6)
+# 0-d arrays: as ufunc operands they skip the conversion a Python float
+# needs, which is a measurable share of a kernel call on a few rows
+_ZERO, _ONE = np.zeros(()), np.ones(())
 
 
 @dataclass(frozen=True)
@@ -85,7 +88,7 @@ def _integer_edges(part: CellPartition, support_start: int) -> np.ndarray:
 
 
 def _residual_last(probs: np.ndarray) -> np.ndarray:
-    np.maximum(1.0 - probs[:, :-1].sum(axis=1), 0.0, out=probs[:, -1])
+    np.maximum(_ONE - np.add.reduce(probs[:, :-1], axis=1), _ZERO, out=probs[:, -1])
     return probs
 
 
@@ -102,13 +105,15 @@ def _poisson_kernel(part: CellPartition) -> Callable[[np.ndarray], np.ndarray]:
         csum = np.zeros((lam.shape[0], n + 1))
         base = np.exp(-lam)
         csum[:, 1:2] = base
-        np.multiply(base, np.cumprod(lam / np.arange(1.0, n), axis=1), out=csum[:, 2:])
-        np.cumsum(csum[:, 1:], axis=1, out=csum[:, 1:])
+        # the ufunc methods are np.cumprod and np.cumsum without their wrappers
+        np.multiply(base, np.multiply.accumulate(lam / np.arange(1.0, n), axis=1),
+                    out=csum[:, 2:])
+        np.add.accumulate(csum[:, 1:], axis=1, out=csum[:, 1:])
         # take, unlike fancy indexing, returns C-ordered rows, so each row sum
         # below is bit-identical to that of a batch of one
         at = np.take(csum, np.minimum(edges, n).astype(np.intp), axis=1)
         probs = np.empty_like(at)
-        probs[:, :-1] = at[:, 1:] - at[:, :-1]
+        np.subtract(at[:, 1:], at[:, :-1], out=probs[:, :-1])
         return _residual_last(probs)
 
     return cell_fn
@@ -123,8 +128,8 @@ def _geometric_kernel(part: CellPartition) -> Callable[[np.ndarray], np.ndarray]
     def cell_fn(theta: np.ndarray) -> np.ndarray:
         log_q = np.log1p(-theta[:, :1])
         probs = np.empty((theta.shape[0], part.m))
-        # 0.0 - expm1 keeps empty cells at +0.0
-        probs[:, :-1] = np.exp(start * log_q) * (0.0 - np.expm1(width * log_q))
+        # 0 - expm1 keeps empty cells at +0.0
+        np.multiply(np.exp(start * log_q), _ZERO - np.expm1(width * log_q), out=probs[:, :-1])
         return _residual_last(probs)
 
     return cell_fn

@@ -4,7 +4,10 @@ Each replication draws a mixture sample, fits both families by minimum
 penalized Hellinger distance, and records the studentized selection
 statistic and decision.  Replications use counter-derived random substreams
 keyed by (seed, n, h, replication index), so results do not depend on
-execution order or worker count.
+execution order.
+
+``run_experiment`` fits all replications of a config in lockstep, one
+minimizer call per family (see ``phdsel.fit``).
 """
 
 from __future__ import annotations
@@ -12,24 +15,34 @@ from __future__ import annotations
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
-from .cells import BinnedSample, CellPartition, default_partition
-from .divergence import penalized_hellinger
+from .cells import CellPartition, default_partition
+from .divergence import check_penalty_weight
 from .errors import InvalidInput, NoEquidistance
-from .fit import fit_phd_to_probs
-from .inference import FAVOR_FIRST, FAVOR_SECOND, model_select
+from .fit import _fit_phd_rows
+# model_select is not called here; the benchmark's self-test
+# bench/tests/test_bench.py::TestSelfTime::test_recorder_patches_every_binding_and_restores
+# requires this module to bind it
+from .inference import FAVOR_FIRST, FAVOR_SECOND, _studentize, model_select  # noqa: F401
 from .models import (DiscreteModel, MixtureDGP, geometric_model,
                      mixture_cell_probs, poisson_model, sample_mixture)
+from .quantiles import normal_quantile
 
 DEFAULT_SIZES = (20, 30, 40, 50, 300)
 DEFAULT_H_VALUES = (1.0, 0.5)
 DEFAULT_REPS = 1000
 DEFAULT_ALPHA = 0.05
 DEFAULT_SEED = 20260809
+
+
+def _is_whole(value, minimum: int) -> bool:
+    """Whether ``value`` is an integer (not a bool) >= ``minimum``."""
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= minimum)
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,12 +61,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if not 0.0 <= self.pi <= 1.0:
             raise InvalidInput(f"pi must be in [0,1], got {self.pi!r}")
-        if self.reps < 1:
-            raise InvalidInput("reps must be >= 1")
+        if not _is_whole(self.reps, 1):
+            raise InvalidInput(f"reps must be an integer >= 1, got {self.reps!r}")
         if not self.sizes:
             raise InvalidInput("sizes must be nonempty")
-        if any(n < 1 for n in self.sizes):
-            raise InvalidInput("every size must be >= 1")
+        if not all(_is_whole(n, 1) for n in self.sizes):
+            raise InvalidInput(f"every size must be an integer >= 1, got {self.sizes!r}")
+        if not _is_whole(self.seed, 0):
+            raise InvalidInput(f"seed must be an integer >= 0, got {self.seed!r}")
         if not all(math.isfinite(h) and h > 0 for h in self.h_values):
             raise InvalidInput(f"h_values must be finite and > 0, got {self.h_values!r}")
         if not 0.0 < self.alpha < 1.0:
@@ -97,43 +112,46 @@ def substream(seed: int, n: int, h: float, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, n, h_key, rep)))
 
 
-def _replicate(config: ExperimentConfig, dgp: MixtureDGP,
-               pois: DiscreteModel, geom: DiscreteModel,
-               n: int, h: float, rep: int) -> tuple:
-    rng = substream(config.seed, n, h, rep)
-    data = sample_mixture(dgp, n, rng)
-    idx = config.partition.bin_indices(data)
-    counts = np.bincount(idx, minlength=config.partition.m)
-    sample = BinnedSample(counts=counts)
-    rep_out = model_select(sample, pois, geom, h, config.alpha)
-    return (rep_out.fit1.theta_hat[0], rep_out.fit2.theta_hat[0],
-            rep_out.d1, rep_out.d2, rep_out.hi, rep_out.decision,
-            rep_out.degenerate)
-
-
 def run_experiment(config: ExperimentConfig,
                    max_workers: int | None = None) -> list[ExperimentRow]:
     """Run the full grid of (n, h) blocks.
 
-    ``max_workers`` fans replications out over threads; results are stored
-    by replication index and aggregated afterwards, so any worker count
-    produces bit-identical rows.
+    Every replication of every block is drawn and binned first, each from
+    its own substream keyed by (seed, n, h, rep).  Each family is then
+    fitted to all R = len(sizes) * len(h_values) * reps rows in one
+    lockstep call, chunked by ``phdsel.fit.CHUNK_ROWS``, and each row is
+    studentized on its own.  Row r of a lockstep fit is bit-identical to the
+    fit of that replication alone, so every block row equals the aggregate
+    of per-replication ``model_select`` calls.
+
+    ``max_workers`` is accepted and ignored: the rows never depended on it,
+    and splitting the fits or the studentization across two threads
+    measured no faster than one thread.
     """
+    part = config.partition
     dgp = MixtureDGP(pi=config.pi)
-    pois = poisson_model(config.partition)
-    geom = geometric_model(config.partition)
+    pois = poisson_model(part)
+    geom = geometric_model(part)
+    blocks = [(n, h) for n in config.sizes for h in config.h_values]
+    counts = np.array([
+        np.bincount(part.bin_indices(sample_mixture(dgp, n, substream(config.seed, n, h, rep))),
+                    minlength=part.m)
+        for n, h in blocks for rep in range(config.reps)
+    ])
+    sizes = np.repeat([n for n, _ in blocks], config.reps)
+    phat = counts / sizes[:, None]
+    weights = np.repeat([h for _, h in blocks], config.reps)
+    fits1 = _fit_phd_rows(pois, phat, weights)
+    fits2 = _fit_phd_rows(geom, phat, weights)
+    z = normal_quantile(1.0 - config.alpha / 2.0)
     rows = []
-    for n in config.sizes:
-        for h in config.h_values:
-            task = partial(_replicate, config, dgp, pois, geom, n, h)
-            if max_workers and max_workers > 1:
-                # imported here: it costs every `import phdsel` 0.75 MB of RSS
-                from concurrent.futures import ThreadPoolExecutor
-                with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                    results = list(pool.map(task, range(config.reps)))
-            else:
-                results = [task(rep) for rep in range(config.reps)]
-            rows.append(_aggregate(config, n, h, results))
+    for i, (n, h) in enumerate(blocks):
+        results = []
+        for r in range(i * config.reps, (i + 1) * config.reps):
+            report = _studentize(phat[r], n, pois, fits1.fit(r), geom, fits2.fit(r), h, z)
+            results.append((report.fit1.theta_hat[0], report.fit2.theta_hat[0], report.d1,
+                            report.d2, report.hi, report.decision, report.degenerate))
+        rows.append(_aggregate(config, n, h, results))
     return rows
 
 
@@ -180,15 +198,27 @@ class EquidistanceResult:
     degenerate: bool
 
 
+def _distance_gaps(pis, model1: DiscreteModel, model2: DiscreteModel,
+                   partition: CellPartition, h: float, poisson_rate: float,
+                   geometric_p: float) -> np.ndarray:
+    """Fitted-distance gaps d1 - d2 against the exact mixtures with the
+    weights ``pis``; each family is fitted to all of them in one call."""
+    h = check_penalty_weight(h)
+    mixes = np.array([mixture_cell_probs(pi, partition, poisson_rate, geometric_p)
+                      for pi in pis])
+    for model in (model1, model2):
+        if model.partition.m != partition.m:
+            raise InvalidInput(f"target has {partition.m} cells, model {model.partition.m}")
+    return _fit_phd_rows(model1, mixes, h).fun - _fit_phd_rows(model2, mixes, h).fun
+
+
 def equidistance_gap(pi: float, model1: DiscreteModel, model2: DiscreteModel,
                      partition: CellPartition, h: float,
                      poisson_rate: float = 4.0, geometric_p: float = 0.2) -> float:
     """Fitted-distance gap d1 - d2 of the two families against the exact
     mixture with weight ``pi`` (population level, no sampling)."""
-    mix = mixture_cell_probs(pi, partition, poisson_rate, geometric_p)
-    d1 = fit_phd_to_probs(model1, mix, h).objective
-    d2 = fit_phd_to_probs(model2, mix, h).objective
-    return d1 - d2
+    return float(_distance_gaps([pi], model1, model2, partition, h, poisson_rate,
+                                geometric_p)[0])
 
 
 def equidistance_pi(model1: DiscreteModel, model2: DiscreteModel,
@@ -200,11 +230,13 @@ def equidistance_pi(model1: DiscreteModel, model2: DiscreteModel,
 
     Identical families make every weight an equidistance point; 0.5 is
     returned with the ``degenerate`` flag.  A gap without a sign change on
-    [0, 1] raises NoEquidistance.
+    [0, 1] raises NoEquidistance.  The five probe weights are fitted in one
+    lockstep call per family.
     """
     gap = lambda pi: equidistance_gap(pi, model1, model2, partition, h,
                                       poisson_rate, geometric_p)
-    probe = [gap(pi) for pi in (0.0, 0.25, 0.5, 0.75, 1.0)]
+    probe = [float(g) for g in _distance_gaps((0.0, 0.25, 0.5, 0.75, 1.0), model1, model2,
+                                              partition, h, poisson_rate, geometric_p)]
     if max(abs(g) for g in probe) < 1e-10:
         return EquidistanceResult(pi_star=0.5, degenerate=True)
     lo, hi_ = 0.0, 1.0
@@ -296,6 +328,16 @@ def emit_table(rows: list[ExperimentRow], format: str = "csv") -> str:
 _CONFIG_KEYS = ("pi", "sizes", "reps", "h_values", "alpha", "seed", "cuts")
 
 
+def _integer(minimum: int):
+    """Cast for an integer config value >= ``minimum``; unlike ``int`` it
+    refuses 2.7, "3" and true instead of converting them."""
+    def cast(value):
+        if not _is_whole(value, minimum):
+            raise ValueError(f"need an integer >= {minimum}, got {value!r}")
+        return value
+    return cast
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Validate a flat JSON-style mapping; errors name the offending key."""
     for key in _CONFIG_KEYS:
@@ -309,7 +351,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     except (TypeError, ValueError, InvalidInput) as exc:
         raise InvalidInput(f"config key 'cuts' is invalid: {exc}") from exc
     checks = {
-        "pi": float, "reps": int, "alpha": float, "seed": int,
+        "pi": float, "reps": _integer(1), "alpha": float, "seed": _integer(0),
     }
     kw = {}
     for key, cast in checks.items():
@@ -317,7 +359,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             kw[key] = cast(raw[key])
         except (TypeError, ValueError) as exc:
             raise InvalidInput(f"config key '{key}' is invalid: {exc}") from exc
-    for key, cast in (("sizes", int), ("h_values", float)):
+    for key, cast in (("sizes", _integer(1)), ("h_values", float)):
         try:
             kw[key] = tuple(cast(v) for v in raw[key])
         except (TypeError, ValueError) as exc:

@@ -43,6 +43,26 @@ class TestEstimate:
         assert int(fields["evaluations"]) >= 32
         assert fields["converged"] == "true"
 
+    def test_reports_interior_fit_not_at_bound(self, capsys, poisson_file):
+        code, out, _ = run(capsys, ["estimate", "--data", poisson_file,
+                                    "--model", "poisson"])
+        assert code == 0
+        assert "at_bound=false" in out.split("\n")
+
+    @pytest.mark.parametrize("model,values,theta", [
+        ("poisson", "100\n200\n300\n", "50"),
+        ("geometric", "1\n", "0.999999"),
+    ])
+    def test_reports_fit_pinned_at_bound(self, capsys, tmp_path, model, values, theta):
+        path = tmp_path / "edge.txt"
+        path.write_text(values)
+        code, out, _ = run(capsys, ["estimate", "--data", str(path), "--model", model])
+        assert code == 0
+        fields = dict(line.split("=", 1) for line in out.strip().split("\n"))
+        assert fields["theta_hat"] == theta
+        assert fields["converged"] == "true"
+        assert fields["at_bound"] == "true"
+
     def test_zero_h_is_a_usage_error(self, capsys, poisson_file):
         with pytest.raises(SystemExit) as exc:
             main(["estimate", "--data", poisson_file, "--model", "poisson",
@@ -183,6 +203,20 @@ class TestSimulate:
         code, _, err = run(capsys, ["simulate", "--config", str(path)])
         assert code == 2
         assert "cuts" in err
+
+
+    @pytest.mark.parametrize("key,value", [("seed", -1), ("reps", 2.7)])
+    def test_invalid_integer_key_exits_2(self, capsys, tmp_path, key, value):
+        raw = dict(pi=1.0, sizes=[20], reps=5, h_values=[0.5], alpha=0.05,
+                   seed=3, cuts=[1, 2, 3, 4, 5, 6, 7])
+        raw[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        code, out, err = run(capsys, ["simulate", "--config", str(path)])
+        assert code == 2
+        assert out == ""
+        assert f"config key '{key}' is invalid" in err
+        assert "Traceback" not in err
 
 
 class TestEquidistance:

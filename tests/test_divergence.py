@@ -93,8 +93,7 @@ class TestPenalizedHellinger:
         rng = np.random.default_rng(m)
         p, _ = random_simplex_pair(rng, m, zeros=True)
         Q = rng.dirichlet(np.ones(m), size=32)
-        occupied = p > 0.0
-        rows = _phd_rows(np.sqrt(p[occupied]), occupied, Q, 0.5)
+        rows = _phd_rows(np.sqrt(p), p > 0.0, Q, 0.5)
         assert np.array_equal(rows, [penalized_hellinger(p, q, 0.5) for q in Q])
 
     def test_zero_iff_agreement_and_no_missed_mass(self):

@@ -11,6 +11,7 @@ from phdsel import (BinnedSample, CellPartition, DiscreteModel, FitFailed,
                     hellinger, kl_modified, minimize_phd, minimize_scalar,
                     mle_binned, parse_cuts, penalized_hellinger,
                     poisson_model, sample_mixture)
+from phdsel.fit import _fit_phd_rows
 
 ORACLE_PARTITIONS = (default_partition(), parse_cuts("1,2,5,10,20,50,100,1000,10000"))
 FIT_TOL = 1e-8  # the minimizer's bracket at exit, as a share of the box width
@@ -26,6 +27,25 @@ def mixture_samples(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sample, _ = empirical_frequencies(sample_mixture(dgp, n, rng), part)
     return part, sample
+
+
+@st.composite
+def count_rows(draw):
+    """A partition, 1 to 5 arbitrary count vectors on its cells with a
+    penalty weight each, and a last row with every count in the last cell.
+
+    That row's Poisson fit sits at the rate bound, so in every
+    golden-section step of a batch the largest rate, and with it the
+    Poisson kernel's truncation point on the wide cuts, differs from the
+    other rows' own.
+    """
+    part = draw(st.sampled_from(ORACLE_PARTITIONS))
+    cells = st.lists(st.integers(0, 3), min_size=part.m, max_size=part.m)
+    rows = draw(st.lists(cells.filter(any), min_size=1, max_size=5))
+    counts = np.array(rows + [[0] * (part.m - 1) + [5]])
+    h = draw(st.lists(st.sampled_from([0.5, 1.0]), min_size=len(counts),
+                      max_size=len(counts)))
+    return part, counts, np.array(h)
 
 
 def three_cell_model():
@@ -148,6 +168,52 @@ class TestMinimizePhd:
         model = poisson_model()
         with pytest.raises(InvalidInput):
             minimize_phd(model, BinnedSample(counts=np.array([1, 2, 3])), 0.5)
+
+
+class TestLockstepRows:
+    @given(count_rows())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_each_row_equals_its_fit_alone(self, drawn):
+        part, counts, h = drawn
+        phat = counts / counts.sum(axis=1, keepdims=True)
+        for model in (poisson_model(part), geometric_model(part)):
+            rows = _fit_phd_rows(model, phat, h)
+            if model.name == "poisson":
+                assert len(set(rows.x)) > 1
+            for r, c in enumerate(counts):
+                alone = minimize_phd(model, BinnedSample(counts=c), h[r])
+                assert rows.x[r] == alone.theta_hat[0]
+                assert rows.fun[r] == alone.objective
+                assert rows.evaluations[r] == alone.evaluations
+                assert rows.converged[r] == alone.converged
+                assert rows.at_bound[r] == alone.at_bound
+
+
+class TestAtBound:
+    def test_poisson_rate_pinned_at_upper_bound(self):
+        part = default_partition()
+        sample, _ = empirical_frequencies([100, 200, 300], part)
+        fit = minimize_phd(poisson_model(part), sample, 0.5)
+        assert fit.theta_hat[0] == poisson_model().bounds[0][1]
+        assert fit.converged and fit.at_bound
+
+    def test_geometric_probability_pinned_at_upper_bound(self):
+        part = default_partition()
+        sample, _ = empirical_frequencies([1], part)
+        fit = minimize_phd(geometric_model(part), sample, 0.5)
+        assert fit.theta_hat[0] == geometric_model().bounds[0][1]
+        assert fit.converged and fit.at_bound
+
+    def test_interior_fit_is_not_at_bound(self):
+        part = default_partition()
+        sample, _ = empirical_frequencies(np.random.default_rng(3).poisson(4.0, 200), part)
+        fit = minimize_phd(poisson_model(part), sample, 0.5)
+        assert 3.0 < fit.theta_hat[0] < 5.0
+        assert fit.converged and not fit.at_bound
+
+    def test_scalar_minimum_at_lower_bound(self):
+        res = minimize_scalar(lambda x: x, 0.0, 1.0)
+        assert res.x == 0.0 and res.at_bound
 
 
 class TestMleBinned:

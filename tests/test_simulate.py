@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from phdsel import (CellPartition, ExperimentConfig, InvalidInput,
+import phdsel.fit
+from phdsel import (CellPartition, ExperimentConfig, InvalidInput, MixtureDGP,
                     NoEquidistance, config_from_dict, default_partition,
-                    emit_table, equidistance_gap, equidistance_pi,
-                    geometric_model, load_config, poisson_model,
-                    run_experiment, substream)
+                    emit_table, empirical_frequencies, equidistance_gap,
+                    equidistance_pi, geometric_model, load_config,
+                    model_select, poisson_model, run_experiment,
+                    sample_mixture, substream)
+from phdsel.simulate import _aggregate
 
 
 def small_config(**overrides):
@@ -37,6 +40,10 @@ class TestConfig:
             ExperimentConfig(pi=0.5, sizes=())
         with pytest.raises(InvalidInput):
             ExperimentConfig(pi=0.5, h_values=(0.5, 0.0))
+        for bad in (dict(seed=-1), dict(seed=1.5), dict(reps=2.7), dict(sizes=(20, 30.5)),
+                    dict(reps=True)):
+            with pytest.raises(InvalidInput):
+                ExperimentConfig(pi=0.5, **bad)
 
     def test_from_dict_names_offending_key(self):
         raw = dict(pi=0.5, sizes=[20], reps=5, h_values=[0.5], alpha=0.05,
@@ -52,6 +59,12 @@ class TestConfig:
             config_from_dict({**raw, "cuts": [3, 2, 1]})
         with pytest.raises(InvalidInput, match="h_values"):
             config_from_dict({**raw, "h_values": [math.nan]})
+        # integers only: int() would truncate 2.7 to 2 and accept "3"
+        for key, value in (("seed", -1), ("seed", 1.5), ("seed", "3"),
+                           ("reps", 2.7), ("reps", 0), ("reps", True),
+                           ("sizes", [20, 2.5]), ("sizes", [0])):
+            with pytest.raises(InvalidInput, match=f"config key '{key}' is invalid"):
+                config_from_dict({**raw, key: value})
 
     def test_load_config_round_trip(self, tmp_path):
         raw = dict(pi=0.0, sizes=[20, 50], reps=7, h_values=[1.0, 0.5],
@@ -86,6 +99,27 @@ class TestRunExperiment:
         threaded = run_experiment(config, max_workers=4)
         assert serial == threaded
         assert emit_table(serial, "csv") == emit_table(threaded, "csv")
+
+    def test_rows_equal_aggregated_per_replication_selections(self, monkeypatch):
+        # 2 sizes x 2 weights x 5 replications = 20 rows, fitted in chunks of
+        # 7, 7 and 6 rows
+        monkeypatch.setattr(phdsel.fit, "CHUNK_ROWS", 7)
+        config = small_config(pi=0.5, sizes=(20, 30), h_values=(1.0, 0.5), reps=5)
+        part = config.partition
+        pois, geom = poisson_model(part), geometric_model(part)
+        expected = []
+        for n in config.sizes:
+            for h in config.h_values:
+                results = []
+                for rep in range(config.reps):
+                    data = sample_mixture(MixtureDGP(pi=config.pi), n,
+                                          substream(config.seed, n, h, rep))
+                    sample, _ = empirical_frequencies(data, part)
+                    r = model_select(sample, pois, geom, h, config.alpha)
+                    results.append((r.fit1.theta_hat[0], r.fit2.theta_hat[0], r.d1,
+                                    r.d2, r.hi, r.decision, r.degenerate))
+                expected.append(_aggregate(config, n, h, results))
+        assert run_experiment(config) == expected
 
     def test_row_grid_shape(self):
         config = small_config(sizes=(20, 30), h_values=(1.0, 0.5), reps=3)
