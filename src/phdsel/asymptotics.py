@@ -1,32 +1,34 @@
 """Large-sample covariance machinery for the fitted cell probabilities.
 
-Everything is plug-in: the Jacobian of the cell probabilities is taken by
-central finite differences, the information matrix and projection are
-assembled from it, and the variance of the studentized model-selection
-statistic stacks each model's own linearization against the shared
-multinomial innovation.
+Every family has one parameter, so each limit law is closed form in the
+model's cells q, their central-difference derivative J and g = J / q_f,
+where q_f = max(q, PROB_FLOOR).  The information is I = sum J^2 / q_f, a
+scalar, singular below the smallest normal double; the projection
+M = J g^T / I has rank one and M^T Q = g (J . Q) / I; and under the
+multinomial covariance Sigma(p) = diag(p) - p p^T,
+w^T Sigma(p) w = sum p w^2 - (sum p w)^2.  Nothing is factored or solved.
 
-Model cell probabilities are floored at ``PROB_FLOOR`` wherever a formula
-divides by them or takes sqrt(phat/q); the distances themselves never
-floor.  A structural zero cell (constant zero probability along the family)
-has a zero Jacobian row, which removes the floored entries from every
+q is floored wherever a formula divides by it or takes sqrt(phat/q); the
+distances never floor.  A structural zero cell (constant zero probability
+along the family) has J = 0, which removes the floored entries from every
 projected quantity exactly.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cells import as_prob_vector
-from .divergence import (check_penalty_weight, grad_phd_first, grad_phd_second,
+from .divergence import (_grad_first, _grad_second, check_penalty_weight,
                          penalized_hellinger)
-from .errors import BoundaryParameter, DegenerateVariance, SingularInformation
+from .errors import (BoundaryParameter, DegenerateVariance, InvalidInput,
+                     SingularInformation)
 from .models import DiscreteModel
 
 PROB_FLOOR = 1e-12
-_COND_LIMIT = 1e12
 _GAMMA_SQ_FLOOR = 1e-10
 
 
@@ -42,54 +44,69 @@ class SelectionVariance:
     GammaSq: float
 
 
-def jacobian(model: DiscreteModel, theta) -> np.ndarray:
-    """m x k Jacobian of the cell probabilities by central differences.
+# A model at one parameter: cells q, floored cells q_f, derivative J,
+# g = J / q_f and the information I.
+_Local = namedtuple("_Local", "q qf J g info")
 
-    Steps are 1e-6 * max(1, |theta_j|), clipped to stay inside the bounds;
-    a parameter exactly on its boundary is rejected.
-    """
+
+def _cells_and_derivative(model: DiscreteModel, theta) -> tuple[np.ndarray, np.ndarray]:
+    """Validated cells q at ``theta`` and their derivative J, by one kernel
+    call on theta +- s with s = 1e-6 max(1, |theta|), clipped to the box; a
+    parameter on or outside its box boundary is rejected."""
+    if model.k != 1:
+        raise InvalidInput(f"only one-parameter models are supported, got k={model.k}")
     th = model.theta_array(theta)
-    J = np.empty((model.partition.m, model.k))
-    for j, (lo, hi) in enumerate(model.bounds):
-        if th[j] <= lo or th[j] >= hi:
-            raise BoundaryParameter(
-                f"theta[{j}]={th[j]!r} is on the boundary of [{lo}, {hi}]"
-            )
-        step = 1e-6 * max(1.0, abs(th[j]))
-        up, dn = th.copy(), th.copy()
-        up[j] = min(th[j] + step, hi)
-        dn[j] = max(th[j] - step, lo)
-        J[:, j] = (model.cell_prob(up) - model.cell_prob(dn)) / (up[j] - dn[j])
-    return J
+    q = model.cell_prob(th)
+    (lo, hi), t = model.bounds[0], float(th[0])
+    if t <= lo or t >= hi:
+        raise BoundaryParameter(f"theta[0]={t!r} is on the boundary of [{lo}, {hi}]")
+    step = 1e-6 * max(1.0, abs(t))
+    up, dn = min(t + step, hi), max(t - step, lo)
+    at_up, at_dn = model.cell_fn(np.array([[up], [dn]]))
+    return q, (at_up - at_dn) / (up - dn)
 
 
-def _cells_and_jacobian(model: DiscreteModel, theta) -> tuple[np.ndarray, np.ndarray]:
-    """Unfloored cell probabilities q and the Jacobian J at ``theta``."""
-    return model.cell_prob(theta), jacobian(model, theta)
-
-
-def _information(model: DiscreteModel, q: np.ndarray, J: np.ndarray) -> np.ndarray:
+def _local(model: DiscreteModel, theta) -> _Local:
+    q, J = _cells_and_derivative(model, theta)
     qf = np.maximum(q, PROB_FLOOR)
-    D = J / np.sqrt(qf)[:, None]
-    info = D.T @ D
-    # the 1-norm condition number needs only the LU solve that the projection
-    # makes anyway; the 2-norm one adds an SVD, whose first call costs 1 MB RSS
-    if np.linalg.cond(info, 1) > _COND_LIMIT:
-        raise SingularInformation(
-            f"information matrix of {model.name!r} is numerically singular"
-        )
-    return info
+    g = J / qf
+    info = float(J @ g)
+    if info < np.finfo(float).tiny:
+        raise SingularInformation(f"information of {model.name!r} is numerically zero")
+    return _Local(q, qf, J, g, info)
 
 
-def _projection(model: DiscreteModel, q: np.ndarray, J: np.ndarray) -> np.ndarray:
-    info = _information(model, q, J)
-    qf = np.maximum(q, PROB_FLOOR)
-    return J @ np.linalg.solve(info, (J / qf[:, None]).T)
+def _linearize(P: np.ndarray, occupied: np.ndarray, model: DiscreteModel, theta, h: float):
+    """``model`` at ``theta`` against the validated frequencies ``P``: its
+    local terms, the distance gradients K and Q, and M^T Q."""
+    loc = _local(model, theta)
+    if loc.q.size != P.size:
+        raise InvalidInput(f"{P.size} frequencies for the {loc.q.size} cells of {model.name!r}")
+    Q = _grad_second(P, occupied, loc.qf, h)
+    return loc, _grad_first(P, occupied, loc.q), Q, loc.g * ((loc.J @ Q) / loc.info)
+
+
+def _sandwich(p: np.ndarray, loc: _Local) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S = Sigma(p), S M^T and M S M^T for the projection M of ``loc``; the
+    last two are outer products of J and S g."""
+    Sg = p * (loc.g - p @ loc.g)
+    return (np.diag(p) - np.outer(p, p), np.outer(Sg, loc.J / loc.info),
+            np.outer(loc.J, loc.J) * ((loc.g @ Sg) / loc.info**2))
+
+
+def _sigma_form(p: np.ndarray, w: np.ndarray) -> float:
+    """w^T Sigma(p) w."""
+    return float((p * w) @ w - (p @ w) ** 2)
+
+
+def jacobian(model: DiscreteModel, theta) -> np.ndarray:
+    """m x 1 central-difference derivative of the cell probabilities."""
+    return _cells_and_derivative(model, theta)[1][:, None]
 
 
 def fisher_info(model: DiscreteModel, theta) -> np.ndarray:
-    """k x k information matrix D^T D with D = diag(q^{-1/2}) J."""
-    return _information(model, *_cells_and_jacobian(model, theta))
+    """1 x 1 information matrix sum J^2 / q_f."""
+    return np.array([[_local(model, theta).info]])
 
 
 def sigma(p) -> np.ndarray:
@@ -100,18 +117,18 @@ def sigma(p) -> np.ndarray:
 
 
 def m_matrix(model: DiscreteModel, theta) -> np.ndarray:
-    """Projection M = J I^{-1} J^T diag(1/q); satisfies M J = J."""
-    return _projection(model, *_cells_and_jacobian(model, theta))
+    """Projection M = J I^{-1} J^T diag(1/q_f); satisfies M J = J."""
+    loc = _local(model, theta)
+    return np.outer(loc.J, loc.g / loc.info)
 
 
 def lambda_correct(model: DiscreteModel, theta) -> np.ndarray:
     """Covariance of sqrt(n)(phat - fitted probs) under a correctly
-    specified model: (I - M) Sigma (I - M)^T expanded as the four-term
-    sandwich."""
-    q, J = _cells_and_jacobian(model, theta)
-    S = sigma(q)
-    M = _projection(model, q, J)
-    return S - S @ M.T - M @ S + M @ S @ M.T
+    specified model: (I - M) Sigma (I - M)^T with Sigma = Sigma(q), expanded
+    as the four-term sandwich."""
+    loc = _local(model, theta)
+    S, SM, MSM = _sandwich(loc.q, loc)
+    return S - SM - SM.T + MSM
 
 
 def omega_sq(p, model: DiscreteModel, theta1, h: float) -> float:
@@ -122,57 +139,39 @@ def omega_sq(p, model: DiscreteModel, theta1, h: float) -> float:
     """
     h = check_penalty_weight(h)
     P = as_prob_vector(p)
-    q, J = _cells_and_jacobian(model, theta1)
-    K = grad_phd_first(P, q, h)
-    Q = grad_phd_second(P, q, h, floor=PROB_FLOOR)
-    M = _projection(model, q, J)
-    w = K + M.T @ Q
-    S = sigma(P)
-    return max(float(w @ S @ w), 0.0)
+    _, K, _, MQ = _linearize(P, P > 0.0, model, theta1, h)
+    return max(_sigma_form(P, K + MQ), 0.0)
 
 
 def lambda_star_hat(phat, model1: DiscreteModel, theta1,
                     model2: DiscreteModel, theta2, h: float) -> SelectionVariance:
-    """Plug-in variance of the difference of the two fitted distances.
+    """Plug-in variance v^T Sigma(phat) v of the difference of the two
+    fitted distances, with v = (K1 - K2) + M1^T Q1 - M2^T Q2: each estimate
+    is linearized against the shared innovation phat - p, and K_j, Q_j are
+    the distance gradients in the first and second argument at fit j.  M^T Q
+    vanishes at an interior fit.  ``LambdaStar`` is
+    [[S, S Mc^T], [Mc S, Mc S Mc^T]], S = Sigma(phat), with the projection Mc
+    of the better-fitting model.
 
-    Each model's parameter estimate is linearized against the shared
-    innovation phat - p via its own projection matrix, so the variance is
-    v^T Sigma(phat) v with v = (K1 - K2) + M1^T Q1 - M2^T Q2.  At an
-    interior fit the projected gradient M^T Q vanishes (stationarity), which
-    also neutralizes floored entries on structural zero cells.  The reported
-    2m x 2m block matrix uses the better-fitting model's projection.
-
-    Raises DegenerateVariance when the variance collapses (identical fitted
-    models).
+    A variance below 1e-10 raises DegenerateVariance with ``reason``
+    ``"identical_fits"`` when the fitted cells are equal, else
+    ``"zero_variance"``.
     """
     h = check_penalty_weight(h)
     P = as_prob_vector(phat)
-    q1, J1 = _cells_and_jacobian(model1, theta1)
-    q2, J2 = _cells_and_jacobian(model2, theta2)
-    K1 = grad_phd_first(P, q1, h)
-    K2 = grad_phd_first(P, q2, h)
-    Q1 = grad_phd_second(P, q1, h, floor=PROB_FLOOR)
-    Q2 = grad_phd_second(P, q2, h, floor=PROB_FLOOR)
-    M1 = _projection(model1, q1, J1)
-    M2 = _projection(model2, q2, J2)
-    S = sigma(P)
-
-    v = (K1 - K2) + M1.T @ Q1 - M2.T @ Q2
-    gamma_sq = max(float(v @ S @ v), 0.0)
-
-    d1 = penalized_hellinger(P, q1, h)
-    d2 = penalized_hellinger(P, q2, h)
-    Mc = M1 if d1 <= d2 else M2
-    m = P.size
-    star = np.empty((2 * m, 2 * m))
-    star[:m, :m] = S
-    star[:m, m:] = S @ Mc.T
-    star[m:, :m] = Mc @ S
-    star[m:, m:] = Mc @ S @ Mc.T
-
+    occupied = P > 0.0
+    loc1, K1, Q1, MQ1 = _linearize(P, occupied, model1, theta1, h)
+    loc2, K2, Q2, MQ2 = _linearize(P, occupied, model2, theta2, h)
+    gamma_sq = max(_sigma_form(P, (K1 - K2) + MQ1 - MQ2), 0.0)
+    d1 = penalized_hellinger(P, loc1.q, h)
+    d2 = penalized_hellinger(P, loc2.q, h)
     if gamma_sq < _GAMMA_SQ_FLOOR:
         raise DegenerateVariance(
-            f"selection variance {gamma_sq:.3e} below {_GAMMA_SQ_FLOOR:.0e}"
-        )
+            f"selection variance {gamma_sq:.3e} below {_GAMMA_SQ_FLOOR:.0e}",
+            reason="identical_fits" if np.array_equal(loc1.q, loc2.q) else "zero_variance")
+    S, SM, MSM = _sandwich(P, loc1 if d1 <= d2 else loc2)
+    m = P.size
+    star = np.empty((2 * m, 2 * m))
+    star[:m, :m], star[:m, m:], star[m:, :m], star[m:, m:] = S, SM, SM.T, MSM
     return SelectionVariance(K1=K1, Q1=Q1, K2=K2, Q2=Q2, LambdaStar=star,
                              GammaSq=gamma_sq)

@@ -141,6 +141,7 @@ def _cmd_select(args) -> int:
     print(f"z={report.z:.10g}")
     print(f"decision={report.decision}")
     print(f"degenerate={str(report.degenerate).lower()}")
+    print(f"degenerate_reason={report.degenerate_reason}")
     return 0
 
 

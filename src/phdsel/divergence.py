@@ -93,9 +93,14 @@ def grad_phd_first(phat, ptheta, h: float) -> np.ndarray:
     """
     h = check_penalty_weight(h)
     P, Q = _pair(phat, ptheta)
+    return _grad_first(P, P > 0.0, Q)
+
+
+def _grad_first(P: np.ndarray, occupied: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """First-argument gradient at frequencies ``P`` with occupied cells
+    ``occupied`` and model vector ``Q``.  No validation."""
     grad = np.zeros_like(P)
-    occ = P > 0.0
-    grad[occ] = 2.0 * (1.0 - np.sqrt(Q[occ] / P[occ]))
+    grad[occupied] = 2.0 * (1.0 - np.sqrt(Q[occupied] / P[occupied]))
     return grad
 
 
@@ -117,6 +122,13 @@ def grad_phd_second(phat, ptheta, h: float, floor: float | None = None) -> np.nd
         Qeff = Q
     else:
         Qeff = np.maximum(Q, floor)
+    return _grad_second(P, occ, Qeff, h)
+
+
+def _grad_second(P: np.ndarray, occupied: np.ndarray, Q: np.ndarray,
+                 h: float) -> np.ndarray:
+    """Second-argument gradient at frequencies ``P`` with occupied cells
+    ``occupied``, model vector ``Q`` and weight ``h``.  No validation."""
     grad = np.full_like(P, 2.0 * h)
-    grad[occ] = 2.0 * (1.0 - np.sqrt(P[occ] / Qeff[occ]))
+    grad[occupied] = 2.0 * (1.0 - np.sqrt(P[occupied] / Q[occupied]))
     return grad

@@ -32,7 +32,12 @@ class DegenerateGradient(PhdselError, RuntimeError):
 
 class DegenerateVariance(PhdselError, RuntimeError):
     """Variance estimate collapsed to zero; the studentized statistic is
-    undefined."""
+    undefined.  ``reason`` names the cause where the raiser knows it, else
+    it is empty."""
+
+    def __init__(self, message: str = "", reason: str = ""):
+        super().__init__(message)
+        self.reason = reason
 
 
 class NoEquidistance(PhdselError, RuntimeError):

@@ -48,6 +48,7 @@ class SelectionReport:
     z: float
     decision: str
     degenerate: bool
+    degenerate_reason: str  # "identical_fits", "zero_variance", or "" if not degenerate
     fit1: FitResult
     fit2: FitResult
 
@@ -73,14 +74,26 @@ def gof_test(sample: BinnedSample, model: DiscreteModel, h: float,
                      p_value=p_value, reject=statistic > critical, fit=fit)
 
 
-def power_approx(D: float, omega_sq: float, n: int, alpha: float, df: int) -> float:
-    """Normal approximation to the rejection probability at a population
-    distance ``D`` and variance ``omega_sq``; increasing in both D and n."""
-    alpha = _check_alpha(alpha)
+def _check_omega_sq(omega_sq: float) -> None:
+    if not math.isfinite(omega_sq):
+        raise InvalidInput(f"omega_sq must be finite, got {omega_sq!r}")
     if omega_sq <= 0.0:
         raise DegenerateVariance(f"omega_sq must be > 0, got {omega_sq!r}")
-    if n < 1:
-        raise InvalidInput("n must be >= 1")
+
+
+def power_approx(D: float, omega_sq: float, n: int, alpha: float, df: int) -> float:
+    """Normal approximation to the rejection probability at a population
+    distance ``D`` and variance ``omega_sq``; increasing in both D and n.
+
+    ``D``, ``omega_sq`` and ``n`` must be finite; a NaN or infinite value
+    raises InvalidInput, and ``omega_sq <= 0`` raises DegenerateVariance.
+    """
+    alpha = _check_alpha(alpha)
+    if not math.isfinite(D):
+        raise InvalidInput(f"population distance must be finite, got {D!r}")
+    _check_omega_sq(omega_sq)
+    if not (math.isfinite(n) and n >= 1):
+        raise InvalidInput(f"n must be finite and >= 1, got {n!r}")
     q = chi2_quantile(1.0 - alpha, df)
     return 1.0 - normal_cdf((q - 2.0 * n * D) / (2.0 * math.sqrt(n) * math.sqrt(omega_sq)))
 
@@ -93,20 +106,25 @@ def required_sample_size(D: float, omega_sq: float, alpha: float,
     Solves the power equation exactly: with c the normal quantile at
     1 - beta_star, a = omega_sq * c^2 and b = q * D, the continuous solution
     is ((a + b) - sign(c) sqrt(a (a + 2b))) / (2 D^2); the returned size is
-    its integer part plus one.
+    its integer part plus one.  ``D`` must be finite and > 0 and
+    ``omega_sq`` finite (InvalidInput) and > 0 (DegenerateVariance); a ``D``
+    so small that the size is not a finite double raises InvalidInput.
     """
     alpha = _check_alpha(alpha)
     if not 0.0 < beta_star < 1.0:
         raise InvalidInput(f"target power must be in (0,1), got {beta_star!r}")
-    if D <= 0.0:
-        raise InvalidInput("population distance must be > 0")
-    if omega_sq <= 0.0:
-        raise DegenerateVariance(f"omega_sq must be > 0, got {omega_sq!r}")
+    if not (math.isfinite(D) and D > 0.0):
+        raise InvalidInput(f"population distance must be finite and > 0, got {D!r}")
+    _check_omega_sq(omega_sq)
     q = chi2_quantile(1.0 - alpha, df)
     c = normal_quantile(1.0 - beta_star)
     a = omega_sq * c * c
     b = q * D
-    n_star = ((a + b) - math.copysign(math.sqrt(a * (a + 2.0 * b)), c)) / (2.0 * D * D)
+    denom = 2.0 * D * D
+    n_star = (((a + b) - math.copysign(math.sqrt(a * (a + 2.0 * b)), c)) / denom
+              if denom > 0.0 else math.inf)
+    if not math.isfinite(n_star):
+        raise InvalidInput(f"population distance {D!r} is too small: the sample size overflows")
     return max(int(math.floor(n_star)) + 1, 1)
 
 
@@ -133,8 +151,11 @@ def model_select(sample: BinnedSample, model1: DiscreteModel,
                  alpha: float = 0.05) -> SelectionReport:
     """Selection test between two families fitted to the same binned sample.
 
-    A degenerate variance (identical fitted models) yields an indecisive
-    report with the ``degenerate`` flag set rather than an error.
+    A degenerate variance yields an indecisive report with the
+    ``degenerate`` flag set rather than an error; ``degenerate_reason`` is
+    ``"identical_fits"`` when the two fitted cell vectors are equal and
+    ``"zero_variance"`` when they differ but the plug-in variance vanishes,
+    as on a sample with one occupied cell.
     """
     alpha = _check_alpha(alpha)
     h = check_penalty_weight(h)
@@ -157,12 +178,12 @@ def _studentize(phat: np.ndarray, n: int, model1: DiscreteModel, fit1: FitResult
         sv = lambda_star_hat(phat,
                              model1, _interior_theta(fit1.theta_hat, model1),
                              model2, _interior_theta(fit2.theta_hat, model2), h)
-    except DegenerateVariance:
+    except DegenerateVariance as exc:
         return SelectionReport(hi=math.nan, gamma_hat=0.0, d1=d1, d2=d2, z=z,
                                decision=INDECISIVE, degenerate=True,
-                               fit1=fit1, fit2=fit2)
+                               degenerate_reason=exc.reason, fit1=fit1, fit2=fit2)
     gamma = math.sqrt(sv.GammaSq)
     hi = math.sqrt(n) * (d1 - d2) / gamma
     return SelectionReport(hi=hi, gamma_hat=gamma, d1=d1, d2=d2, z=z,
                            decision=decide(hi, z), degenerate=False,
-                           fit1=fit1, fit2=fit2)
+                           degenerate_reason="", fit1=fit1, fit2=fit2)

@@ -2,14 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from phdsel import (BinnedSample, BoundaryParameter, CellPartition,
-                    DegenerateVariance, InvalidParameter, default_partition,
-                    fisher_info, fit_phd_to_probs, geometric_model, jacobian,
-                    lambda_correct, lambda_star_hat, m_matrix, minimize_phd,
-                    mixture_cell_probs, omega_sq, penalized_hellinger,
-                    poisson_model, sigma)
+                    DegenerateVariance, DiscreteModel, InvalidParameter,
+                    SingularInformation, default_partition, fisher_info,
+                    fit_phd_to_probs, geometric_model, grad_phd_first,
+                    grad_phd_second, jacobian, lambda_correct,
+                    lambda_star_hat, m_matrix, minimize_phd,
+                    mixture_cell_probs, omega_sq, parse_cuts,
+                    penalized_hellinger, poisson_model, sigma)
+from phdsel.asymptotics import PROB_FLOOR
+from phdsel.inference import _interior_theta
 
 
 def analytic_poisson_jacobian(lam, part):
@@ -19,6 +25,79 @@ def analytic_poisson_jacobian(lam, part):
     out = np.zeros(part.m)
     np.add.at(out, part.bin_indices(xs), dpmf)
     return out[:, None]
+
+
+# Reference: the k x k formulas that the closed one-parameter forms replaced,
+# with two validated cell_prob calls per Jacobian column, a linear solve for
+# the projection and quadratic forms under the full covariance matrix.
+
+def ref_jacobian(model, theta):
+    th = model.theta_array(theta)
+    J = np.empty((model.partition.m, model.k))
+    for j, (lo, hi) in enumerate(model.bounds):
+        if th[j] <= lo or th[j] >= hi:
+            raise BoundaryParameter(f"theta[{j}] on the boundary")
+        step = 1e-6 * max(1.0, abs(th[j]))
+        up, dn = th.copy(), th.copy()
+        up[j] = min(th[j] + step, hi)
+        dn[j] = max(th[j] - step, lo)
+        J[:, j] = (model.cell_prob(up) - model.cell_prob(dn)) / (up[j] - dn[j])
+    return J
+
+
+def ref_local(model, theta):
+    """Cells, Jacobian and information, which must not be singular."""
+    q = model.cell_prob(theta)
+    J = ref_jacobian(model, theta)
+    D = J / np.sqrt(np.maximum(q, PROB_FLOOR))[:, None]
+    info = D.T @ D
+    if np.linalg.cond(info, 1) > 1e12:
+        raise SingularInformation("singular information")
+    return q, J, info
+
+
+def ref_fisher_info(model, theta):
+    return ref_local(model, theta)[2]
+
+
+def ref_m_matrix(model, theta):
+    q, J, info = ref_local(model, theta)
+    return J @ np.linalg.solve(info, (J / np.maximum(q, PROB_FLOOR)[:, None]).T)
+
+
+def ref_lambda_correct(model, theta):
+    S = sigma(model.cell_prob(theta))
+    M = ref_m_matrix(model, theta)
+    return S - S @ M.T - M @ S + M @ S @ M.T
+
+
+def ref_gradient_form(phat, model, theta, h):
+    """K + M^T Q of ``model`` at ``theta`` against ``phat``."""
+    q, _, _ = ref_local(model, theta)
+    K = grad_phd_first(phat, q, h)
+    Q = grad_phd_second(phat, q, h, floor=PROB_FLOOR)
+    return K + ref_m_matrix(model, theta).T @ Q
+
+
+def ref_omega_sq(p, model, theta1, h):
+    w = ref_gradient_form(p, model, theta1, h)
+    return max(float(w @ sigma(p) @ w), 0.0)
+
+
+def ref_gamma_sq(phat, model1, theta1, model2, theta2, h):
+    v = ref_gradient_form(phat, model1, theta1, h) - ref_gradient_form(phat, model2, theta2, h)
+    gamma_sq = max(float(v @ sigma(phat) @ v), 0.0)
+    if gamma_sq < 1e-10:
+        raise DegenerateVariance("degenerate")
+    return gamma_sq
+
+
+def outcome(fn, *args):
+    """("value", result) or ("raises", exception type) of a call."""
+    try:
+        return "value", fn(*args)
+    except Exception as exc:  # the type is compared, so catch every error
+        return "raises", type(exc)
 
 
 class TestSigma:
@@ -221,8 +300,16 @@ class TestLambdaStarHat:
 
     def test_identical_models_degenerate(self):
         phat, pois, f1, _, _ = self._fitted_pair()
-        with pytest.raises(DegenerateVariance):
+        with pytest.raises(DegenerateVariance) as exc:
             lambda_star_hat(phat, pois, f1.theta_hat, pois, f1.theta_hat, 0.5)
+        assert exc.value.reason == "identical_fits"
+
+    def test_one_occupied_cell_has_zero_variance(self):
+        part = default_partition()
+        phat = np.eye(part.m)[3]
+        with pytest.raises(DegenerateVariance) as exc:
+            lambda_star_hat(phat, poisson_model(part), [3.0], geometric_model(part), [0.3], 0.5)
+        assert exc.value.reason == "zero_variance"
 
     def test_block_matrix_symmetric_psd(self):
         phat, pois, f1, geom, f2 = self._fitted_pair()
@@ -269,3 +356,77 @@ class TestLambdaStarHat:
             rep = model_select(BinnedSample(counts=counts), pois, geom, 0.5)
             his[r] = rep.hi
         assert 0.67 <= his.std(ddof=1) <= 1.1
+
+
+@st.composite
+def fitted_pairs(draw):
+    """Frequencies on the default or wide cuts (arbitrary counts 0-3 per
+    cell, or one occupied cell), both families fitted to them and kept off
+    the box boundary as ``model_select`` keeps them, in either order, and a
+    penalty weight."""
+    part = draw(st.sampled_from(
+        (default_partition(), parse_cuts("1,2,5,10,20,50,100,1000,10000"))))
+    if draw(st.booleans()):
+        counts = np.zeros(part.m, dtype=int)
+        counts[draw(st.integers(0, part.m - 1))] = draw(st.integers(1, 3))
+    else:
+        counts = np.array(draw(st.lists(st.integers(0, 3), min_size=part.m,
+                                        max_size=part.m)))
+        counts[draw(st.integers(0, part.m - 1))] += 1
+    h = draw(st.sampled_from([0.5, 1.0]))
+    sample = BinnedSample(counts=counts)
+    models = [poisson_model(part), geometric_model(part)]
+    if draw(st.booleans()):
+        models.reverse()
+    thetas = [_interior_theta(minimize_phd(m, sample, h).theta_hat, m) for m in models]
+    return sample.frequencies(), models, thetas, h
+
+
+class TestAgainstMatrixReference:
+    """The closed one-parameter forms against the k x k matrix formulas."""
+
+    @staticmethod
+    def assert_same(new, ref):
+        assert new[0] == ref[0], (new, ref)
+        if new[0] == "raises":
+            assert new[1] is ref[1]
+        else:
+            np.testing.assert_allclose(new[1], ref[1], rtol=1e-12, atol=1e-15)
+
+    @given(fitted_pairs())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_limit_laws_match_reference(self, drawn):
+        phat, (model1, model2), (theta1, theta2), h = drawn
+        self.assert_same(
+            outcome(lambda *a: lambda_star_hat(*a).GammaSq, phat, model1, theta1,
+                    model2, theta2, h),
+            outcome(ref_gamma_sq, phat, model1, theta1, model2, theta2, h))
+        for model, theta in ((model1, theta1), (model2, theta2)):
+            np.testing.assert_array_equal(jacobian(model, theta), ref_jacobian(model, theta))
+            for new, ref in ((fisher_info, ref_fisher_info), (m_matrix, ref_m_matrix),
+                             (lambda_correct, ref_lambda_correct)):
+                self.assert_same(outcome(new, model, theta), outcome(ref, model, theta))
+            self.assert_same(outcome(omega_sq, phat, model, theta, h),
+                             outcome(ref_omega_sq, phat, model, theta, h))
+
+    def test_selection_gradients_are_the_public_gradients(self):
+        part = default_partition()
+        phat = np.array([0.0, 0.1, 0.2, 0.3, 0.2, 0.1, 0.1, 0.0])
+        pois, geom = poisson_model(part), geometric_model(part)
+        sv = lambda_star_hat(phat, pois, [3.0], geom, [0.3], 0.5)
+        for model, theta, K, Q in ((pois, [3.0], sv.K1, sv.Q1), (geom, [0.3], sv.K2, sv.Q2)):
+            q = model.cell_prob(theta)
+            np.testing.assert_array_equal(K, grad_phd_first(phat, q, 0.5))
+            np.testing.assert_array_equal(Q, grad_phd_second(phat, q, 0.5, floor=PROB_FLOOR))
+
+
+class TestSingularInformation:
+    def test_flat_family_has_singular_information(self):
+        part = default_partition()
+        flat = DiscreteModel(name="flat", bounds=((0.1, 0.9),), partition=part,
+                             cell_fn=lambda th: np.full((th.shape[0], part.m), 1.0 / part.m))
+        for fn in (fisher_info, m_matrix, lambda_correct):
+            with pytest.raises(SingularInformation):
+                fn(flat, [0.5])
+        with pytest.raises(SingularInformation):
+            ref_fisher_info(flat, [0.5])

@@ -132,6 +132,7 @@ class TestSelect:
         assert fields["decision"] == "favor_first"
         assert float(fields["hi"]) < -float(fields["z"])
         assert fields["degenerate"] == "false"
+        assert fields["degenerate_reason"] == ""
 
     def test_huge_cut_exits_zero(self, capsys, poisson_file):
         # the cell kernels never size an array by the largest cut
@@ -160,6 +161,20 @@ class TestSelect:
         fields = dict(line.split("=", 1) for line in out.strip().split("\n"))
         assert fields["decision"] == "indecisive"
         assert fields["degenerate"] == "true"
+        assert fields["degenerate_reason"] == "identical_fits"
+        keys = [line.split("=", 1)[0] for line in out.strip().split("\n")]
+        assert keys[keys.index("degenerate") + 1] == "degenerate_reason"
+
+    def test_one_occupied_cell_reports_zero_variance(self, capsys, tmp_path):
+        path = tmp_path / "zeros.txt"
+        path.write_text("0\n" * 20)
+        code, out, _ = run(capsys, ["select", "--data", str(path), "--model1", "poisson",
+                                    "--model2", "geometric", "--h", "0.5"])
+        assert code == 0
+        fields = dict(line.split("=", 1) for line in out.strip().split("\n"))
+        assert fields["decision"] == "indecisive"
+        assert fields["degenerate"] == "true"
+        assert fields["degenerate_reason"] == "zero_variance"
 
     def test_alpha_default_documented_in_help(self, capsys):
         with pytest.raises(SystemExit) as exc:

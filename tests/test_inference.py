@@ -130,6 +130,13 @@ class TestPowerApprox:
         with pytest.raises(DegenerateVariance):
             power_approx(0.01, 0.0, 100, 0.05, 6)
 
+    @pytest.mark.parametrize("D, om, n", [(math.nan, 0.3, 100), (math.inf, 0.3, 100),
+                                          (0.01, math.nan, 100), (0.01, math.inf, 100),
+                                          (0.01, 0.3, math.nan), (0.01, 0.3, math.inf)])
+    def test_rejects_non_finite_inputs(self, D, om, n):
+        with pytest.raises(InvalidInput):
+            power_approx(D, om, n, 0.05, 6)
+
 
 class TestRequiredSampleSize:
     def test_half_target_reduces_to_critical_point(self):
@@ -163,6 +170,24 @@ class TestRequiredSampleSize:
     def test_rejects_zero_distance(self):
         with pytest.raises(InvalidInput):
             required_sample_size(0.0, 0.3, 0.05, 0.8, 6)
+
+    @pytest.mark.parametrize("D, om", [(math.nan, 0.3), (math.inf, 0.3),
+                                       (0.01, math.nan), (0.01, math.inf)])
+    @pytest.mark.parametrize("beta", [0.2, 0.8])
+    def test_rejects_non_finite_inputs(self, D, om, beta):
+        with pytest.raises(InvalidInput):
+            required_sample_size(D, om, 0.05, beta, 6)
+
+    def test_rejects_degenerate_variance(self):
+        with pytest.raises(DegenerateVariance):
+            required_sample_size(0.01, 0.0, 0.05, 0.8, 6)
+
+    @pytest.mark.parametrize("D", [1e-160, 1e-170])
+    def test_rejects_distance_whose_size_overflows(self, D):
+        # 2 D^2 overflows the quotient at 1e-160 and underflows to 0 at 1e-170
+        with pytest.raises(InvalidInput):
+            required_sample_size(D, 0.3, 0.05, 0.8, 6)
+        assert required_sample_size(1e-150, 0.3, 0.05, 0.8, 6) > 10**299
 
 
 class TestDecide:
@@ -207,8 +232,29 @@ class TestModelSelect:
         sample = binned(rng, 100)
         report = model_select(sample, poisson_model(), poisson_model(), 0.5)
         assert report.degenerate
+        assert report.degenerate_reason == "identical_fits"
         assert report.decision == INDECISIVE
         assert math.isnan(report.hi)
+
+    @pytest.mark.parametrize("cell", [0, 3, 7])
+    def test_one_occupied_cell_is_zero_variance_indecisive(self, cell):
+        # an all-zeros sample (cell 0) fits Poisson almost exactly and the
+        # geometric not at all, yet the plug-in variance is exactly zero
+        counts = np.zeros(8, dtype=int)
+        counts[cell] = 20
+        report = model_select(BinnedSample(counts=counts), poisson_model(),
+                              geometric_model(), 0.5)
+        assert report.d1 != report.d2
+        assert report.degenerate
+        assert report.degenerate_reason == "zero_variance"
+        assert report.decision == INDECISIVE
+        assert math.isnan(report.hi)
+
+    def test_regular_selection_has_no_degenerate_reason(self):
+        report = model_select(binned(np.random.default_rng(29), 100), poisson_model(),
+                              geometric_model(), 0.5)
+        assert not report.degenerate
+        assert report.degenerate_reason == ""
 
     def test_distances_match_fits(self):
         rng = np.random.default_rng(31)

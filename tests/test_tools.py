@@ -1,0 +1,29 @@
+"""The maintenance scripts under tools/ run and report what they promise."""
+
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+
+
+def test_equivalence_of_a_tree_with_itself_is_exact():
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "tools", "equivalence.py"),
+                           SRC, SRC, "--reps", "2"],
+                          capture_output=True, text=True, cwd=ROOT, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    fields = dict(line.split("=", 1) for line in proc.stdout.strip().split("\n"))
+    assert fields.pop("replications") == "48"
+    assert set(fields) == {"max_theta_delta_box_widths", "max_distance_delta",
+                           "max_hi_rel_delta", "max_gamma_hat_rel_delta",
+                           "decision_differences", "degenerate_differences"}
+    assert all(value == "0" for value in fields.values()), fields
+
+
+def test_equivalence_rejects_a_tree_without_the_package(tmp_path):
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "tools", "equivalence.py"),
+                           str(tmp_path), SRC, "--reps", "1"],
+                          capture_output=True, text=True, cwd=ROOT, timeout=300)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
