@@ -55,11 +55,11 @@ def _cells_and_derivative(model: DiscreteModel, theta) -> tuple[np.ndarray, np.n
     parameter on or outside its box boundary is rejected."""
     if model.k != 1:
         raise InvalidInput(f"only one-parameter models are supported, got k={model.k}")
-    th = model.theta_array(theta)
-    q = model.cell_prob(th)
-    (lo, hi), t = model.bounds[0], float(th[0])
+    t = float(model.theta_array(theta)[0])
+    lo, hi = model.bounds[0]
     if t <= lo or t >= hi:
         raise BoundaryParameter(f"theta[0]={t!r} is on the boundary of [{lo}, {hi}]")
+    q = model.cell_prob([t])
     step = 1e-6 * max(1.0, abs(t))
     up, dn = min(t + step, hi), max(t - step, lo)
     at_up, at_dn = model.cell_fn(np.array([[up], [dn]]))
@@ -76,22 +76,28 @@ def _local(model: DiscreteModel, theta) -> _Local:
     return _Local(q, qf, J, g, info)
 
 
-def _linearize(P: np.ndarray, occupied: np.ndarray, model: DiscreteModel, theta, h: float):
+def _linearize(P: np.ndarray, model: DiscreteModel, theta, h: float):
     """``model`` at ``theta`` against the validated frequencies ``P``: its
     local terms, the distance gradients K and Q, and M^T Q."""
     loc = _local(model, theta)
     if loc.q.size != P.size:
         raise InvalidInput(f"{P.size} frequencies for the {loc.q.size} cells of {model.name!r}")
+    occupied = P > 0.0
     Q = _grad_second(P, occupied, loc.qf, h)
     return loc, _grad_first(P, occupied, loc.q), Q, loc.g * ((loc.J @ Q) / loc.info)
 
 
-def _sandwich(p: np.ndarray, loc: _Local) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """S = Sigma(p), S M^T and M S M^T for the projection M of ``loc``; the
-    last two are outer products of J and S g."""
+def _sigma(p: np.ndarray) -> np.ndarray:
+    return np.diag(p) - np.outer(p, p)
+
+
+def _sandwich(p: np.ndarray, loc: _Local) -> tuple[np.ndarray, np.ndarray]:
+    """S M^T and M S M^T for S = Sigma(p) and the projection M of ``loc``:
+    outer products of J and S g."""
     Sg = p * (loc.g - p @ loc.g)
-    return (np.diag(p) - np.outer(p, p), np.outer(Sg, loc.J / loc.info),
-            np.outer(loc.J, loc.J) * ((loc.g @ Sg) / loc.info**2))
+    SM = np.outer(Sg, loc.J / loc.info)
+    MSM = np.outer(loc.J, loc.J) * ((loc.g @ Sg) / loc.info**2)
+    return SM, MSM
 
 
 def _sigma_form(p: np.ndarray, w: np.ndarray) -> float:
@@ -112,8 +118,7 @@ def fisher_info(model: DiscreteModel, theta) -> np.ndarray:
 def sigma(p) -> np.ndarray:
     """Multinomial covariance diag(p) - p p^T of one observation's cell
     indicator; rows sum to zero and the matrix is PSD."""
-    P = as_prob_vector(p)
-    return np.diag(P) - np.outer(P, P)
+    return _sigma(as_prob_vector(p))
 
 
 def m_matrix(model: DiscreteModel, theta) -> np.ndarray:
@@ -127,8 +132,8 @@ def lambda_correct(model: DiscreteModel, theta) -> np.ndarray:
     specified model: (I - M) Sigma (I - M)^T with Sigma = Sigma(q), expanded
     as the four-term sandwich."""
     loc = _local(model, theta)
-    S, SM, MSM = _sandwich(loc.q, loc)
-    return S - SM - SM.T + MSM
+    SM, MSM = _sandwich(loc.q, loc)
+    return _sigma(loc.q) - SM - SM.T + MSM
 
 
 def omega_sq(p, model: DiscreteModel, theta1, h: float) -> float:
@@ -139,7 +144,7 @@ def omega_sq(p, model: DiscreteModel, theta1, h: float) -> float:
     """
     h = check_penalty_weight(h)
     P = as_prob_vector(p)
-    _, K, _, MQ = _linearize(P, P > 0.0, model, theta1, h)
+    _, K, _, MQ = _linearize(P, model, theta1, h)
     return max(_sigma_form(P, K + MQ), 0.0)
 
 
@@ -159,9 +164,8 @@ def lambda_star_hat(phat, model1: DiscreteModel, theta1,
     """
     h = check_penalty_weight(h)
     P = as_prob_vector(phat)
-    occupied = P > 0.0
-    loc1, K1, Q1, MQ1 = _linearize(P, occupied, model1, theta1, h)
-    loc2, K2, Q2, MQ2 = _linearize(P, occupied, model2, theta2, h)
+    loc1, K1, Q1, MQ1 = _linearize(P, model1, theta1, h)
+    loc2, K2, Q2, MQ2 = _linearize(P, model2, theta2, h)
     gamma_sq = max(_sigma_form(P, (K1 - K2) + MQ1 - MQ2), 0.0)
     d1 = penalized_hellinger(P, loc1.q, h)
     d2 = penalized_hellinger(P, loc2.q, h)
@@ -169,9 +173,7 @@ def lambda_star_hat(phat, model1: DiscreteModel, theta1,
         raise DegenerateVariance(
             f"selection variance {gamma_sq:.3e} below {_GAMMA_SQ_FLOOR:.0e}",
             reason="identical_fits" if np.array_equal(loc1.q, loc2.q) else "zero_variance")
-    S, SM, MSM = _sandwich(P, loc1 if d1 <= d2 else loc2)
-    m = P.size
-    star = np.empty((2 * m, 2 * m))
-    star[:m, :m], star[:m, m:], star[m:, :m], star[m:, m:] = S, SM, SM.T, MSM
+    SM, MSM = _sandwich(P, loc1 if d1 <= d2 else loc2)
+    star = np.block([[_sigma(P), SM], [SM.T, MSM]])
     return SelectionVariance(K1=K1, Q1=Q1, K2=K2, Q2=Q2, LambdaStar=star,
                              GammaSq=gamma_sq)

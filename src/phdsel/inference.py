@@ -108,7 +108,8 @@ def required_sample_size(D: float, omega_sq: float, alpha: float,
     is ((a + b) - sign(c) sqrt(a (a + 2b))) / (2 D^2); the returned size is
     its integer part plus one.  ``D`` must be finite and > 0 and
     ``omega_sq`` finite (InvalidInput) and > 0 (DegenerateVariance); a ``D``
-    so small that the size is not a finite double raises InvalidInput.
+    so small, or an ``omega_sq`` so large, that the size is not a finite
+    double raises InvalidInput.
     """
     alpha = _check_alpha(alpha)
     if not 0.0 < beta_star < 1.0:
@@ -124,7 +125,8 @@ def required_sample_size(D: float, omega_sq: float, alpha: float,
     n_star = (((a + b) - math.copysign(math.sqrt(a * (a + 2.0 * b)), c)) / denom
               if denom > 0.0 else math.inf)
     if not math.isfinite(n_star):
-        raise InvalidInput(f"population distance {D!r} is too small: the sample size overflows")
+        raise InvalidInput(f"D={D!r} and omega_sq={omega_sq!r} give a sample size "
+                           "that overflows a double")
     return max(int(math.floor(n_star)) + 1, 1)
 
 

@@ -156,6 +156,10 @@ class TestJacobian:
             jacobian(model, [model.bounds[0][0]])
         with pytest.raises(BoundaryParameter):
             jacobian(model, [model.bounds[0][1]])
+        with pytest.raises(BoundaryParameter):
+            jacobian(model, [-1.0])
+        with pytest.raises(BoundaryParameter):
+            jacobian(geometric_model(), [1.5])
 
 
 class TestFisherInfo:

@@ -189,6 +189,11 @@ class TestRequiredSampleSize:
             required_sample_size(D, 0.3, 0.05, 0.8, 6)
         assert required_sample_size(1e-150, 0.3, 0.05, 0.8, 6) > 10**299
 
+    @pytest.mark.parametrize("beta", [0.2, 0.8])
+    def test_rejects_variance_whose_size_overflows(self, beta):
+        with pytest.raises(InvalidInput, match="omega_sq=1e\\+308"):
+            required_sample_size(0.01, 1e308, 0.05, beta, 6)
+
 
 class TestDecide:
     def test_thresholds_and_closed_boundary(self):

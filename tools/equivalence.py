@@ -1,14 +1,14 @@
 """Compare the model selections of two source trees, replication by
 replication.
 
-    python tools/equivalence.py OLD_SRC NEW_SRC [--reps 125] [--seed 1001]
+    python tools/equivalence.py OLD_SRC NEW_SRC [--reps 125]
 
 Each tree is imported in its own subprocess (PYTHONPATH=<tree>), which runs
 ``model_select`` on the same design: n in {20, 300}, h in {1/2, 1}, mixture
 weight pi in {0, 1/2, 1}, the default cells and the cuts
 1,2,5,10,20,50,100,1000,10000, with ``--reps`` replications per
 combination (125 give 3000).  Replication r of a combination draws its
-sample from ``substream(seed, n, h, r)``, as ``run_experiment`` does.
+sample from ``substream(SEED, n, h, r)``, as ``run_experiment`` does.
 
 Prints the largest differences between the trees, one ``key=value`` line
 each: fitted parameters in box widths, distances, and the relative
@@ -26,13 +26,14 @@ import os
 import subprocess
 import sys
 
+SEED = 1001
 SIZES = (20, 300)
 H_VALUES = (0.5, 1.0)
 PIS = (0.0, 0.5, 1.0)
 WIDE_CUTS = "1,2,5,10,20,50,100,1000,10000"
 
 
-def replay(src: str, reps: int, seed: int) -> dict:
+def replay(src: str, reps: int) -> dict:
     """Worker side: the per-replication selections of the tree ``src``."""
     import phdsel as ph
 
@@ -47,7 +48,7 @@ def replay(src: str, reps: int, seed: int) -> dict:
             for n in SIZES:
                 for h in H_VALUES:
                     for rep in range(reps):
-                        data = ph.sample_mixture(dgp, n, ph.substream(seed, n, h, rep))
+                        data = ph.sample_mixture(dgp, n, ph.substream(SEED, n, h, rep))
                         sample, _ = ph.empirical_frequencies(data, part)
                         r = ph.model_select(sample, pois, geom, h)
                         rows.append([float(r.fit1.theta_hat[0]), float(r.fit2.theta_hat[0]),
@@ -61,10 +62,10 @@ def _fail(message: str):
     raise SystemExit(2)
 
 
-def run_tree(src: str, reps: int, seed: int) -> dict:
+def run_tree(src: str, reps: int) -> dict:
     env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
     proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--worker", src,
-                           "--reps", str(reps), "--seed", str(seed)],
+                           "--reps", str(reps)],
                           capture_output=True, text=True, env=env)
     if proc.returncode != 0:
         _fail(f"replay of {src} failed:\n{proc.stderr.strip()}")
@@ -106,15 +107,14 @@ def main(argv: list[str] | None = None) -> int:
                         help="OLD_SRC NEW_SRC: directories holding the phdsel package")
     parser.add_argument("--reps", type=int, default=125,
                         help="replications per combination (default 125)")
-    parser.add_argument("--seed", type=int, default=1001)
     parser.add_argument("--worker", metavar="SRC", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
-        json.dump(replay(args.worker, args.reps, args.seed), sys.stdout)
+        json.dump(replay(args.worker, args.reps), sys.stdout)
         return 0
     if len(args.trees) != 2 or args.reps < 1:
         parser.error("need OLD_SRC NEW_SRC and --reps >= 1")
-    old, new = (run_tree(src, args.reps, args.seed) for src in args.trees)
+    old, new = (run_tree(src, args.reps) for src in args.trees)
     result = compare(old, new)
     for key, value in result.items():
         print(f"{key}={value:.3g}" if isinstance(value, float) else f"{key}={value}")
