@@ -8,6 +8,13 @@ M = J g^T / I has rank one and M^T Q = g (J . Q) / I; and under the
 multinomial covariance Sigma(p) = diag(p) - p p^T,
 w^T Sigma(p) w = sum p w^2 - (sum p w)^2.  Nothing is factored or solved.
 
+One row core computes these for R rows at once: (R, m) frequencies against
+each family at (R,) estimates, with one validated cell call on the
+estimates and one kernel call on the 2R points theta +- s for J.  Every sum
+runs along the cell axis with ``np.add.reduce``, so row r is bit-identical
+to the core's call on that row alone.  The public functions are its R = 1
+call; ``run_experiment`` studentizes a chunk of replications in one call.
+
 q is floored wherever a formula divides by it or takes sqrt(phat/q); the
 distances never floor.  A structural zero cell (constant zero probability
 along the family) has J = 0, which removes the floored entries from every
@@ -30,6 +37,7 @@ from .models import DiscreteModel
 
 PROB_FLOOR = 1e-12
 _GAMMA_SQ_FLOOR = 1e-10
+_INTERIOR_MARGIN = 1e-9  # in box widths
 
 
 @dataclass(frozen=True)
@@ -44,75 +52,117 @@ class SelectionVariance:
     GammaSq: float
 
 
-# A model at one parameter: cells q, floored cells q_f, derivative J,
-# g = J / q_f and the information I.
-_Local = namedtuple("_Local", "q qf J g info")
+# A model at R parameters: the (R, m) cells q, floored cells q_f, derivative
+# J and g = J / q_f, and the (R,) information I.
+_Rows = namedtuple("_Rows", "q qf J g info")
+# The selection variance of R rows: each model's rows and distance gradients
+# K and Q, gamma^2, and the degenerate reason, "" unless gamma^2 < 1e-10.
+_Selection = namedtuple("_Selection", "rows1 K1 Q1 rows2 K2 Q2 gamma_sq reason")
 
 
-def _cells_and_derivative(model: DiscreteModel, theta) -> tuple[np.ndarray, np.ndarray]:
-    """Validated cells q at ``theta`` and their derivative J, by one kernel
-    call on theta +- s with s = 1e-6 max(1, |theta|), clipped to the box; a
-    parameter on or outside its box boundary is rejected."""
+def _model_rows(model: DiscreteModel, theta: np.ndarray, interior: bool) -> _Rows:
+    """``model`` at the (R,) parameters ``theta``.
+
+    With ``interior`` each parameter is first moved to at least 1e-9 of the
+    box width inside the box; a parameter then on or outside the box
+    boundary is rejected.  The cells come from one validated call, J from
+    one kernel call on the stacked points theta + s and theta - s, with
+    s = 1e-6 max(1, |theta|) and the points clipped to the box.
+    """
     if model.k != 1:
         raise InvalidInput(f"only one-parameter models are supported, got k={model.k}")
-    t = float(model.theta_array(theta)[0])
     lo, hi = model.bounds[0]
-    if t <= lo or t >= hi:
-        raise BoundaryParameter(f"theta[0]={t!r} is on the boundary of [{lo}, {hi}]")
-    q = model.cell_prob([t])
-    step = 1e-6 * max(1.0, abs(t))
-    up, dn = min(t + step, hi), max(t - step, lo)
-    at_up, at_dn = model.cell_fn(np.array([[up], [dn]]))
-    return q, (at_up - at_dn) / (up - dn)
-
-
-def _local(model: DiscreteModel, theta) -> _Local:
-    q, J = _cells_and_derivative(model, theta)
+    t = theta
+    if interior:
+        margin = _INTERIOR_MARGIN * (hi - lo)
+        t = np.clip(t, lo + margin, hi - margin)
+    outside = (t <= lo) | (t >= hi)
+    if outside.any():
+        raise BoundaryParameter(
+            f"theta[0]={float(t[outside][0])!r} is on the boundary of [{lo}, {hi}]")
+    q = model.cell_prob(t[:, None])
+    step = 1e-6 * np.maximum(1.0, np.abs(t))
+    up = np.minimum(t + step, hi)
+    dn = np.maximum(t - step, lo)
+    at = model.cell_fn(np.concatenate((up, dn))[:, None])
+    J = (at[:t.size] - at[t.size:]) / (up - dn)[:, None]
     qf = np.maximum(q, PROB_FLOOR)
     g = J / qf
-    info = float(J @ g)
-    if info < np.finfo(float).tiny:
+    info = np.add.reduce(J * g, axis=-1)
+    if np.any(info < np.finfo(float).tiny):
         raise SingularInformation(f"information of {model.name!r} is numerically zero")
-    return _Local(q, qf, J, g, info)
+    return _Rows(q, qf, J, g, info)
 
 
-def _linearize(P: np.ndarray, model: DiscreteModel, theta, h: float):
-    """``model`` at ``theta`` against the validated frequencies ``P``: its
-    local terms, the distance gradients K and Q, and M^T Q."""
-    loc = _local(model, theta)
-    if loc.q.size != P.size:
-        raise InvalidInput(f"{P.size} frequencies for the {loc.q.size} cells of {model.name!r}")
+def _gradient_rows(P: np.ndarray, occupied: np.ndarray, model: DiscreteModel,
+                   theta: np.ndarray, h, interior: bool):
+    """``model`` at ``theta`` against the frequencies ``P``, row by row: its
+    rows, the distance gradients K and Q, and M^T Q."""
+    rows = _model_rows(model, theta, interior)
+    m = rows.q.shape[-1]
+    if m != P.shape[-1]:
+        raise InvalidInput(f"{P.shape[-1]} frequencies for the {m} cells of {model.name!r}")
+    Q = _grad_second(P, occupied, rows.qf, h)
+    JQ = np.add.reduce(rows.J * Q, axis=-1)
+    MQ = rows.g * (JQ / rows.info)[:, None]
+    return rows, _grad_first(P, occupied, rows.q), Q, MQ
+
+
+def _sigma_form(p: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """w^T Sigma(p) w of each row."""
+    pw = p * w
+    return np.add.reduce(pw * w, axis=-1) - np.add.reduce(pw, axis=-1) ** 2
+
+
+def _selection_rows(P: np.ndarray, model1: DiscreteModel, theta1: np.ndarray,
+                    model2: DiscreteModel, theta2: np.ndarray, h,
+                    interior: bool) -> _Selection:
+    """The row core: the plug-in selection variance v^T Sigma(p) v of each
+    row p of the (R, m) frequencies ``P``, with
+    v = (K1 - K2) + M1^T Q1 - M2^T Q2 for the families at the (R,)
+    estimates ``theta1`` and ``theta2``; ``h`` is a float or an (R, 1)
+    column of weights.  No validation of ``P`` or ``h``.
+
+    A row whose variance is below 1e-10 gets the reason ``"identical_fits"``
+    when its two fitted cell vectors are equal, else ``"zero_variance"``.
+    """
     occupied = P > 0.0
-    Q = _grad_second(P, occupied, loc.qf, h)
-    return loc, _grad_first(P, occupied, loc.q), Q, loc.g * ((loc.J @ Q) / loc.info)
+    rows1, K1, Q1, MQ1 = _gradient_rows(P, occupied, model1, theta1, h, interior)
+    rows2, K2, Q2, MQ2 = _gradient_rows(P, occupied, model2, theta2, h, interior)
+    gamma_sq = np.maximum(_sigma_form(P, (K1 - K2) + MQ1 - MQ2), 0.0)
+    identical = (rows1.q == rows2.q).all(axis=-1)
+    reason = np.where(gamma_sq < _GAMMA_SQ_FLOOR,
+                      np.where(identical, "identical_fits", "zero_variance"), "")
+    return _Selection(rows1, K1, Q1, rows2, K2, Q2, gamma_sq, reason)
+
+
+def _one(model: DiscreteModel, theta) -> _Rows:
+    """``model`` at the single parameter vector ``theta``."""
+    return _model_rows(model, model.theta_array(theta), interior=False)
 
 
 def _sigma(p: np.ndarray) -> np.ndarray:
     return np.diag(p) - np.outer(p, p)
 
 
-def _sandwich(p: np.ndarray, loc: _Local) -> tuple[np.ndarray, np.ndarray]:
-    """S M^T and M S M^T for S = Sigma(p) and the projection M of ``loc``:
-    outer products of J and S g."""
-    Sg = p * (loc.g - p @ loc.g)
-    SM = np.outer(Sg, loc.J / loc.info)
-    MSM = np.outer(loc.J, loc.J) * ((loc.g @ Sg) / loc.info**2)
+def _sandwich(p: np.ndarray, rows: _Rows) -> tuple[np.ndarray, np.ndarray]:
+    """S M^T and M S M^T for S = Sigma(p) and the projection M of the
+    one-row ``rows``: outer products of J and S g."""
+    J, g, info = rows.J[0], rows.g[0], rows.info[0]
+    Sg = p * (g - np.add.reduce(p * g))
+    SM = np.outer(Sg, J / info)
+    MSM = np.outer(J, J) * (np.add.reduce(g * Sg) / info**2)
     return SM, MSM
-
-
-def _sigma_form(p: np.ndarray, w: np.ndarray) -> float:
-    """w^T Sigma(p) w."""
-    return float((p * w) @ w - (p @ w) ** 2)
 
 
 def jacobian(model: DiscreteModel, theta) -> np.ndarray:
     """m x 1 central-difference derivative of the cell probabilities."""
-    return _cells_and_derivative(model, theta)[1][:, None]
+    return _one(model, theta).J.T
 
 
 def fisher_info(model: DiscreteModel, theta) -> np.ndarray:
     """1 x 1 information matrix sum J^2 / q_f."""
-    return np.array([[_local(model, theta).info]])
+    return _one(model, theta).info[:, None]
 
 
 def sigma(p) -> np.ndarray:
@@ -123,17 +173,18 @@ def sigma(p) -> np.ndarray:
 
 def m_matrix(model: DiscreteModel, theta) -> np.ndarray:
     """Projection M = J I^{-1} J^T diag(1/q_f); satisfies M J = J."""
-    loc = _local(model, theta)
-    return np.outer(loc.J, loc.g / loc.info)
+    rows = _one(model, theta)
+    return np.outer(rows.J[0], rows.g[0] / rows.info[0])
 
 
 def lambda_correct(model: DiscreteModel, theta) -> np.ndarray:
     """Covariance of sqrt(n)(phat - fitted probs) under a correctly
     specified model: (I - M) Sigma (I - M)^T with Sigma = Sigma(q), expanded
     as the four-term sandwich."""
-    loc = _local(model, theta)
-    SM, MSM = _sandwich(loc.q, loc)
-    return _sigma(loc.q) - SM - SM.T + MSM
+    rows = _one(model, theta)
+    q = rows.q[0]
+    SM, MSM = _sandwich(q, rows)
+    return _sigma(q) - SM - SM.T + MSM
 
 
 def omega_sq(p, model: DiscreteModel, theta1, h: float) -> float:
@@ -143,13 +194,15 @@ def omega_sq(p, model: DiscreteModel, theta1, h: float) -> float:
     Zero under correct specification, where both distance gradients vanish.
     """
     h = check_penalty_weight(h)
-    P = as_prob_vector(p)
-    _, K, _, MQ = _linearize(P, model, theta1, h)
-    return max(_sigma_form(P, K + MQ), 0.0)
+    P = as_prob_vector(p)[None, :]
+    _, K, _, MQ = _gradient_rows(P, P > 0.0, model, model.theta_array(theta1), h,
+                                 interior=False)
+    return max(float(_sigma_form(P, K + MQ)[0]), 0.0)
 
 
 def lambda_star_hat(phat, model1: DiscreteModel, theta1,
-                    model2: DiscreteModel, theta2, h: float) -> SelectionVariance:
+                    model2: DiscreteModel, theta2, h: float, *,
+                    interior: bool = False) -> SelectionVariance:
     """Plug-in variance v^T Sigma(phat) v of the difference of the two
     fitted distances, with v = (K1 - K2) + M1^T Q1 - M2^T Q2: each estimate
     is linearized against the shared innovation phat - p, and K_j, Q_j are
@@ -158,22 +211,25 @@ def lambda_star_hat(phat, model1: DiscreteModel, theta1,
     [[S, S Mc^T], [Mc S, Mc S Mc^T]], S = Sigma(phat), with the projection Mc
     of the better-fitting model.
 
-    A variance below 1e-10 raises DegenerateVariance with ``reason``
+    A parameter on or outside its box boundary raises BoundaryParameter;
+    with ``interior``, as in the selection test, each estimate is first
+    moved to at least 1e-9 of its box width inside the box.  A variance
+    below 1e-10 raises DegenerateVariance with ``reason``
     ``"identical_fits"`` when the fitted cells are equal, else
-    ``"zero_variance"``.
+    ``"zero_variance"``.  This is the R = 1 call of the row core.
     """
     h = check_penalty_weight(h)
     P = as_prob_vector(phat)
-    loc1, K1, Q1, MQ1 = _linearize(P, model1, theta1, h)
-    loc2, K2, Q2, MQ2 = _linearize(P, model2, theta2, h)
-    gamma_sq = max(_sigma_form(P, (K1 - K2) + MQ1 - MQ2), 0.0)
-    d1 = penalized_hellinger(P, loc1.q, h)
-    d2 = penalized_hellinger(P, loc2.q, h)
-    if gamma_sq < _GAMMA_SQ_FLOOR:
+    sel = _selection_rows(P[None, :], model1, model1.theta_array(theta1),
+                          model2, model2.theta_array(theta2), h, interior)
+    gamma_sq = float(sel.gamma_sq[0])
+    d1 = penalized_hellinger(P, sel.rows1.q[0], h)
+    d2 = penalized_hellinger(P, sel.rows2.q[0], h)
+    if sel.reason[0]:
         raise DegenerateVariance(
             f"selection variance {gamma_sq:.3e} below {_GAMMA_SQ_FLOOR:.0e}",
-            reason="identical_fits" if np.array_equal(loc1.q, loc2.q) else "zero_variance")
-    SM, MSM = _sandwich(P, loc1 if d1 <= d2 else loc2)
+            reason=str(sel.reason[0]))
+    SM, MSM = _sandwich(P, sel.rows1 if d1 <= d2 else sel.rows2)
     star = np.block([[_sigma(P), SM], [SM.T, MSM]])
-    return SelectionVariance(K1=K1, Q1=Q1, K2=K2, Q2=Q2, LambdaStar=star,
-                             GammaSq=gamma_sq)
+    return SelectionVariance(K1=sel.K1[0], Q1=sel.Q1[0], K2=sel.K2[0], Q2=sel.Q2[0],
+                             LambdaStar=star, GammaSq=gamma_sq)

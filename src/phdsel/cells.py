@@ -27,12 +27,21 @@ def as_prob_vector(p) -> np.ndarray:
     arr = np.asarray(p, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise InvalidInput("probability vector must be 1-D with at least 2 cells")
+    return _as_prob_rows(arr[None, :])[0]
+
+
+def _as_prob_rows(arr: np.ndarray) -> np.ndarray:
+    """The (R, m) float array ``arr``, whose every row must be a probability
+    vector as ``as_prob_vector`` defines it; each row sum runs along the
+    cell axis, as in a batch of one."""
     if not np.all(np.isfinite(arr)):
         raise InvalidInput("probability vector has non-finite entries")
     if np.any(arr < 0.0):
         raise InvalidInput("probability vector has negative entries")
-    if abs(arr.sum() - 1.0) > SIMPLEX_ATOL:
-        raise InvalidInput(f"probability vector sums to {arr.sum()!r}, not 1")
+    sums = np.add.reduce(arr, axis=-1)
+    off = np.abs(sums - 1.0) > SIMPLEX_ATOL
+    if off.any():
+        raise InvalidInput(f"probability vector sums to {sums[off][0]!r}, not 1")
     return arr
 
 

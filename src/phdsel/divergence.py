@@ -98,7 +98,8 @@ def grad_phd_first(phat, ptheta, h: float) -> np.ndarray:
 
 def _grad_first(P: np.ndarray, occupied: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """First-argument gradient at frequencies ``P`` with occupied cells
-    ``occupied`` and model vector ``Q``.  No validation."""
+    ``occupied`` and model vectors ``Q``, one vector or (R, m) rows of them.
+    No validation."""
     grad = np.zeros_like(P)
     grad[occupied] = 2.0 * (1.0 - np.sqrt(Q[occupied] / P[occupied]))
     return grad
@@ -126,9 +127,12 @@ def grad_phd_second(phat, ptheta, h: float, floor: float | None = None) -> np.nd
 
 
 def _grad_second(P: np.ndarray, occupied: np.ndarray, Q: np.ndarray,
-                 h: float) -> np.ndarray:
+                 h) -> np.ndarray:
     """Second-argument gradient at frequencies ``P`` with occupied cells
-    ``occupied``, model vector ``Q`` and weight ``h``.  No validation."""
-    grad = np.full_like(P, 2.0 * h)
+    ``occupied``, model vectors ``Q`` and weight ``h``, which broadcasts
+    against ``P`` (a float, or an (R, 1) column for (R, m) rows).  No
+    validation."""
+    grad = np.empty_like(P)
+    grad[...] = 2.0 * h
     grad[occupied] = 2.0 * (1.0 - np.sqrt(P[occupied] / Q[occupied]))
     return grad

@@ -165,6 +165,12 @@ def _lockstep(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
     return FitRows(best_x, best_f, GRID_POINTS + 2 + steps, closed, at_bound)
 
 
+def _chunks(rows: int) -> list[slice]:
+    """Consecutive slices of at most CHUNK_ROWS rows that cover ``rows``."""
+    return [slice(start, min(start + CHUNK_ROWS, rows))
+            for start in range(0, rows, CHUNK_ROWS)]
+
+
 def _minimize_rows(objective: RowObjective, lo: float, hi: float, rows: int) -> FitRows:
     """Minimize ``rows`` independent objectives on [lo, hi]; returns each
     row's best point evaluated.
@@ -174,10 +180,7 @@ def _minimize_rows(objective: RowObjective, lo: float, hi: float, rows: int) -> 
     """
     if not lo < hi:
         raise InvalidInput(f"need lo < hi, got [{lo}, {hi}]")
-    parts = []
-    for start in range(0, rows, CHUNK_ROWS):
-        sl = slice(start, min(start + CHUNK_ROWS, rows))
-        parts.append(_lockstep(objective(sl), lo, hi, sl.stop - sl.start))
+    parts = [_lockstep(objective(sl), lo, hi, sl.stop - sl.start) for sl in _chunks(rows)]
     if len(parts) == 1:
         return parts[0]
     return FitRows(*(np.concatenate(column) for column in zip(*parts)))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import lambda_star_hat
+from .asymptotics import _selection_rows, lambda_star_hat
 from .cells import BinnedSample, as_prob_vector
 from .divergence import check_penalty_weight
 from .errors import DegenerateVariance, InvalidInput
@@ -139,15 +139,6 @@ def decide(hi: float, z: float) -> str:
     return INDECISIVE
 
 
-def _interior_theta(theta: np.ndarray, model: DiscreteModel) -> np.ndarray:
-    # keep finite-difference machinery off the exact box boundary
-    out = np.array(theta, dtype=float)
-    for j, (lo, hi) in enumerate(model.bounds):
-        margin = 1e-9 * (hi - lo)
-        out[j] = min(max(out[j], lo + margin), hi - margin)
-    return out
-
-
 def model_select(sample: BinnedSample, model1: DiscreteModel,
                  model2: DiscreteModel, h: float,
                  alpha: float = 0.05) -> SelectionReport:
@@ -170,6 +161,16 @@ def model_select(sample: BinnedSample, model1: DiscreteModel,
     return _studentize(phat, sample.n, model1, fit1, model2, fit2, h, z)
 
 
+def _statistic(n, d1, d2, gamma_sq, degenerate) -> tuple[np.ndarray, np.ndarray]:
+    """HI and gamma_hat of each selection: sqrt(n) (d1 - d2) / gamma_hat
+    with gamma_hat = sqrt(gamma_sq), NaN and 0 where ``degenerate``.
+    Arguments broadcast against each other."""
+    gamma = np.sqrt(np.where(degenerate, 0.0, gamma_sq))
+    hi = np.full(gamma.shape, math.nan)
+    np.divide(np.sqrt(n) * (d1 - d2), gamma, out=hi, where=~np.asarray(degenerate))
+    return hi, gamma
+
+
 def _studentize(phat: np.ndarray, n: int, model1: DiscreteModel, fit1: FitResult,
                 model2: DiscreteModel, fit2: FitResult, h: float,
                 z: float) -> SelectionReport:
@@ -177,15 +178,26 @@ def _studentize(phat: np.ndarray, n: int, model1: DiscreteModel, fit1: FitResult
     sample of size ``n``, at the critical value ``z``."""
     d1, d2 = fit1.objective, fit2.objective
     try:
-        sv = lambda_star_hat(phat,
-                             model1, _interior_theta(fit1.theta_hat, model1),
-                             model2, _interior_theta(fit2.theta_hat, model2), h)
+        gamma_sq = lambda_star_hat(phat, model1, fit1.theta_hat, model2, fit2.theta_hat,
+                                   h, interior=True).GammaSq
+        degenerate, reason = False, ""
     except DegenerateVariance as exc:
-        return SelectionReport(hi=math.nan, gamma_hat=0.0, d1=d1, d2=d2, z=z,
-                               decision=INDECISIVE, degenerate=True,
-                               degenerate_reason=exc.reason, fit1=fit1, fit2=fit2)
-    gamma = math.sqrt(sv.GammaSq)
-    hi = math.sqrt(n) * (d1 - d2) / gamma
+        gamma_sq, degenerate, reason = 0.0, True, exc.reason
+    hi, gamma = (float(v) for v in _statistic(n, d1, d2, gamma_sq, degenerate))
     return SelectionReport(hi=hi, gamma_hat=gamma, d1=d1, d2=d2, z=z,
-                           decision=decide(hi, z), degenerate=False,
-                           degenerate_reason="", fit1=fit1, fit2=fit2)
+                           decision=decide(hi, z), degenerate=degenerate,
+                           degenerate_reason=reason, fit1=fit1, fit2=fit2)
+
+
+def _studentize_rows(phat: np.ndarray, n: np.ndarray, model1: DiscreteModel,
+                     theta1: np.ndarray, d1: np.ndarray, model2: DiscreteModel,
+                     theta2: np.ndarray, d2: np.ndarray,
+                     h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """HI and the degenerate flag of each row of the (R, m) frequencies
+    ``phat`` of samples of sizes ``n``, fitted by ``model1`` at ``theta1``
+    with distances ``d1`` and by ``model2`` at ``theta2`` with ``d2``, row r
+    with penalty weight ``h[r]``: one call of the row core, and row r equal
+    to the ``_studentize`` report of that row.  No validation."""
+    sel = _selection_rows(phat, model1, theta1, model2, theta2, h[:, None], interior=True)
+    degenerate = sel.reason != ""
+    return _statistic(n, d1, d2, sel.gamma_sq, degenerate)[0], degenerate

@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cells import CellPartition, as_prob_vector, default_partition
+from .cells import CellPartition, _as_prob_rows, as_prob_vector, default_partition
 from .errors import InvalidInput, InvalidParameter
 
 POISSON_BOUNDS = (1e-6, 50.0)
@@ -76,9 +76,16 @@ class DiscreteModel:
         return arr
 
     def cell_prob(self, theta) -> np.ndarray:
-        """Cell probabilities at ``theta``: the kernel's validated batch of
-        one, a simplex point."""
-        return as_prob_vector(self.cell_fn(self.theta_array(theta)[None, :])[0])
+        """Cell probabilities at ``theta``, one parameter vector of shape
+        (k,) or a block of R of them of shape (R, k): one validated kernel
+        call, giving a simplex point per parameter vector, shape (m,) or
+        (R, m)."""
+        arr = np.asarray(theta, dtype=float)
+        rows = arr if arr.ndim == 2 else self.theta_array(arr)[None, :]
+        if rows.shape[1] != self.k:
+            raise InvalidInput(f"theta must have shape (R, {self.k}), got {arr.shape}")
+        q = _as_prob_rows(self.cell_fn(rows))
+        return q if arr.ndim == 2 else q[0]
 
 
 def _integer_edges(part: CellPartition, support_start: int) -> np.ndarray:

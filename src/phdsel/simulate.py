@@ -7,7 +7,8 @@ keyed by (seed, n, h, replication index), so results do not depend on
 execution order.
 
 ``run_experiment`` fits all replications of a config in lockstep, one
-minimizer call per family (see ``phdsel.fit``).
+minimizer call per family (see ``phdsel.fit``), and studentizes them one
+chunk of rows at a time (see ``phdsel.asymptotics``).
 """
 
 from __future__ import annotations
@@ -23,11 +24,12 @@ import numpy as np
 from .cells import CellPartition, default_partition
 from .divergence import check_penalty_weight
 from .errors import InvalidInput, NoEquidistance
-from .fit import _fit_phd_rows
+from .fit import _chunks, _fit_phd_rows
 # model_select is not called here; the benchmark's self-test
 # bench/tests/test_bench.py::TestSelfTime::test_recorder_patches_every_binding_and_restores
 # requires this module to bind it
-from .inference import FAVOR_FIRST, FAVOR_SECOND, _studentize, model_select  # noqa: F401
+from .inference import model_select  # noqa: F401
+from .inference import FAVOR_FIRST, FAVOR_SECOND, _studentize_rows, decide
 from .models import (DiscreteModel, MixtureDGP, geometric_model,
                      mixture_cell_probs, poisson_model, sample_mixture)
 from .quantiles import normal_quantile
@@ -43,6 +45,12 @@ def _is_whole(value, minimum: int) -> bool:
     """Whether ``value`` is an integer (not a bool) >= ``minimum``."""
     return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
             and value >= minimum)
+
+
+def _is_weight(value) -> bool:
+    """Whether ``value`` is a finite real number (not a bool) > 0."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and value > 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,7 +77,9 @@ class ExperimentConfig:
             raise InvalidInput(f"every size must be an integer >= 1, got {self.sizes!r}")
         if not _is_whole(self.seed, 0):
             raise InvalidInput(f"seed must be an integer >= 0, got {self.seed!r}")
-        if not all(math.isfinite(h) and h > 0 for h in self.h_values):
+        if not self.h_values:
+            raise InvalidInput("h_values must be nonempty")
+        if not all(_is_weight(h) for h in self.h_values):
             raise InvalidInput(f"h_values must be finite and > 0, got {self.h_values!r}")
         if not 0.0 < self.alpha < 1.0:
             raise InvalidInput(f"alpha must be in (0,1), got {self.alpha!r}")
@@ -119,10 +129,12 @@ def run_experiment(config: ExperimentConfig,
     Every replication of every block is drawn and binned first, each from
     its own substream keyed by (seed, n, h, rep).  Each family is then
     fitted to all R = len(sizes) * len(h_values) * reps rows in one
-    lockstep call, chunked by ``phdsel.fit.CHUNK_ROWS``, and each row is
-    studentized on its own.  Row r of a lockstep fit is bit-identical to the
-    fit of that replication alone, so every block row equals the aggregate
-    of per-replication ``model_select`` calls.
+    lockstep call, chunked by ``phdsel.fit.CHUNK_ROWS``, and each chunk of
+    rows is studentized in one call of the row core of
+    ``phdsel.asymptotics``.  Row r of a lockstep fit and of a chunk's
+    studentization is bit-identical to that replication alone, so every
+    block row equals the aggregate of per-replication ``model_select``
+    calls.
 
     ``max_workers`` is accepted and ignored: the rows never depended on it,
     and splitting the fits or the studentization across two threads
@@ -143,16 +155,18 @@ def run_experiment(config: ExperimentConfig,
     weights = np.repeat([h for _, h in blocks], config.reps)
     fits1 = _fit_phd_rows(pois, phat, weights)
     fits2 = _fit_phd_rows(geom, phat, weights)
+    hi = np.empty(len(phat))
+    degenerate = np.empty(len(phat), dtype=bool)
+    for sl in _chunks(len(phat)):
+        hi[sl], degenerate[sl] = _studentize_rows(
+            phat[sl], sizes[sl], pois, fits1.x[sl], fits1.fun[sl],
+            geom, fits2.x[sl], fits2.fun[sl], weights[sl])
     z = normal_quantile(1.0 - config.alpha / 2.0)
-    rows = []
-    for i, (n, h) in enumerate(blocks):
-        results = []
-        for r in range(i * config.reps, (i + 1) * config.reps):
-            report = _studentize(phat[r], n, pois, fits1.fit(r), geom, fits2.fit(r), h, z)
-            results.append((report.fit1.theta_hat[0], report.fit2.theta_hat[0], report.d1,
-                            report.d2, report.hi, report.decision, report.degenerate))
-        rows.append(_aggregate(config, n, h, results))
-    return rows
+    results = list(zip(fits1.x.tolist(), fits2.x.tolist(), fits1.fun.tolist(),
+                       fits2.fun.tolist(), hi.tolist(), [decide(v, z) for v in hi.tolist()],
+                       degenerate.tolist()))
+    return [_aggregate(config, n, h, results[i * config.reps:(i + 1) * config.reps])
+            for i, (n, h) in enumerate(blocks)]
 
 
 def _aggregate(config: ExperimentConfig, n: int, h: float,
@@ -338,6 +352,14 @@ def _integer(minimum: int):
     return cast
 
 
+def _weight(value):
+    """Cast for a penalty weight; unlike ``float`` it refuses "0.5" and
+    true instead of converting them."""
+    if not _is_weight(value):
+        raise ValueError(f"need a finite number > 0, got {value!r}")
+    return float(value)
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Validate a flat JSON-style mapping; errors name the offending key."""
     for key in _CONFIG_KEYS:
@@ -359,7 +381,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             kw[key] = cast(raw[key])
         except (TypeError, ValueError) as exc:
             raise InvalidInput(f"config key '{key}' is invalid: {exc}") from exc
-    for key, cast in (("sizes", _integer(1)), ("h_values", float)):
+    for key, cast in (("sizes", _integer(1)), ("h_values", _weight)):
         try:
             kw[key] = tuple(cast(v) for v in raw[key])
         except (TypeError, ValueError) as exc:

@@ -7,15 +7,15 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from phdsel import (BinnedSample, BoundaryParameter, CellPartition,
-                    DegenerateVariance, DiscreteModel, InvalidParameter,
+                    DegenerateVariance, DiscreteModel, InvalidParameter, MixtureDGP,
                     SingularInformation, default_partition, fisher_info,
                     fit_phd_to_probs, geometric_model, grad_phd_first,
                     grad_phd_second, jacobian, lambda_correct,
                     lambda_star_hat, m_matrix, minimize_phd,
-                    mixture_cell_probs, omega_sq, parse_cuts,
-                    penalized_hellinger, poisson_model, sigma)
-from phdsel.asymptotics import PROB_FLOOR
-from phdsel.inference import _interior_theta
+                    mixture_cell_probs, model_select, omega_sq, parse_cuts,
+                    penalized_hellinger, poisson_model, sample_mixture, sigma)
+from phdsel.asymptotics import PROB_FLOOR, _selection_rows
+from phdsel.inference import _studentize_rows
 
 
 def analytic_poisson_jacobian(lam, part):
@@ -90,6 +90,14 @@ def ref_gamma_sq(phat, model1, theta1, model2, theta2, h):
     if gamma_sq < 1e-10:
         raise DegenerateVariance("degenerate")
     return gamma_sq
+
+
+def interior_theta(theta, model):
+    """``theta`` moved 1e-9 of the box width off the box boundary, as
+    ``model_select`` moves its estimates."""
+    lo, hi = model.bounds[0]
+    margin = 1e-9 * (hi - lo)
+    return np.array([min(max(float(theta[0]), lo + margin), hi - margin)])
 
 
 def outcome(fn, *args):
@@ -382,7 +390,7 @@ def fitted_pairs(draw):
     models = [poisson_model(part), geometric_model(part)]
     if draw(st.booleans()):
         models.reverse()
-    thetas = [_interior_theta(minimize_phd(m, sample, h).theta_hat, m) for m in models]
+    thetas = [interior_theta(minimize_phd(m, sample, h).theta_hat, m) for m in models]
     return sample.frequencies(), models, thetas, h
 
 
@@ -434,3 +442,102 @@ class TestSingularInformation:
                 fn(flat, [0.5])
         with pytest.raises(SingularInformation):
             ref_fisher_info(flat, [0.5])
+
+
+WIDE_CUTS = parse_cuts("1,2,5,10,20,50,100,1000,10000")
+
+
+@st.composite
+def row_batches(draw):
+    """A mixed batch of R rows on one partition for one ordered pair of
+    families, possibly the same family twice: mixture samples and samples
+    with one occupied cell, each with its own penalty weight."""
+    part = draw(st.sampled_from((default_partition(), WIDE_CUTS)))
+    names = draw(st.sampled_from((("poisson", "geometric"), ("geometric", "poisson"),
+                                  ("poisson", "poisson"), ("geometric", "geometric"))))
+    samples, weights = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            counts = np.zeros(part.m, dtype=int)
+            counts[draw(st.integers(0, part.m - 1))] = draw(st.integers(1, 300))
+        else:
+            dgp = MixtureDGP(pi=draw(st.sampled_from((0.0, 0.5, 1.0))))
+            data = sample_mixture(dgp, draw(st.sampled_from((5, 20, 300))),
+                                  np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+            counts = np.bincount(part.bin_indices(data), minlength=part.m)
+        samples.append(BinnedSample(counts=counts))
+        weights.append(draw(st.sampled_from((0.5, 1.0))))
+    models = [poisson_model(part) if name == "poisson" else geometric_model(part)
+              for name in names]
+    return samples, models, np.array(weights)
+
+
+def core_outcome(samples, models, weights):
+    """("value", (HI, degenerate flag, selection)) or ("raises", type) of
+    the row core on the rows ``samples``."""
+    phat = np.array([s.frequencies() for s in samples])
+    n = np.array([s.n for s in samples])
+    fits = [[minimize_phd(m, s, h) for s, h in zip(samples, weights)] for m in models]
+    thetas = [np.array([f.theta_hat[0] for f in fs]) for fs in fits]
+    dists = [np.array([f.objective for f in fs]) for fs in fits]
+    try:
+        sel = _selection_rows(phat, models[0], thetas[0], models[1], thetas[1],
+                              weights[:, None], interior=True)
+        hi, degenerate = _studentize_rows(phat, n, models[0], thetas[0], dists[0],
+                                          models[1], thetas[1], dists[1], weights)
+    except Exception as exc:  # the type is compared, so catch every error
+        return "raises", type(exc)
+    return "value", (hi, degenerate, sel)
+
+
+def selection_arrays(sel):
+    """Every array of a row-core result, the models' rows included."""
+    return [*sel.rows1, sel.K1, sel.Q1, *sel.rows2, sel.K2, sel.Q2, sel.gamma_sq,
+            sel.reason]
+
+
+class TestRowCore:
+    """The (R, m) row core against its own R = 1 calls and ``model_select``."""
+
+    @given(row_batches())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_rows_equal_single_row_calls_and_model_select(self, drawn):
+        samples, models, weights = drawn
+        batch = core_outcome(samples, models, weights)
+        singles = [core_outcome([s], models, weights[r:r + 1])
+                   for r, s in enumerate(samples)]
+        if batch[0] == "raises":
+            assert ("raises", batch[1]) in singles
+            return
+        hi, degenerate, sel = batch[1]
+        for r, (sample, h, single) in enumerate(zip(samples, weights, singles)):
+            assert single[0] == "value"
+            one_hi, one_degenerate, one_sel = single[1]
+            np.testing.assert_array_equal(hi[r:r + 1], one_hi)
+            np.testing.assert_array_equal(degenerate[r:r + 1], one_degenerate)
+            for a, b in zip(selection_arrays(sel), selection_arrays(one_sel)):
+                np.testing.assert_array_equal(a[r:r + 1], b)
+            report = model_select(sample, models[0], models[1], float(h))
+            assert report.degenerate == bool(degenerate[r])
+            assert report.degenerate_reason == sel.reason[r]
+            np.testing.assert_array_equal(report.hi, hi[r])
+        # dropping the degenerate rows leaves every other row as it was
+        kept = np.flatnonzero(~degenerate)
+        if 0 < kept.size < len(samples):
+            rest = core_outcome([samples[r] for r in kept], models, weights[kept])
+            np.testing.assert_array_equal(rest[1][0], hi[kept])
+            for a, b in zip(selection_arrays(rest[1][2]), selection_arrays(sel)):
+                np.testing.assert_array_equal(a, b[kept])
+
+    def test_batches_cover_both_degenerate_reasons(self):
+        part = default_partition()
+        pois, geom = poisson_model(part), geometric_model(part)
+        one_cell = BinnedSample(counts=np.eye(part.m, dtype=int)[3] * 20)
+        data = sample_mixture(MixtureDGP(pi=0.5), 300, np.random.default_rng(5))
+        mixed = BinnedSample(counts=np.bincount(part.bin_indices(data), minlength=part.m))
+        weights = np.array([0.5, 1.0, 0.5])
+        _, (_, degenerate, sel) = core_outcome([mixed, one_cell, mixed], [pois, geom], weights)
+        assert degenerate.tolist() == [False, True, False]
+        assert sel.reason.tolist() == ["", "zero_variance", ""]
+        _, (_, degenerate, sel) = core_outcome([mixed, one_cell], [pois, pois], weights[:2])
+        assert sel.reason.tolist() == ["identical_fits", "identical_fits"]

@@ -233,6 +233,18 @@ class TestSimulate:
         assert f"config key '{key}' is invalid" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value", [[], [True]])
+    def test_invalid_h_values_exit_2(self, capsys, tmp_path, value):
+        raw = dict(pi=1.0, sizes=[20], reps=5, h_values=value, alpha=0.05,
+                   seed=3, cuts=[1, 2, 3, 4, 5, 6, 7])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        code, out, err = run(capsys, ["simulate", "--config", str(path)])
+        assert code == 2
+        assert out == ""
+        assert "h_values" in err
+        assert "Traceback" not in err
+
 
 class TestEquidistance:
     def test_reports_mixing_weight(self, capsys):

@@ -45,6 +45,17 @@ class TestConfig:
             with pytest.raises(InvalidInput):
                 ExperimentConfig(pi=0.5, **bad)
 
+    def test_h_values_must_be_nonempty_numeric_weights(self):
+        # an empty grid has no blocks to run, and true is not the weight 1
+        for bad in ((), (True,), (0.5, True)):
+            with pytest.raises(InvalidInput, match="h_values"):
+                ExperimentConfig(pi=0.5, h_values=bad)
+        raw = dict(pi=0.5, sizes=[20], reps=5, h_values=[0.5], alpha=0.05,
+                   seed=1, cuts=[1, 2, 3, 4, 5, 6, 7])
+        for bad in ([], [True], [0.5, True], ["0.5"]):
+            with pytest.raises(InvalidInput, match="h_values"):
+                config_from_dict({**raw, "h_values": bad})
+
     def test_from_dict_names_offending_key(self):
         raw = dict(pi=0.5, sizes=[20], reps=5, h_values=[0.5], alpha=0.05,
                    seed=1, cuts=[1, 2, 3, 4, 5, 6, 7])
