@@ -60,22 +60,26 @@ _Rows = namedtuple("_Rows", "q qf J g info")
 _Selection = namedtuple("_Selection", "rows1 K1 Q1 rows2 K2 Q2 gamma_sq reason")
 
 
-def _model_rows(model: DiscreteModel, theta: np.ndarray, interior: bool) -> _Rows:
-    """``model`` at the (R,) parameters ``theta``.
+def _interior(model: DiscreteModel, theta) -> np.ndarray:
+    """``theta`` moved to at least 1e-9 of the box width inside the box of
+    the one-parameter ``model``, as the selection test moves its estimates
+    to keep the finite differences off the boundary."""
+    lo, hi = model.bounds[0]
+    margin = _INTERIOR_MARGIN * (hi - lo)
+    return np.clip(theta, lo + margin, hi - margin)
 
-    With ``interior`` each parameter is first moved to at least 1e-9 of the
-    box width inside the box; a parameter then on or outside the box
-    boundary is rejected.  The cells come from one validated call, J from
-    one kernel call on the stacked points theta + s and theta - s, with
-    s = 1e-6 max(1, |theta|) and the points clipped to the box.
+
+def _model_rows(model: DiscreteModel, t: np.ndarray) -> _Rows:
+    """``model`` at the (R,) parameters ``t``.
+
+    A parameter on or outside the box boundary is rejected.  The cells come
+    from one validated call, J from one kernel call on the stacked points
+    t + s and t - s, with s = 1e-6 max(1, |t|) and the points clipped to
+    the box.
     """
     if model.k != 1:
         raise InvalidInput(f"only one-parameter models are supported, got k={model.k}")
     lo, hi = model.bounds[0]
-    t = theta
-    if interior:
-        margin = _INTERIOR_MARGIN * (hi - lo)
-        t = np.clip(t, lo + margin, hi - margin)
     outside = (t <= lo) | (t >= hi)
     if outside.any():
         raise BoundaryParameter(
@@ -95,10 +99,10 @@ def _model_rows(model: DiscreteModel, theta: np.ndarray, interior: bool) -> _Row
 
 
 def _gradient_rows(P: np.ndarray, occupied: np.ndarray, model: DiscreteModel,
-                   theta: np.ndarray, h, interior: bool):
+                   theta: np.ndarray, h):
     """``model`` at ``theta`` against the frequencies ``P``, row by row: its
     rows, the distance gradients K and Q, and M^T Q."""
-    rows = _model_rows(model, theta, interior)
+    rows = _model_rows(model, theta)
     m = rows.q.shape[-1]
     if m != P.shape[-1]:
         raise InvalidInput(f"{P.shape[-1]} frequencies for the {m} cells of {model.name!r}")
@@ -115,8 +119,7 @@ def _sigma_form(p: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _selection_rows(P: np.ndarray, model1: DiscreteModel, theta1: np.ndarray,
-                    model2: DiscreteModel, theta2: np.ndarray, h,
-                    interior: bool) -> _Selection:
+                    model2: DiscreteModel, theta2: np.ndarray, h) -> _Selection:
     """The row core: the plug-in selection variance v^T Sigma(p) v of each
     row p of the (R, m) frequencies ``P``, with
     v = (K1 - K2) + M1^T Q1 - M2^T Q2 for the families at the (R,)
@@ -127,8 +130,8 @@ def _selection_rows(P: np.ndarray, model1: DiscreteModel, theta1: np.ndarray,
     when its two fitted cell vectors are equal, else ``"zero_variance"``.
     """
     occupied = P > 0.0
-    rows1, K1, Q1, MQ1 = _gradient_rows(P, occupied, model1, theta1, h, interior)
-    rows2, K2, Q2, MQ2 = _gradient_rows(P, occupied, model2, theta2, h, interior)
+    rows1, K1, Q1, MQ1 = _gradient_rows(P, occupied, model1, theta1, h)
+    rows2, K2, Q2, MQ2 = _gradient_rows(P, occupied, model2, theta2, h)
     gamma_sq = np.maximum(_sigma_form(P, (K1 - K2) + MQ1 - MQ2), 0.0)
     identical = (rows1.q == rows2.q).all(axis=-1)
     reason = np.where(gamma_sq < _GAMMA_SQ_FLOOR,
@@ -138,7 +141,7 @@ def _selection_rows(P: np.ndarray, model1: DiscreteModel, theta1: np.ndarray,
 
 def _one(model: DiscreteModel, theta) -> _Rows:
     """``model`` at the single parameter vector ``theta``."""
-    return _model_rows(model, model.theta_array(theta), interior=False)
+    return _model_rows(model, model.theta_array(theta))
 
 
 def _sigma(p: np.ndarray) -> np.ndarray:
@@ -195,14 +198,12 @@ def omega_sq(p, model: DiscreteModel, theta1, h: float) -> float:
     """
     h = check_penalty_weight(h)
     P = as_prob_vector(p)[None, :]
-    _, K, _, MQ = _gradient_rows(P, P > 0.0, model, model.theta_array(theta1), h,
-                                 interior=False)
+    _, K, _, MQ = _gradient_rows(P, P > 0.0, model, model.theta_array(theta1), h)
     return max(float(_sigma_form(P, K + MQ)[0]), 0.0)
 
 
 def lambda_star_hat(phat, model1: DiscreteModel, theta1,
-                    model2: DiscreteModel, theta2, h: float, *,
-                    interior: bool = False) -> SelectionVariance:
+                    model2: DiscreteModel, theta2, h: float) -> SelectionVariance:
     """Plug-in variance v^T Sigma(phat) v of the difference of the two
     fitted distances, with v = (K1 - K2) + M1^T Q1 - M2^T Q2: each estimate
     is linearized against the shared innovation phat - p, and K_j, Q_j are
@@ -211,17 +212,15 @@ def lambda_star_hat(phat, model1: DiscreteModel, theta1,
     [[S, S Mc^T], [Mc S, Mc S Mc^T]], S = Sigma(phat), with the projection Mc
     of the better-fitting model.
 
-    A parameter on or outside its box boundary raises BoundaryParameter;
-    with ``interior``, as in the selection test, each estimate is first
-    moved to at least 1e-9 of its box width inside the box.  A variance
-    below 1e-10 raises DegenerateVariance with ``reason``
+    A parameter on or outside its box boundary raises BoundaryParameter.  A
+    variance below 1e-10 raises DegenerateVariance with ``reason``
     ``"identical_fits"`` when the fitted cells are equal, else
     ``"zero_variance"``.  This is the R = 1 call of the row core.
     """
     h = check_penalty_weight(h)
     P = as_prob_vector(phat)
     sel = _selection_rows(P[None, :], model1, model1.theta_array(theta1),
-                          model2, model2.theta_array(theta2), h, interior)
+                          model2, model2.theta_array(theta2), h)
     gamma_sq = float(sel.gamma_sq[0])
     d1 = penalized_hellinger(P, sel.rows1.q[0], h)
     d2 = penalized_hellinger(P, sel.rows2.q[0], h)

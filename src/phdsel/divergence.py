@@ -132,7 +132,6 @@ def _grad_second(P: np.ndarray, occupied: np.ndarray, Q: np.ndarray,
     ``occupied``, model vectors ``Q`` and weight ``h``, which broadcasts
     against ``P`` (a float, or an (R, 1) column for (R, m) rows).  No
     validation."""
-    grad = np.empty_like(P)
-    grad[...] = 2.0 * h
+    grad = np.full_like(P, 2.0 * h)
     grad[occupied] = 2.0 * (1.0 - np.sqrt(P[occupied] / Q[occupied]))
     return grad

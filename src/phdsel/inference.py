@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import _selection_rows, lambda_star_hat
+from .asymptotics import _interior, _selection_rows, lambda_star_hat
 from .cells import BinnedSample, as_prob_vector
 from .divergence import check_penalty_weight
 from .errors import DegenerateVariance, InvalidInput
@@ -178,8 +178,8 @@ def _studentize(phat: np.ndarray, n: int, model1: DiscreteModel, fit1: FitResult
     sample of size ``n``, at the critical value ``z``."""
     d1, d2 = fit1.objective, fit2.objective
     try:
-        gamma_sq = lambda_star_hat(phat, model1, fit1.theta_hat, model2, fit2.theta_hat,
-                                   h, interior=True).GammaSq
+        gamma_sq = lambda_star_hat(phat, model1, _interior(model1, fit1.theta_hat),
+                                   model2, _interior(model2, fit2.theta_hat), h).GammaSq
         degenerate, reason = False, ""
     except DegenerateVariance as exc:
         gamma_sq, degenerate, reason = 0.0, True, exc.reason
@@ -198,6 +198,7 @@ def _studentize_rows(phat: np.ndarray, n: np.ndarray, model1: DiscreteModel,
     with distances ``d1`` and by ``model2`` at ``theta2`` with ``d2``, row r
     with penalty weight ``h[r]``: one call of the row core, and row r equal
     to the ``_studentize`` report of that row.  No validation."""
-    sel = _selection_rows(phat, model1, theta1, model2, theta2, h[:, None], interior=True)
+    sel = _selection_rows(phat, model1, _interior(model1, theta1),
+                          model2, _interior(model2, theta2), h[:, None])
     degenerate = sel.reason != ""
     return _statistic(n, d1, d2, sel.gamma_sq, degenerate)[0], degenerate

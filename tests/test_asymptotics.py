@@ -14,7 +14,7 @@ from phdsel import (BinnedSample, BoundaryParameter, CellPartition,
                     lambda_star_hat, m_matrix, minimize_phd,
                     mixture_cell_probs, model_select, omega_sq, parse_cuts,
                     penalized_hellinger, poisson_model, sample_mixture, sigma)
-from phdsel.asymptotics import PROB_FLOOR, _selection_rows
+from phdsel.asymptotics import PROB_FLOOR, _interior, _selection_rows
 from phdsel.inference import _studentize_rows
 
 
@@ -90,14 +90,6 @@ def ref_gamma_sq(phat, model1, theta1, model2, theta2, h):
     if gamma_sq < 1e-10:
         raise DegenerateVariance("degenerate")
     return gamma_sq
-
-
-def interior_theta(theta, model):
-    """``theta`` moved 1e-9 of the box width off the box boundary, as
-    ``model_select`` moves its estimates."""
-    lo, hi = model.bounds[0]
-    margin = 1e-9 * (hi - lo)
-    return np.array([min(max(float(theta[0]), lo + margin), hi - margin)])
 
 
 def outcome(fn, *args):
@@ -390,7 +382,7 @@ def fitted_pairs(draw):
     models = [poisson_model(part), geometric_model(part)]
     if draw(st.booleans()):
         models.reverse()
-    thetas = [interior_theta(minimize_phd(m, sample, h).theta_hat, m) for m in models]
+    thetas = [_interior(m, minimize_phd(m, sample, h).theta_hat) for m in models]
     return sample.frequencies(), models, thetas, h
 
 
@@ -481,8 +473,8 @@ def core_outcome(samples, models, weights):
     thetas = [np.array([f.theta_hat[0] for f in fs]) for fs in fits]
     dists = [np.array([f.objective for f in fs]) for fs in fits]
     try:
-        sel = _selection_rows(phat, models[0], thetas[0], models[1], thetas[1],
-                              weights[:, None], interior=True)
+        sel = _selection_rows(phat, models[0], _interior(models[0], thetas[0]),
+                              models[1], _interior(models[1], thetas[1]), weights[:, None])
         hi, degenerate = _studentize_rows(phat, n, models[0], thetas[0], dists[0],
                                           models[1], thetas[1], dists[1], weights)
     except Exception as exc:  # the type is compared, so catch every error
