@@ -33,7 +33,7 @@ from .divergence import (_grad_first, _grad_second, check_penalty_weight,
                          penalized_hellinger)
 from .errors import (BoundaryParameter, DegenerateVariance, InvalidInput,
                      SingularInformation)
-from .models import DiscreteModel
+from .models import DiscreteModel, _box
 
 PROB_FLOOR = 1e-12
 _GAMMA_SQ_FLOOR = 1e-10
@@ -77,9 +77,7 @@ def _model_rows(model: DiscreteModel, t: np.ndarray) -> _Rows:
     t + s and t - s, with s = 1e-6 max(1, |t|) and the points clipped to
     the box.
     """
-    if model.k != 1:
-        raise InvalidInput(f"only one-parameter models are supported, got k={model.k}")
-    lo, hi = model.bounds[0]
+    lo, hi = _box(model)
     outside = (t <= lo) | (t >= hi)
     if outside.any():
         raise BoundaryParameter(

@@ -116,7 +116,13 @@ class BinnedSample:
     n: int = field(init=False)
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = np.asarray(self.counts)
+        # refused before the int64 cast, which truncates 2.7 to 2 and fails on
+        # NaN, inf and magnitudes of 2**63 or more
+        if counts.dtype.kind == "f" and not np.all((np.abs(counts) < 2.0**63)
+                                                   & (counts == np.trunc(counts))):
+            raise InvalidInput("cell counts must be whole numbers below 2**63")
+        counts = counts.astype(np.int64)
         object.__setattr__(self, "counts", counts)
         if counts.ndim != 1 or counts.size < 2:
             raise InvalidInput("counts must be 1-D with at least 2 cells")

@@ -22,7 +22,7 @@ class BoundaryParameter(PhdselError, ValueError):
 
 
 class SingularInformation(PhdselError, RuntimeError):
-    """Information matrix numerically singular (condition number > 1e12)."""
+    """Fisher information below the smallest normal double (numerically zero)."""
 
 
 class DegenerateGradient(PhdselError, RuntimeError):

@@ -15,11 +15,9 @@ bit-identical to the fit of that row alone.  The scalar front ends
 (``minimize_scalar``, ``fit_phd_to_probs``, ``minimize_phd``,
 ``mle_binned``) are the R = 1 call of the same minimizer.
 
-Rows are minimized in chunks of ``CHUNK_ROWS``: the grid call of a chunk
-holds (CHUNK_ROWS * 32, m) cell probabilities, and the Poisson kernel holds
-about 176 cumulative terms per point at its rate bound, so an unchunked
-10,000-row study would build arrays of about 450 MB.  Every model fitted
-here has one parameter.
+A fit minimizes exactly the rows it is given, in one lockstep call; callers
+with many rows pass them in slices (``phdsel.simulate.run_experiment``).
+Every model fitted here has one parameter.
 
 The fit front ends validate their inputs once; the objective they minimize
 calls the model's batched cell kernel directly.
@@ -36,12 +34,11 @@ import numpy as np
 from .cells import BinnedSample, as_prob_vector
 from .divergence import _kl_modified_rows, _phd_rows, check_penalty_weight
 from .errors import FitFailed, InvalidInput
-from .models import DiscreteModel
+from .models import DiscreteModel, _box
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GRID_POINTS = 32
 MAX_STEPS = 200
-CHUNK_ROWS = 128
 _BRACKET = np.array([[-1], [1]])  # grid neighbours of the best start
 
 
@@ -86,16 +83,11 @@ class FitRows(NamedTuple):
                          at_bound=bool(self.at_bound[r]))
 
 
-# Maps a slice of the problem's rows to the objective of those rows: a
-# function from an (r, k) array of points to their (r, k) values, whose row i
-# may depend only on row i of the points.
-RowObjective = Callable[[slice], Callable[[np.ndarray], np.ndarray]]
-
-
 def _lockstep(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
               rows: int) -> FitRows:
     """Minimize ``rows`` objectives on [lo, hi] at once; ``f`` maps an
-    (rows, k) array of points to their (rows, k) values."""
+    (rows, k) array of points to their (rows, k) values, whose row i may
+    depend only on row i of the points."""
     tol = 1e-8 * (hi - lo)
     xs = np.linspace(lo, hi, GRID_POINTS)
     fs = f(np.broadcast_to(xs, (rows, GRID_POINTS)))
@@ -165,48 +157,22 @@ def _lockstep(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
     return FitRows(best_x, best_f, GRID_POINTS + 2 + steps, closed, at_bound)
 
 
-def _chunks(rows: int) -> list[slice]:
-    """Consecutive slices of at most CHUNK_ROWS rows that cover ``rows``."""
-    return [slice(start, min(start + CHUNK_ROWS, rows))
-            for start in range(0, rows, CHUNK_ROWS)]
-
-
-def _minimize_rows(objective: RowObjective, lo: float, hi: float, rows: int) -> FitRows:
-    """Minimize ``rows`` independent objectives on [lo, hi]; returns each
-    row's best point evaluated.
-
-    Rows are minimized CHUNK_ROWS at a time, each chunk with the objective
-    ``objective`` gives for its slice of rows.
-    """
-    if not lo < hi:
-        raise InvalidInput(f"need lo < hi, got [{lo}, {hi}]")
-    parts = [_lockstep(objective(sl), lo, hi, sl.stop - sl.start) for sl in _chunks(rows)]
-    if len(parts) == 1:
-        return parts[0]
-    return FitRows(*(np.concatenate(column) for column in zip(*parts)))
-
-
 def minimize_scalar(f: Callable[[float], float], lo: float, hi: float) -> ScalarMin:
     """Minimize ``f`` on [lo, hi]; returns the best point evaluated.
 
     The search stops once the golden-section bracket is narrower than 1e-8
     of the box width.  NaN values count as +inf.
     """
+    if not lo < hi:
+        raise InvalidInput(f"need lo < hi, got [{lo}, {hi}]")
+
     def values(xs: np.ndarray) -> np.ndarray:
         v = np.array([[f(x) for x in row] for row in xs], dtype=float)
         return np.where(np.isnan(v), math.inf, v)
 
-    res = _minimize_rows(lambda sl: values, lo, hi, 1)
+    res = _lockstep(values, lo, hi, 1)
     return ScalarMin(float(res.x[0]), float(res.fun[0]), int(res.evaluations[0]),
                      bool(res.converged[0]), bool(res.at_bound[0]))
-
-
-def _fit_rows(model: DiscreteModel, objective: RowObjective, rows: int) -> FitRows:
-    """Fit ``model`` to ``rows`` data rows by minimizing ``objective``."""
-    if model.k != 1:
-        raise InvalidInput(f"only one-parameter models are supported, got k={model.k}")
-    lo, hi = model.bounds[0]
-    return _minimize_rows(objective, lo, hi, rows)
 
 
 def _cells(model: DiscreteModel, theta: np.ndarray) -> np.ndarray:
@@ -226,12 +192,8 @@ def _fit_phd_rows(model: DiscreteModel, phat: np.ndarray, h: np.ndarray) -> FitR
     occupied = (phat > 0.0)[:, None, :]
     weight = np.empty((rows, 1, 1))
     weight[:, 0, 0] = h
-
-    def objective(sl: slice) -> Callable[[np.ndarray], np.ndarray]:
-        rp, occ, wt = root_p[sl], occupied[sl], weight[sl]
-        return lambda th: _phd_rows(rp, occ, _cells(model, th), wt)
-
-    return _fit_rows(model, objective, rows)
+    return _lockstep(lambda th: _phd_rows(root_p, occupied, _cells(model, th), weight),
+                     *_box(model), rows)
 
 
 def _target(model: DiscreteModel, p) -> np.ndarray:
@@ -265,4 +227,4 @@ def mle_binned(model: DiscreteModel, sample: BinnedSample) -> FitResult:
         q = _cells(model, th).reshape(-1, m)
         return _kl_modified_rows(phat, occupied, q).reshape(th.shape)
 
-    return _fit_rows(model, lambda sl: objective, 1).fit(0)
+    return _lockstep(objective, *_box(model), 1).fit(0)

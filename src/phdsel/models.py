@@ -88,6 +88,13 @@ class DiscreteModel:
         return q if arr.ndim == 2 else q[0]
 
 
+def _box(model: DiscreteModel) -> tuple[float, float]:
+    """The box (lo, hi) of a one-parameter model, the only kind supported."""
+    if model.k != 1:
+        raise InvalidInput(f"only one-parameter models are supported, got k={model.k}")
+    return model.bounds[0]
+
+
 def _integer_edges(part: CellPartition, support_start: int) -> np.ndarray:
     """Edges e_0 <= ... <= e_{m-1} (as floats): interior cell i covers the
     support integers [e_i, e_{i+1}); the last cell is [e_{m-1}, inf)."""

@@ -6,9 +6,9 @@ statistic and decision.  Replications use counter-derived random substreams
 keyed by (seed, n, h, replication index), so results do not depend on
 execution order.
 
-``run_experiment`` fits all replications of a config in lockstep, one
-minimizer call per family (see ``phdsel.fit``), and studentizes them one
-chunk of rows at a time (see ``phdsel.asymptotics``).
+``run_experiment`` takes all replications of a config one chunk of rows at
+a time: one lockstep minimizer call per family (see ``phdsel.fit``), then
+one studentization call (see ``phdsel.asymptotics``).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from .cells import CellPartition, default_partition
 from .divergence import check_penalty_weight
 from .errors import InvalidInput, NoEquidistance
-from .fit import _chunks, _fit_phd_rows
+from .fit import _fit_phd_rows
 # model_select is not called here; the benchmark's self-test
 # bench/tests/test_bench.py::TestSelfTime::test_recorder_patches_every_binding_and_restores
 # requires this module to bind it
@@ -39,6 +39,12 @@ DEFAULT_H_VALUES = (1.0, 0.5)
 DEFAULT_REPS = 1000
 DEFAULT_ALPHA = 0.05
 DEFAULT_SEED = 20260809
+# Rows per fit and studentization call in run_experiment.  A chunk's grid
+# call holds (CHUNK_ROWS * 32, m) cells and, at the Poisson rate bound, about
+# 176 cumulative terms per point, so one call over a 10,000-row study would
+# build about 450 MB; on 10,000 wide-cuts rows one studentization call over
+# all rows ran no faster and lifted peak RSS from 56 MB to 87 MB.
+CHUNK_ROWS = 128
 
 
 def _is_whole(value, minimum: int) -> bool:
@@ -47,10 +53,9 @@ def _is_whole(value, minimum: int) -> bool:
             and value >= minimum)
 
 
-def _is_weight(value) -> bool:
-    """Whether ``value`` is a finite real number (not a bool) > 0."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value) and value > 0)
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number other than a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,7 +72,7 @@ class ExperimentConfig:
     partition: CellPartition = field(default_factory=default_partition)
 
     def __post_init__(self):
-        if not 0.0 <= self.pi <= 1.0:
+        if not (_is_real(self.pi) and 0.0 <= self.pi <= 1.0):
             raise InvalidInput(f"pi must be in [0,1], got {self.pi!r}")
         if not _is_whole(self.reps, 1):
             raise InvalidInput(f"reps must be an integer >= 1, got {self.reps!r}")
@@ -79,9 +84,9 @@ class ExperimentConfig:
             raise InvalidInput(f"seed must be an integer >= 0, got {self.seed!r}")
         if not self.h_values:
             raise InvalidInput("h_values must be nonempty")
-        if not all(_is_weight(h) for h in self.h_values):
+        if not all(_is_real(h) and math.isfinite(h) and h > 0 for h in self.h_values):
             raise InvalidInput(f"h_values must be finite and > 0, got {self.h_values!r}")
-        if not 0.0 < self.alpha < 1.0:
+        if not (_is_real(self.alpha) and 0.0 < self.alpha < 1.0):
             raise InvalidInput(f"alpha must be in (0,1), got {self.alpha!r}")
 
 
@@ -127,14 +132,13 @@ def run_experiment(config: ExperimentConfig,
     """Run the full grid of (n, h) blocks.
 
     Every replication of every block is drawn and binned first, each from
-    its own substream keyed by (seed, n, h, rep).  Each family is then
-    fitted to all R = len(sizes) * len(h_values) * reps rows in one
-    lockstep call, chunked by ``phdsel.fit.CHUNK_ROWS``, and each chunk of
-    rows is studentized in one call of the row core of
-    ``phdsel.asymptotics``.  Row r of a lockstep fit and of a chunk's
-    studentization is bit-identical to that replication alone, so every
-    block row equals the aggregate of per-replication ``model_select``
-    calls.
+    its own substream keyed by (seed, n, h, rep).  The R = len(sizes) *
+    len(h_values) * reps rows then go ``CHUNK_ROWS`` at a time through the
+    Poisson fit, the geometric fit (one lockstep call each) and the row
+    core of ``phdsel.asymptotics``.  Row r of a lockstep fit and of a
+    chunk's studentization is bit-identical to that replication alone, so
+    every block row equals the aggregate of per-replication
+    ``model_select`` calls.
 
     ``max_workers`` is accepted and ignored: the rows never depended on it,
     and splitting the fits or the studentization across two threads
@@ -153,20 +157,18 @@ def run_experiment(config: ExperimentConfig,
     sizes = np.repeat([n for n, _ in blocks], config.reps)
     phat = counts / sizes[:, None]
     weights = np.repeat([h for _, h in blocks], config.reps)
-    fits1 = _fit_phd_rows(pois, phat, weights)
-    fits2 = _fit_phd_rows(geom, phat, weights)
-    # chunked: on 10,000 wide-cuts rows one call over all rows runs no
-    # faster and lifts peak RSS from 56 MB to 87 MB
-    hi = np.empty(len(phat))
-    degenerate = np.empty(len(phat), dtype=bool)
-    for sl in _chunks(len(phat)):
-        hi[sl], degenerate[sl] = _studentize_rows(
-            phat[sl], sizes[sl], pois, fits1.x[sl], fits1.fun[sl],
-            geom, fits2.x[sl], fits2.fun[sl], weights[sl])
+    chunks = []
+    for start in range(0, len(phat), CHUNK_ROWS):
+        sl = slice(start, start + CHUNK_ROWS)
+        fits1 = _fit_phd_rows(pois, phat[sl], weights[sl])
+        fits2 = _fit_phd_rows(geom, phat[sl], weights[sl])
+        hi, degenerate = _studentize_rows(phat[sl], sizes[sl], pois, fits1.x, fits1.fun,
+                                          geom, fits2.x, fits2.fun, weights[sl])
+        chunks.append((fits1.x, fits2.x, fits1.fun, fits2.fun, hi, degenerate))
+    lam, p, d1, d2, hi, degenerate = (np.concatenate(column).tolist()
+                                      for column in zip(*chunks))
     z = normal_quantile(1.0 - config.alpha / 2.0)
-    results = list(zip(fits1.x.tolist(), fits2.x.tolist(), fits1.fun.tolist(),
-                       fits2.fun.tolist(), hi.tolist(), [decide(v, z) for v in hi.tolist()],
-                       degenerate.tolist()))
+    results = list(zip(lam, p, d1, d2, hi, [decide(v, z) for v in hi], degenerate))
     return [_aggregate(config, n, h, results[i * config.reps:(i + 1) * config.reps])
             for i, (n, h) in enumerate(blocks)]
 
@@ -354,11 +356,11 @@ def _integer(minimum: int):
     return cast
 
 
-def _weight(value):
-    """Cast for a penalty weight; unlike ``float`` it refuses "0.5" and
+def _real(value):
+    """Cast for a real config value; unlike ``float`` it refuses "0.5" and
     true instead of converting them."""
-    if not _is_weight(value):
-        raise ValueError(f"need a finite number > 0, got {value!r}")
+    if not _is_real(value):
+        raise ValueError(f"need a number, got {value!r}")
     return float(value)
 
 
@@ -375,7 +377,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     except (TypeError, ValueError, InvalidInput) as exc:
         raise InvalidInput(f"config key 'cuts' is invalid: {exc}") from exc
     checks = {
-        "pi": float, "reps": _integer(1), "alpha": float, "seed": _integer(0),
+        "pi": _real, "reps": _integer(1), "alpha": _real, "seed": _integer(0),
     }
     kw = {}
     for key, cast in checks.items():
@@ -383,7 +385,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             kw[key] = cast(raw[key])
         except (TypeError, ValueError) as exc:
             raise InvalidInput(f"config key '{key}' is invalid: {exc}") from exc
-    for key, cast in (("sizes", _integer(1)), ("h_values", _weight)):
+    for key, cast in (("sizes", _integer(1)), ("h_values", _real)):
         try:
             kw[key] = tuple(cast(v) for v in raw[key])
         except (TypeError, ValueError) as exc:

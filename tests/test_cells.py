@@ -109,6 +109,16 @@ class TestBinnedSample:
         with pytest.raises(InvalidInput):
             BinnedSample(counts=np.array([-1, 3]))
 
+    def test_rejects_non_finite_and_fractional_counts(self):
+        # the int64 cast would truncate 2.7 to 2, and fail on NaN, inf and 1e300
+        for bad in ([2.7, 1.2, 0.0], [math.nan, 3.0], [math.inf, 3.0], [-math.inf, 3.0],
+                    [1e300, 1.0]):
+            with pytest.raises(InvalidInput, match="whole numbers"):
+                BinnedSample(counts=np.array(bad))
+        s = BinnedSample(counts=[3.0, 1.0, 0.0])  # integral floats are counts
+        assert s.counts.dtype == np.int64
+        np.testing.assert_array_equal(s.counts, [3, 1, 0])
+
     def test_frequencies(self):
         s = BinnedSample(counts=np.array([1, 3]))
         assert s.n == 4

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-import phdsel.fit
+import phdsel.simulate
 from phdsel import (CellPartition, ExperimentConfig, InvalidInput, MixtureDGP,
                     NoEquidistance, config_from_dict, default_partition,
                     emit_table, empirical_frequencies, equidistance_gap,
@@ -41,9 +41,10 @@ class TestConfig:
         with pytest.raises(InvalidInput):
             ExperimentConfig(pi=0.5, h_values=(0.5, 0.0))
         for bad in (dict(seed=-1), dict(seed=1.5), dict(reps=2.7), dict(sizes=(20, 30.5)),
-                    dict(reps=True)):
+                    dict(reps=True), dict(pi="0.5"), dict(pi=True), dict(alpha="0.1"),
+                    dict(alpha=True)):
             with pytest.raises(InvalidInput):
-                ExperimentConfig(pi=0.5, **bad)
+                ExperimentConfig(**{"pi": 0.5, **bad})
 
     def test_h_values_must_be_nonempty_numeric_weights(self):
         # an empty grid has no blocks to run, and true is not the weight 1
@@ -73,7 +74,8 @@ class TestConfig:
         # integers only: int() would truncate 2.7 to 2 and accept "3"
         for key, value in (("seed", -1), ("seed", 1.5), ("seed", "3"),
                            ("reps", 2.7), ("reps", 0), ("reps", True),
-                           ("sizes", [20, 2.5]), ("sizes", [0])):
+                           ("sizes", [20, 2.5]), ("sizes", [0]),
+                           ("pi", True), ("pi", "0.5"), ("alpha", True), ("alpha", "0.1")):
             with pytest.raises(InvalidInput, match=f"config key '{key}' is invalid"):
                 config_from_dict({**raw, key: value})
 
@@ -114,7 +116,7 @@ class TestRunExperiment:
     def test_rows_equal_aggregated_per_replication_selections(self, monkeypatch):
         # 2 sizes x 2 weights x 5 replications = 20 rows, fitted in chunks of
         # 7, 7 and 6 rows
-        monkeypatch.setattr(phdsel.fit, "CHUNK_ROWS", 7)
+        monkeypatch.setattr(phdsel.simulate, "CHUNK_ROWS", 7)
         config = small_config(pi=0.5, sizes=(20, 30), h_values=(1.0, 0.5), reps=5)
         part = config.partition
         pois, geom = poisson_model(part), geometric_model(part)
