@@ -128,7 +128,9 @@ class BinnedSample:
             raise InvalidInput("counts must be 1-D with at least 2 cells")
         if np.any(counts < 0):
             raise InvalidInput("negative cell count")
-        n = int(counts.sum())
+        n = sum(counts.tolist())  # Python ints: an int64 sum wraps at 2**63
+        if n >= 2**63:
+            raise InvalidInput(f"cell counts total {n}, which overflows int64 (2**63)")
         if n < 1:
             raise InvalidInput("sample size must be >= 1")
         object.__setattr__(self, "n", n)

@@ -9,14 +9,16 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
 
-from .cells import CellPartition, default_partition, empirical_frequencies, parse_cuts
+from .cells import (BinnedSample, CellPartition, default_partition, empirical_frequencies,
+                    parse_cuts)
 from .errors import (FitFailed, InvalidInput, InvalidParameter, NoEquidistance,
                      PhdselError, SingularInformation)
-from .fit import minimize_phd
+from .fit import FitResult, minimize_phd
 from .inference import gof_test, model_select
 from .models import MODEL_BUILDERS, model_by_name
 from .simulate import emit_table, equidistance_pi, load_config, run_experiment
@@ -62,87 +64,73 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     model_names = sorted(MODEL_BUILDERS)
+    # options shared by several subcommands, declared once
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--data", required=True, help="file with one observation per line")
+    cells = argparse.ArgumentParser(add_help=False)
+    cells.add_argument("--h", type=_positive_float, default=0.5,
+                       help="empty-cell penalty weight (default 0.5)")
+    cells.add_argument("--cuts", help="comma-separated finite cuts, e.g. 1,2,3,4,5,6,7")
+    level = argparse.ArgumentParser(add_help=False)
+    level.add_argument("--alpha", type=_level, default=0.05, help="test level (default 0.05)")
 
-    p = sub.add_parser("estimate", help="fit one model by minimum penalized "
-                                        "Hellinger distance")
-    p.add_argument("--data", required=True, help="file with one observation per line")
+    p = sub.add_parser("estimate", parents=[data, cells],
+                       help="fit one model by minimum penalized Hellinger distance")
     p.add_argument("--model", required=True, choices=model_names)
-    p.add_argument("--h", type=_positive_float, default=0.5,
-                   help="empty-cell penalty weight (default 0.5)")
-    p.add_argument("--cuts", help="comma-separated finite cuts, e.g. 1,2,3,4,5,6,7")
-
-    p = sub.add_parser("gof", help="goodness-of-fit test of one model")
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("gof", parents=[data, cells, level],
+                       help="goodness-of-fit test of one model")
     p.add_argument("--model", required=True, choices=model_names)
-    p.add_argument("--h", type=_positive_float, default=0.5)
-    p.add_argument("--alpha", type=_level, default=0.05,
-                   help="test level (default 0.05)")
-    p.add_argument("--cuts")
-
-    p = sub.add_parser("select", help="choose between two models")
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("select", parents=[data, cells, level],
+                       help="choose between two models")
     p.add_argument("--model1", required=True, choices=model_names)
     p.add_argument("--model2", required=True, choices=model_names)
-    p.add_argument("--h", type=_positive_float, default=0.5)
-    p.add_argument("--alpha", type=_level, default=0.05,
-                   help="test level (default 0.05)")
-    p.add_argument("--cuts")
-
     p = sub.add_parser("simulate", help="run a replicated selection study")
     p.add_argument("--config", required=True, help="JSON config file")
     p.add_argument("--out", help="CSV output path (default stdout)")
-
-    p = sub.add_parser("equidistance", help="mixing weight equalizing the "
-                                            "two fitted distances")
-    p.add_argument("--h", type=_positive_float, default=0.5)
-    p.add_argument("--cuts")
+    sub.add_parser("equidistance", parents=[cells],
+                   help="mixing weight equalizing the two fitted distances")
     return parser
 
 
-def _cmd_estimate(args) -> int:
+def _print_report(report, **first) -> int:
+    """Print ``first`` and then the fields of the result dataclass ``report``,
+    in declaration order, as ``key=value`` lines; nested fits are skipped."""
+    values = {**first, **{f.name: getattr(report, f.name) for f in dataclasses.fields(report)}}
+    for key, value in values.items():
+        if isinstance(value, FitResult):
+            continue
+        if isinstance(value, np.ndarray):
+            value = ",".join(f"{v:.10g}" for v in value)
+        elif isinstance(value, (bool, np.bool_)):
+            value = str(value).lower()
+        elif isinstance(value, float):
+            value = f"{value:.10g}"
+        print(f"{key}={value}")
+    return 0
+
+
+def _binned(args) -> tuple[CellPartition, BinnedSample]:
+    """The partition of ``--cuts``, then the ``--data`` file binned on it."""
     part = _partition_arg(args)
     sample, _ = empirical_frequencies(_load_data(args.data), part)
-    model = model_by_name(args.model, part)
-    fit = minimize_phd(model, sample, args.h)
-    theta = ",".join(f"{v:.10g}" for v in fit.theta_hat)
-    print(f"theta_hat={theta}")
-    print(f"objective={fit.objective:.10g}")
-    print(f"evaluations={fit.evaluations}")
-    print(f"converged={str(fit.converged).lower()}")
-    print(f"at_bound={str(fit.at_bound).lower()}")
-    return 0
+    return part, sample
+
+
+def _cmd_estimate(args) -> int:
+    part, sample = _binned(args)
+    return _print_report(minimize_phd(model_by_name(args.model, part), sample, args.h))
 
 
 def _cmd_gof(args) -> int:
-    part = _partition_arg(args)
-    sample, _ = empirical_frequencies(_load_data(args.data), part)
-    model = model_by_name(args.model, part)
-    report = gof_test(sample, model, args.h, args.alpha)
-    theta = ",".join(f"{v:.10g}" for v in report.fit.theta_hat)
-    print(f"theta_hat={theta}")
-    print(f"statistic={report.statistic:.10g}")
-    print(f"df={report.df}")
-    print(f"critical={report.critical:.10g}")
-    print(f"p_value={report.p_value:.10g}")
-    print(f"reject={str(report.reject).lower()}")
-    return 0
+    part, sample = _binned(args)
+    report = gof_test(sample, model_by_name(args.model, part), args.h, args.alpha)
+    return _print_report(report, theta_hat=report.fit.theta_hat)
 
 
 def _cmd_select(args) -> int:
-    part = _partition_arg(args)
-    sample, _ = empirical_frequencies(_load_data(args.data), part)
-    model1 = model_by_name(args.model1, part)
-    model2 = model_by_name(args.model2, part)
-    report = model_select(sample, model1, model2, args.h, args.alpha)
-    print(f"hi={report.hi:.10g}")
-    print(f"gamma_hat={report.gamma_hat:.10g}")
-    print(f"d1={report.d1:.10g}")
-    print(f"d2={report.d2:.10g}")
-    print(f"z={report.z:.10g}")
-    print(f"decision={report.decision}")
-    print(f"degenerate={str(report.degenerate).lower()}")
-    print(f"degenerate_reason={report.degenerate_reason}")
-    return 0
+    part, sample = _binned(args)
+    return _print_report(model_select(sample, model_by_name(args.model1, part),
+                                      model_by_name(args.model2, part), args.h, args.alpha))
 
 
 def _cmd_simulate(args) -> int:
@@ -163,11 +151,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_equidistance(args) -> int:
     part = _partition_arg(args)
-    result = equidistance_pi(model_by_name("poisson", part),
-                             model_by_name("geometric", part), part, args.h)
-    print(f"pi_star={result.pi_star:.10g}")
-    print(f"degenerate={str(result.degenerate).lower()}")
-    return 0
+    return _print_report(equidistance_pi(model_by_name("poisson", part),
+                                         model_by_name("geometric", part), part, args.h))
 
 
 _COMMANDS = {

@@ -17,7 +17,7 @@ import io
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -58,6 +58,35 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _nonempty_list_of(test):
+    """Rule for a nonempty list or tuple whose every item passes ``test``;
+    a string or a bare number is refused, not iterated or wrapped."""
+    return lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(map(test, v))
+
+
+def _as_partition(cuts) -> CellPartition:
+    return CellPartition(cuts=(0.0, *map(float, cuts), math.inf))
+
+
+# The one rule of each config field: the test that its value, as given to
+# ExperimentConfig or read from JSON, must pass (so true is no number and "3"
+# no integer), what the value must be, and how a JSON value that passed becomes
+# the field.  JSON names the partition by its finite cuts.
+_RULES = {
+    "pi": (lambda v: _is_real(v) and 0.0 <= v <= 1.0, "a number in [0,1]", float),
+    "sizes": (_nonempty_list_of(lambda n: _is_whole(n, 1)),
+              "a nonempty list of integers >= 1", tuple),
+    "reps": (lambda v: _is_whole(v, 1), "an integer >= 1", int),
+    "h_values": (_nonempty_list_of(lambda h: _is_real(h) and math.isfinite(h) and h > 0),
+                 "a nonempty list of finite numbers > 0", lambda v: tuple(map(float, v))),
+    "alpha": (lambda v: _is_real(v) and 0.0 < v < 1.0, "a number in (0,1)", float),
+    "seed": (lambda v: _is_whole(v, 0), "an integer >= 0", int),
+    "cuts": (_nonempty_list_of(_is_real), "a nonempty list of numbers", _as_partition),
+    "partition": (lambda v: isinstance(v, CellPartition), "a CellPartition", None),
+}
+_CONFIG_KEYS = tuple(key for key in _RULES if key != "partition")
+
+
 @dataclass(frozen=True, slots=True)
 class ExperimentConfig:
     """One simulation study: a mixture weight crossed with sizes and
@@ -72,22 +101,11 @@ class ExperimentConfig:
     partition: CellPartition = field(default_factory=default_partition)
 
     def __post_init__(self):
-        if not (_is_real(self.pi) and 0.0 <= self.pi <= 1.0):
-            raise InvalidInput(f"pi must be in [0,1], got {self.pi!r}")
-        if not _is_whole(self.reps, 1):
-            raise InvalidInput(f"reps must be an integer >= 1, got {self.reps!r}")
-        if not self.sizes:
-            raise InvalidInput("sizes must be nonempty")
-        if not all(_is_whole(n, 1) for n in self.sizes):
-            raise InvalidInput(f"every size must be an integer >= 1, got {self.sizes!r}")
-        if not _is_whole(self.seed, 0):
-            raise InvalidInput(f"seed must be an integer >= 0, got {self.seed!r}")
-        if not self.h_values:
-            raise InvalidInput("h_values must be nonempty")
-        if not all(_is_real(h) and math.isfinite(h) and h > 0 for h in self.h_values):
-            raise InvalidInput(f"h_values must be finite and > 0, got {self.h_values!r}")
-        if not (_is_real(self.alpha) and 0.0 < self.alpha < 1.0):
-            raise InvalidInput(f"alpha must be in (0,1), got {self.alpha!r}")
+        for f in fields(self):
+            test, wanted, _ = _RULES[f.name]
+            value = getattr(self, f.name)
+            if not test(value):
+                raise InvalidInput(f"{f.name} must be {wanted}, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -279,15 +297,7 @@ def equidistance_pi(model1: DiscreteModel, model2: DiscreteModel,
     return EquidistanceResult(pi_star=0.5 * (lo + hi_), degenerate=False)
 
 
-CSV_COLUMNS = (
-    "pi", "n", "h",
-    "lambda_mean", "lambda_sd", "p_mean", "p_sd",
-    "dhp_poisson_mean", "dhp_poisson_sd",
-    "dhp_geometric_mean", "dhp_geometric_sd",
-    "hi_mean", "hi_sd",
-    "pct_favor_poisson", "pct_favor_geometric", "pct_indecisive",
-    "pct_correct", "pct_incorrect", "n_degenerate",
-)
+CSV_COLUMNS = tuple(f.name for f in fields(ExperimentRow))
 
 _TEXT_HEADERS = ("pi", "n", "h", "lambda_hat", "p_hat", "DHP(Pois)",
                  "DHP(Geom)", "HI", "%Pois", "%Geom", "%correct",
@@ -302,6 +312,14 @@ def _pct(x: float | None) -> str:
     return "" if x is None else f"{x:.0f}"
 
 
+def _csv_cell(key: str, value) -> str:
+    if key in ("pi", "h"):
+        return f"{value:g}"
+    if key in ("n", "n_degenerate"):
+        return str(value)
+    return _pct(value) if key.startswith("pct_") else _round3(value)
+
+
 def emit_table(rows: list[ExperimentRow], format: str = "csv") -> str:
     """Render experiment rows: ``csv`` for machines, ``text`` for humans.
 
@@ -313,16 +331,7 @@ def emit_table(rows: list[ExperimentRow], format: str = "csv") -> str:
         out = io.StringIO()
         out.write(",".join(CSV_COLUMNS) + "\n")
         for r in rows:
-            vals = [f"{r.pi:g}", str(r.n), f"{r.h:g}",
-                    _round3(r.lambda_mean), _round3(r.lambda_sd),
-                    _round3(r.p_mean), _round3(r.p_sd),
-                    _round3(r.dhp_poisson_mean), _round3(r.dhp_poisson_sd),
-                    _round3(r.dhp_geometric_mean), _round3(r.dhp_geometric_sd),
-                    _round3(r.hi_mean), _round3(r.hi_sd),
-                    _pct(r.pct_favor_poisson), _pct(r.pct_favor_geometric),
-                    _pct(r.pct_indecisive), _pct(r.pct_correct),
-                    _pct(r.pct_incorrect), str(r.n_degenerate)]
-            out.write(",".join(vals) + "\n")
+            out.write(",".join(_csv_cell(key, getattr(r, key)) for key in CSV_COLUMNS) + "\n")
         return out.getvalue()
     if format == "text":
         table = [_TEXT_HEADERS]
@@ -343,54 +352,28 @@ def emit_table(rows: list[ExperimentRow], format: str = "csv") -> str:
     raise InvalidInput(f"unknown table format {format!r}")
 
 
-_CONFIG_KEYS = ("pi", "sizes", "reps", "h_values", "alpha", "seed", "cuts")
-
-
-def _integer(minimum: int):
-    """Cast for an integer config value >= ``minimum``; unlike ``int`` it
-    refuses 2.7, "3" and true instead of converting them."""
-    def cast(value):
-        if not _is_whole(value, minimum):
-            raise ValueError(f"need an integer >= {minimum}, got {value!r}")
-        return value
-    return cast
-
-
-def _real(value):
-    """Cast for a real config value; unlike ``float`` it refuses "0.5" and
-    true instead of converting them."""
-    if not _is_real(value):
-        raise ValueError(f"need a number, got {value!r}")
-    return float(value)
-
-
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Validate a flat JSON-style mapping; errors name the offending key."""
+    """Validate a flat JSON-style mapping; errors name the offending key.
+
+    Each value must pass its field's rule as read, before any conversion:
+    ``float`` would take true for 1.0 and "0.5" for 0.5, ``int`` 2.7 for 2.
+    """
     for key in _CONFIG_KEYS:
         if key not in raw:
             raise InvalidInput(f"config key '{key}' is missing")
     unknown = set(raw) - set(_CONFIG_KEYS)
     if unknown:
         raise InvalidInput(f"config key '{sorted(unknown)[0]}' is not recognized")
-    try:
-        partition = CellPartition(cuts=(0.0, *map(float, raw["cuts"]), math.inf))
-    except (TypeError, ValueError, InvalidInput) as exc:
-        raise InvalidInput(f"config key 'cuts' is invalid: {exc}") from exc
-    checks = {
-        "pi": _real, "reps": _integer(1), "alpha": _real, "seed": _integer(0),
-    }
     kw = {}
-    for key, cast in checks.items():
+    for key in _CONFIG_KEYS:
+        test, wanted, convert = _RULES[key]
         try:
-            kw[key] = cast(raw[key])
-        except (TypeError, ValueError) as exc:
+            if not test(raw[key]):
+                raise InvalidInput(f"must be {wanted}, got {raw[key]!r}")
+            kw[key] = convert(raw[key])
+        except (InvalidInput, OverflowError) as exc:  # OverflowError: an int beyond a double
             raise InvalidInput(f"config key '{key}' is invalid: {exc}") from exc
-    for key, cast in (("sizes", _integer(1)), ("h_values", _real)):
-        try:
-            kw[key] = tuple(cast(v) for v in raw[key])
-        except (TypeError, ValueError) as exc:
-            raise InvalidInput(f"config key '{key}' is invalid: {exc}") from exc
-    return ExperimentConfig(partition=partition, **kw)
+    return ExperimentConfig(partition=kw.pop("cuts"), **kw)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -398,7 +381,7 @@ def load_config(path: str) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on non-UTF-8 bytes
             raise InvalidInput(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise InvalidInput("config must be a JSON object")

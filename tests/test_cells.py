@@ -119,6 +119,13 @@ class TestBinnedSample:
         assert s.counts.dtype == np.int64
         np.testing.assert_array_equal(s.counts, [3, 1, 0])
 
+    def test_total_that_overflows_int64_is_named(self):
+        # the int64 sum of these counts wraps to a negative total
+        for bad in ([2**62, 2**62, 1], [2**62, 2**62, 0], [2**63 - 1, 1]):
+            with pytest.raises(InvalidInput, match="overflows"):
+                BinnedSample(counts=bad)
+        assert BinnedSample(counts=[2**62, 2**62 - 1, 0]).n == 2**63 - 1
+
     def test_frequencies(self):
         s = BinnedSample(counts=np.array([1, 3]))
         assert s.n == 4

@@ -233,6 +233,15 @@ class TestSimulate:
         assert f"config key '{key}' is invalid" in err
         assert "Traceback" not in err
 
+    def test_non_utf8_config_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"pi": 1.0, "note": "caf\xe9"}')
+        code, out, err = run(capsys, ["simulate", "--config", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("phdsel: error:")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("value", [[], [True]])
     def test_invalid_h_values_exit_2(self, capsys, tmp_path, value):
         raw = dict(pi=1.0, sizes=[20], reps=5, h_values=value, alpha=0.05,
@@ -253,6 +262,28 @@ class TestEquidistance:
         fields = dict(line.split("=", 1) for line in out.strip().split("\n"))
         assert 0.0 < float(fields["pi_star"]) < 1.0
         assert fields["degenerate"] == "false"
+
+
+class TestKeyOrder:
+    # each subcommand prints its report's fields in declaration order
+    @pytest.mark.parametrize("argv,keys", [
+        (["estimate", "--model", "poisson"],
+         ["theta_hat", "objective", "evaluations", "converged", "at_bound"]),
+        (["gof", "--model", "poisson"],
+         ["theta_hat", "statistic", "df", "critical", "p_value", "reject"]),
+        (["select", "--model1", "poisson", "--model2", "geometric"],
+         ["hi", "gamma_hat", "d1", "d2", "z", "decision", "degenerate", "degenerate_reason"]),
+    ])
+    def test_fit_commands(self, capsys, poisson_file, argv, keys):
+        code, out, _ = run(capsys, argv + ["--data", poisson_file])
+        assert code == 0
+        assert [line.split("=", 1)[0] for line in out.strip().split("\n")] == keys
+
+    def test_equidistance(self, capsys):
+        code, out, _ = run(capsys, ["equidistance"])
+        assert code == 0
+        assert [line.split("=", 1)[0] for line in out.strip().split("\n")] == [
+            "pi_star", "degenerate"]
 
 
 class TestHelp:

@@ -42,8 +42,8 @@ class TestConfig:
             ExperimentConfig(pi=0.5, h_values=(0.5, 0.0))
         for bad in (dict(seed=-1), dict(seed=1.5), dict(reps=2.7), dict(sizes=(20, 30.5)),
                     dict(reps=True), dict(pi="0.5"), dict(pi=True), dict(alpha="0.1"),
-                    dict(alpha=True)):
-            with pytest.raises(InvalidInput):
+                    dict(alpha=True), dict(partition="x")):
+            with pytest.raises(InvalidInput, match=next(iter(bad))):
                 ExperimentConfig(**{"pi": 0.5, **bad})
 
     def test_h_values_must_be_nonempty_numeric_weights(self):
@@ -71,11 +71,14 @@ class TestConfig:
             config_from_dict({**raw, "cuts": [3, 2, 1]})
         with pytest.raises(InvalidInput, match="h_values"):
             config_from_dict({**raw, "h_values": [math.nan]})
-        # integers only: int() would truncate 2.7 to 2 and accept "3"
+        # each value must pass its rule as read: int() would truncate 2.7 to 2
+        # and accept "3", float() would read true as 1.0 and "2" as 2.0
         for key, value in (("seed", -1), ("seed", 1.5), ("seed", "3"),
                            ("reps", 2.7), ("reps", 0), ("reps", True),
                            ("sizes", [20, 2.5]), ("sizes", [0]),
-                           ("pi", True), ("pi", "0.5"), ("alpha", True), ("alpha", "0.1")):
+                           ("pi", True), ("pi", "0.5"), ("alpha", True), ("alpha", "0.1"),
+                           ("cuts", [True, "2", "3"]), ("cuts", ["1"]), ("cuts", [10**400]),
+                           ("sizes", 20), ("h_values", 0.5), ("h_values", [10**400])):
             with pytest.raises(InvalidInput, match=f"config key '{key}' is invalid"):
                 config_from_dict({**raw, key: value})
 

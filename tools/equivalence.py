@@ -13,16 +13,18 @@ sample from ``substream(SEED, n, h, r)``, as ``run_experiment`` does.
 Each worker also runs ``run_experiment`` on the same design, one config
 per cut set and weight (seed SEED, sizes SIZES, weights H_VALUES, ``--reps``
 replications), which studentizes its replications in batches rather than
-one ``model_select`` call at a time.
+one ``model_select`` call at a time, and renders each config's rows with
+``emit_table`` in the ``csv`` and the ``text`` format.
 
 Prints the largest differences between the trees, one ``key=value`` line
 each: fitted parameters in box widths, distances, and the relative
 differences of HI and gamma_hat (two NaNs count as equal), then the counts
 of replications whose decision or degenerate flag differs; then, over the
 ``run_experiment`` rows, the largest relative difference of a mean or SD
-and the counts of rows whose percentages or ``n_degenerate`` differ.
-Exits 1 when any decision, degenerate flag, percentage or
-``n_degenerate`` differs, 2 on a usage or import error.
+and the counts of rows whose percentages or ``n_degenerate`` differ, and
+the count of rendered tables that are not byte-identical.  Exits 1 when any
+decision, degenerate flag, percentage, ``n_degenerate`` or table differs, 2
+on a usage or import error.
 """
 
 from __future__ import annotations
@@ -40,9 +42,6 @@ SIZES = (20, 300)
 H_VALUES = (0.5, 1.0)
 PIS = (0.0, 0.5, 1.0)
 WIDE_CUTS = "1,2,5,10,20,50,100,1000,10000"
-# the means and SDs of an ExperimentRow
-MOMENTS = ("lambda_mean", "lambda_sd", "p_mean", "p_sd", "dhp_poisson_mean",
-           "dhp_poisson_sd", "dhp_geometric_mean", "dhp_geometric_sd", "hi_mean", "hi_sd")
 
 
 def replay(src: str, reps: int) -> dict:
@@ -51,14 +50,16 @@ def replay(src: str, reps: int) -> dict:
 
     if not os.path.realpath(ph.__file__).startswith(os.path.realpath(src) + os.sep):
         raise SystemExit(f"phdsel imported from {ph.__file__}, not from {src}")
-    rows, bounds, experiment = [], {}, []
+    rows, bounds, experiment, tables = [], {}, [], []
     for part in (ph.default_partition(), ph.parse_cuts(WIDE_CUTS)):
         pois, geom = ph.poisson_model(part), ph.geometric_model(part)
         bounds = {"theta1": pois.bounds[0], "theta2": geom.bounds[0]}
         for pi in PIS:
             config = ph.ExperimentConfig(pi=pi, sizes=SIZES, reps=reps, h_values=H_VALUES,
                                          seed=SEED, partition=part)
-            experiment += [dataclasses.asdict(row) for row in ph.run_experiment(config)]
+            block = ph.run_experiment(config)
+            experiment += [dataclasses.asdict(row) for row in block]
+            tables += [ph.emit_table(block, "csv"), ph.emit_table(block, "text")]
             dgp = ph.MixtureDGP(pi=pi)
             for n in SIZES:
                 for h in H_VALUES:
@@ -69,7 +70,7 @@ def replay(src: str, reps: int) -> dict:
                         rows.append([float(r.fit1.theta_hat[0]), float(r.fit2.theta_hat[0]),
                                      r.d1, r.d2, r.hi, r.gamma_hat, r.decision,
                                      r.degenerate])
-    return {"bounds": bounds, "rows": rows, "experiment": experiment}
+    return {"bounds": bounds, "rows": rows, "experiment": experiment, "tables": tables}
 
 
 def _fail(message: str):
@@ -114,6 +115,7 @@ def compare(old: dict, new: dict) -> dict:
         out["decision_differences"] += a[6] != b[6]
         out["degenerate_differences"] += a[7] != b[7]
     out.update(compare_experiment(old["experiment"], new["experiment"]))
+    out["table_differences"] = sum(a != b for a, b in zip(old["tables"], new["tables"]))
     return out
 
 
@@ -125,7 +127,7 @@ def compare_experiment(old: list[dict], new: list[dict]) -> dict:
     out = {"experiment_rows": len(new), "max_row_rel_delta": 0.0,
            "row_pct_differences": 0, "row_degenerate_differences": 0}
     for a, b in zip(old, new):
-        for key in MOMENTS:
+        for key in (k for k in a if k.endswith(("_mean", "_sd"))):
             out["max_row_rel_delta"] = max(out["max_row_rel_delta"], _rel(a[key], b[key]))
         out["row_pct_differences"] += any(a[k] != b[k] for k in a if k.startswith("pct_"))
         out["row_degenerate_differences"] += a["n_degenerate"] != b["n_degenerate"]
@@ -150,7 +152,7 @@ def main(argv: list[str] | None = None) -> int:
     for key, value in result.items():
         print(f"{key}={value:.3g}" if isinstance(value, float) else f"{key}={value}")
     differing = ("decision_differences", "degenerate_differences", "row_pct_differences",
-                 "row_degenerate_differences")
+                 "row_degenerate_differences", "table_differences")
     return 1 if any(result[key] for key in differing) else 0
 
 
