@@ -8,18 +8,17 @@ between two competing families with an asymptotically standard-normal
 studentized statistic, and reproduces replicated mixture experiments.
 """
 
-from .asymptotics import (SelectionVariance, fisher_info, jacobian,
-                          lambda_correct, lambda_star_hat, m_matrix, omega_sq,
-                          sigma)
+from .asymptotics import (SelectionVariance, jacobian, lambda_star_hat,
+                          m_matrix, omega_sq, sigma)
 from .cells import (BinnedSample, CellPartition, as_prob_vector,
                     default_partition, empirical_frequencies, parse_cuts)
 from .divergence import (grad_phd_first, grad_phd_second, hellinger,
-                         kl_modified, penalized_hellinger)
+                         penalized_hellinger)
 from .errors import (BoundaryParameter, DegenerateGradient,
                      DegenerateVariance, FitFailed, InvalidInput,
                      InvalidParameter, NoEquidistance, PhdselError,
                      SingularInformation)
-from .fit import FitResult, fit_phd_to_probs, minimize_phd, minimize_scalar, mle_binned
+from .fit import FitResult, fit_phd_to_probs, minimize_phd, mle_binned
 from .inference import (FAVOR_FIRST, FAVOR_SECOND, INDECISIVE, GofReport,
                         SelectionReport, decide, gof_test, model_select,
                         power_approx, required_sample_size)
@@ -44,12 +43,11 @@ __all__ = [
     "SingularInformation", "as_prob_vector", "chi2_cdf", "chi2_quantile",
     "config_from_dict", "decide", "default_partition", "emit_table",
     "empirical_frequencies", "equidistance_gap", "equidistance_pi",
-    "fisher_info", "fit_phd_to_probs", "geometric_cell_probs",
-    "geometric_model", "gof_test", "grad_phd_first", "grad_phd_second",
-    "hellinger", "jacobian", "kl_modified", "lambda_correct",
+    "fit_phd_to_probs", "geometric_cell_probs", "geometric_model", "gof_test",
+    "grad_phd_first", "grad_phd_second", "hellinger", "jacobian",
     "lambda_star_hat", "load_config", "m_matrix", "minimize_phd",
-    "minimize_scalar", "mixture_cell_probs", "mle_binned", "model_by_name",
-    "model_select", "normal_cdf", "normal_quantile", "omega_sq", "parse_cuts",
+    "mixture_cell_probs", "mle_binned", "model_by_name", "model_select",
+    "normal_cdf", "normal_quantile", "omega_sq", "parse_cuts",
     "penalized_hellinger", "poisson_cell_probs", "poisson_model",
     "power_approx", "required_sample_size", "run_experiment",
     "sample_mixture", "sigma", "substream",

@@ -161,11 +161,6 @@ def jacobian(model: DiscreteModel, theta) -> np.ndarray:
     return _one(model, theta).J.T
 
 
-def fisher_info(model: DiscreteModel, theta) -> np.ndarray:
-    """1 x 1 information matrix sum J^2 / q_f."""
-    return _one(model, theta).info[:, None]
-
-
 def sigma(p) -> np.ndarray:
     """Multinomial covariance diag(p) - p p^T of one observation's cell
     indicator; rows sum to zero and the matrix is PSD."""
@@ -176,16 +171,6 @@ def m_matrix(model: DiscreteModel, theta) -> np.ndarray:
     """Projection M = J I^{-1} J^T diag(1/q_f); satisfies M J = J."""
     rows = _one(model, theta)
     return np.outer(rows.J[0], rows.g[0] / rows.info[0])
-
-
-def lambda_correct(model: DiscreteModel, theta) -> np.ndarray:
-    """Covariance of sqrt(n)(phat - fitted probs) under a correctly
-    specified model: (I - M) Sigma (I - M)^T with Sigma = Sigma(q), expanded
-    as the four-term sandwich."""
-    rows = _one(model, theta)
-    q = rows.q[0]
-    SM, MSM = _sandwich(q, rows)
-    return _sigma(q) - SM - SM.T + MSM
 
 
 def omega_sq(p, model: DiscreteModel, theta1, h: float) -> float:

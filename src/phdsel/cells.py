@@ -52,7 +52,10 @@ class CellPartition:
     cuts: tuple[float, ...]
 
     def __post_init__(self):
-        cuts = tuple(float(c) for c in self.cuts)
+        try:
+            cuts = tuple(float(c) for c in self.cuts)
+        except OverflowError as exc:
+            raise InvalidInput(f"cuts must be finite as doubles or +inf: {exc}") from exc
         object.__setattr__(self, "cuts", cuts)
         if len(cuts) < 3:
             raise InvalidInput("partition needs at least 2 cells")

@@ -64,24 +64,14 @@ def _kl_modified_rows(P: np.ndarray, occupied: np.ndarray,
                       Q: np.ndarray) -> np.ndarray:
     """Modified KL divergence of each row of the (B, m) model array ``Q``
     from the observed frequencies ``P``; +inf where a row puts zero mass on
-    an occupied cell.  No validation."""
+    an occupied cell.  Minimizing it over the model parameter is grouped-data
+    maximum likelihood.  No validation."""
     p = P[occupied]
     q = Q.compress(occupied, axis=1)
     with np.errstate(divide="ignore"):
         fit = np.sum(p * np.log(p / q) + q - p, axis=1)
     # empty cells contribute q_i, the limit slope of -log x + x - 1
     return fit + np.sum(Q.compress(~occupied, axis=1), axis=1)
-
-
-def kl_modified(ptheta, phat) -> float:
-    """Modified Kullback-Leibler divergence of the model from the observed
-    frequencies; +inf when the model puts zero mass on an occupied cell.
-
-    Minimizing over the model parameter is the grouped-data maximum
-    likelihood problem.
-    """
-    Q, P = _pair(ptheta, phat)  # Q = model, P = observed
-    return float(_kl_modified_rows(P, P > 0.0, Q[None, :])[0])
 
 
 def grad_phd_first(phat, ptheta, h: float) -> np.ndarray:
@@ -105,25 +95,18 @@ def _grad_first(P: np.ndarray, occupied: np.ndarray, Q: np.ndarray) -> np.ndarra
     return grad
 
 
-def grad_phd_second(phat, ptheta, h: float, floor: float | None = None) -> np.ndarray:
+def grad_phd_second(phat, ptheta, h: float) -> np.ndarray:
     """Gradient of the penalized Hellinger distance in its second argument.
 
     Occupied cells give 2 (1 - sqrt(phat_i / q_i)); empty cells give 2h.
-    A zero model probability on an occupied cell raises DegenerateGradient
-    unless ``floor`` is given, in which case q_i is floored at that value.
+    A zero model probability on an occupied cell raises DegenerateGradient.
     """
     h = check_penalty_weight(h)
     P, Q = _pair(phat, ptheta)
     occ = P > 0.0
-    if floor is None:
-        if np.any(occ & (Q == 0.0)):
-            raise DegenerateGradient(
-                "model probability is 0 on an occupied cell; pass floor= to clip"
-            )
-        Qeff = Q
-    else:
-        Qeff = np.maximum(Q, floor)
-    return _grad_second(P, occ, Qeff, h)
+    if np.any(occ & (Q == 0.0)):
+        raise DegenerateGradient("model probability is 0 on an occupied cell")
+    return _grad_second(P, occ, Q, h)
 
 
 def _grad_second(P: np.ndarray, occupied: np.ndarray, Q: np.ndarray,

@@ -12,8 +12,8 @@ Every fit minimizes R independent one-parameter objectives in lockstep:
 Ties between starts are broken toward the smaller parameter.  The objective
 of row r may depend only on row r's points, so row r of an R-row fit is
 bit-identical to the fit of that row alone.  The scalar front ends
-(``minimize_scalar``, ``fit_phd_to_probs``, ``minimize_phd``,
-``mle_binned``) are the R = 1 call of the same minimizer.
+(``fit_phd_to_probs``, ``minimize_phd``, ``mle_binned``) are the R = 1 call
+of the same minimizer.
 
 A fit minimizes exactly the rows it is given, in one lockstep call; callers
 with many rows pass them in slices (``phdsel.simulate.run_experiment``).
@@ -40,14 +40,6 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GRID_POINTS = 32
 MAX_STEPS = 200
 _BRACKET = np.array([[-1], [1]])  # grid neighbours of the best start
-
-
-class ScalarMin(NamedTuple):
-    x: float
-    fun: float
-    evaluations: int
-    converged: bool
-    at_bound: bool
 
 
 @dataclass(frozen=True)
@@ -155,24 +147,6 @@ def _lockstep(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
     best_x = np.minimum.reduce(np.where(cand[:, 1] == best_f, cand[:, 0], np.inf))
     at_bound = np.minimum(best_x - lo, hi - best_x) <= tol
     return FitRows(best_x, best_f, GRID_POINTS + 2 + steps, closed, at_bound)
-
-
-def minimize_scalar(f: Callable[[float], float], lo: float, hi: float) -> ScalarMin:
-    """Minimize ``f`` on [lo, hi]; returns the best point evaluated.
-
-    The search stops once the golden-section bracket is narrower than 1e-8
-    of the box width.  NaN values count as +inf.
-    """
-    if not lo < hi:
-        raise InvalidInput(f"need lo < hi, got [{lo}, {hi}]")
-
-    def values(xs: np.ndarray) -> np.ndarray:
-        v = np.array([[f(x) for x in row] for row in xs], dtype=float)
-        return np.where(np.isnan(v), math.inf, v)
-
-    res = _lockstep(values, lo, hi, 1)
-    return ScalarMin(float(res.x[0]), float(res.fun[0]), int(res.evaluations[0]),
-                     bool(res.converged[0]), bool(res.at_bound[0]))
 
 
 def _cells(model: DiscreteModel, theta: np.ndarray) -> np.ndarray:

@@ -158,7 +158,17 @@ def model_select(sample: BinnedSample, model1: DiscreteModel,
     fit2 = minimize_phd(model2, sample, h)
     phat = as_prob_vector(sample.frequencies())
     z = normal_quantile(1.0 - alpha / 2.0)
-    return _studentize(phat, sample.n, model1, fit1, model2, fit2, h, z)
+    d1, d2 = fit1.objective, fit2.objective
+    try:
+        gamma_sq = lambda_star_hat(phat, model1, _interior(model1, fit1.theta_hat),
+                                   model2, _interior(model2, fit2.theta_hat), h).GammaSq
+        degenerate, reason = False, ""
+    except DegenerateVariance as exc:
+        gamma_sq, degenerate, reason = 0.0, True, exc.reason
+    hi, gamma = (float(v) for v in _statistic(sample.n, d1, d2, gamma_sq, degenerate))
+    return SelectionReport(hi=hi, gamma_hat=gamma, d1=d1, d2=d2, z=z,
+                           decision=decide(hi, z), degenerate=degenerate,
+                           degenerate_reason=reason, fit1=fit1, fit2=fit2)
 
 
 def _statistic(n, d1, d2, gamma_sq, degenerate) -> tuple[np.ndarray, np.ndarray]:
@@ -171,24 +181,6 @@ def _statistic(n, d1, d2, gamma_sq, degenerate) -> tuple[np.ndarray, np.ndarray]
     return hi, gamma
 
 
-def _studentize(phat: np.ndarray, n: int, model1: DiscreteModel, fit1: FitResult,
-                model2: DiscreteModel, fit2: FitResult, h: float,
-                z: float) -> SelectionReport:
-    """The selection report of two fits to the frequencies ``phat`` of a
-    sample of size ``n``, at the critical value ``z``."""
-    d1, d2 = fit1.objective, fit2.objective
-    try:
-        gamma_sq = lambda_star_hat(phat, model1, _interior(model1, fit1.theta_hat),
-                                   model2, _interior(model2, fit2.theta_hat), h).GammaSq
-        degenerate, reason = False, ""
-    except DegenerateVariance as exc:
-        gamma_sq, degenerate, reason = 0.0, True, exc.reason
-    hi, gamma = (float(v) for v in _statistic(n, d1, d2, gamma_sq, degenerate))
-    return SelectionReport(hi=hi, gamma_hat=gamma, d1=d1, d2=d2, z=z,
-                           decision=decide(hi, z), degenerate=degenerate,
-                           degenerate_reason=reason, fit1=fit1, fit2=fit2)
-
-
 def _studentize_rows(phat: np.ndarray, n: np.ndarray, model1: DiscreteModel,
                      theta1: np.ndarray, d1: np.ndarray, model2: DiscreteModel,
                      theta2: np.ndarray, d2: np.ndarray,
@@ -197,7 +189,7 @@ def _studentize_rows(phat: np.ndarray, n: np.ndarray, model1: DiscreteModel,
     ``phat`` of samples of sizes ``n``, fitted by ``model1`` at ``theta1``
     with distances ``d1`` and by ``model2`` at ``theta2`` with ``d2``, row r
     with penalty weight ``h[r]``: one call of the row core, and row r equal
-    to the ``_studentize`` report of that row.  No validation."""
+    to the ``model_select`` report of that row.  No validation."""
     sel = _selection_rows(phat, model1, _interior(model1, theta1),
                           model2, _interior(model2, theta2), h[:, None])
     degenerate = sel.reason != ""

@@ -17,6 +17,7 @@ import io
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -29,7 +30,7 @@ from .fit import _fit_phd_rows
 # bench/tests/test_bench.py::TestSelfTime::test_recorder_patches_every_binding_and_restores
 # requires this module to bind it
 from .inference import model_select  # noqa: F401
-from .inference import FAVOR_FIRST, FAVOR_SECOND, _studentize_rows, decide
+from .inference import _studentize_rows
 from .models import (DiscreteModel, MixtureDGP, geometric_model,
                      mixture_cell_probs, poisson_model, sample_mixture)
 from .quantiles import normal_quantile
@@ -65,7 +66,7 @@ def _nonempty_list_of(test):
 
 
 def _as_partition(cuts) -> CellPartition:
-    return CellPartition(cuts=(0.0, *map(float, cuts), math.inf))
+    return CellPartition(cuts=(0.0, *cuts, math.inf))
 
 
 # The one rule of each config field: the test that its value, as given to
@@ -77,7 +78,8 @@ _RULES = {
     "sizes": (_nonempty_list_of(lambda n: _is_whole(n, 1)),
               "a nonempty list of integers >= 1", tuple),
     "reps": (lambda v: _is_whole(v, 1), "an integer >= 1", int),
-    "h_values": (_nonempty_list_of(lambda h: _is_real(h) and math.isfinite(h) and h > 0),
+    # compared, not converted, so an integer beyond a double is refused
+    "h_values": (_nonempty_list_of(lambda h: _is_real(h) and 0 < h <= sys.float_info.max),
                  "a nonempty list of finite numbers > 0", lambda v: tuple(map(float, v))),
     "alpha": (lambda v: _is_real(v) and 0.0 < v < 1.0, "a number in (0,1)", float),
     "seed": (lambda v: _is_whole(v, 0), "an integer >= 0", int),
@@ -183,23 +185,26 @@ def run_experiment(config: ExperimentConfig,
         hi, degenerate = _studentize_rows(phat[sl], sizes[sl], pois, fits1.x, fits1.fun,
                                           geom, fits2.x, fits2.fun, weights[sl])
         chunks.append((fits1.x, fits2.x, fits1.fun, fits2.fun, hi, degenerate))
-    lam, p, d1, d2, hi, degenerate = (np.concatenate(column).tolist()
-                                      for column in zip(*chunks))
+    # each result column as (blocks, reps): row i holds block i's replications
+    columns = [np.concatenate(column).reshape(len(blocks), config.reps)
+               for column in zip(*chunks)]
     z = normal_quantile(1.0 - config.alpha / 2.0)
-    results = list(zip(lam, p, d1, d2, hi, [decide(v, z) for v in hi], degenerate))
-    return [_aggregate(config, n, h, results[i * config.reps:(i + 1) * config.reps])
+    return [_aggregate(config, n, h, z, *(column[i] for column in columns))
             for i, (n, h) in enumerate(blocks)]
 
 
-def _aggregate(config: ExperimentConfig, n: int, h: float,
-               results: list[tuple]) -> ExperimentRow:
-    lam, p, d1, d2, hi, decision, degenerate = zip(*results)
-    lam, p, d1, d2, hi = (np.array(v, dtype=float) for v in (lam, p, d1, d2, hi))
-    reps = len(results)
-    n_deg = int(sum(degenerate))
+def _aggregate(config: ExperimentConfig, n: int, h: float, z: float,
+               lam: np.ndarray, p: np.ndarray, d1: np.ndarray, d2: np.ndarray,
+               hi: np.ndarray, degenerate: np.ndarray) -> ExperimentRow:
+    """The row of one block from its replications' estimates, distances,
+    HI and degenerate flags.  A replication favors the first family when
+    hi < -z and the second when hi > z, as ``decide`` rules; a NaN HI
+    (degenerate) is neither, so it counts as indecisive."""
+    reps = hi.size
+    n_deg = int(np.count_nonzero(degenerate))
     ok = ~np.isnan(hi)
-    n_fav1 = sum(d == FAVOR_FIRST for d in decision)
-    n_fav2 = sum(d == FAVOR_SECOND for d in decision)
+    n_fav1 = int(np.count_nonzero(hi < -z))
+    n_fav2 = int(np.count_nonzero(hi > z))
     n_ind = reps - n_fav1 - n_fav2  # degenerate reps are indecisive already
 
     def sd(v: np.ndarray) -> float:
@@ -371,7 +376,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             if not test(raw[key]):
                 raise InvalidInput(f"must be {wanted}, got {raw[key]!r}")
             kw[key] = convert(raw[key])
-        except (InvalidInput, OverflowError) as exc:  # OverflowError: an int beyond a double
+        except InvalidInput as exc:
             raise InvalidInput(f"config key '{key}' is invalid: {exc}") from exc
     return ExperimentConfig(partition=kw.pop("cuts"), **kw)
 

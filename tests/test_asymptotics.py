@@ -8,13 +8,13 @@ from scipy import stats as sps
 
 from phdsel import (BinnedSample, BoundaryParameter, CellPartition,
                     DegenerateVariance, DiscreteModel, InvalidParameter, MixtureDGP,
-                    SingularInformation, default_partition, fisher_info,
+                    SingularInformation, default_partition,
                     fit_phd_to_probs, geometric_model, grad_phd_first,
-                    grad_phd_second, jacobian, lambda_correct,
-                    lambda_star_hat, m_matrix, minimize_phd,
+                    grad_phd_second, jacobian, lambda_star_hat, m_matrix,
+                    minimize_phd,
                     mixture_cell_probs, model_select, omega_sq, parse_cuts,
                     penalized_hellinger, poisson_model, sample_mixture, sigma)
-from phdsel.asymptotics import PROB_FLOOR, _interior, _selection_rows
+from phdsel.asymptotics import PROB_FLOOR, _interior, _one, _selection_rows
 from phdsel.inference import _studentize_rows
 
 
@@ -56,26 +56,24 @@ def ref_local(model, theta):
     return q, J, info
 
 
-def ref_fisher_info(model, theta):
-    return ref_local(model, theta)[2]
-
-
 def ref_m_matrix(model, theta):
     q, J, info = ref_local(model, theta)
     return J @ np.linalg.solve(info, (J / np.maximum(q, PROB_FLOOR)[:, None]).T)
 
 
-def ref_lambda_correct(model, theta):
-    S = sigma(model.cell_prob(theta))
-    M = ref_m_matrix(model, theta)
-    return S - S @ M.T - M @ S + M @ S @ M.T
+def floored_grad_second(phat, q, h):
+    """Second-argument distance gradient with q floored at PROB_FLOOR, as
+    the limit laws floor it: 2 (1 - sqrt(phat_i / q_i)) on occupied cells,
+    2h on empty ones."""
+    return np.where(phat > 0.0, 2.0 * (1.0 - np.sqrt(phat / np.maximum(q, PROB_FLOOR))),
+                    2.0 * h)
 
 
 def ref_gradient_form(phat, model, theta, h):
     """K + M^T Q of ``model`` at ``theta`` against ``phat``."""
     q, _, _ = ref_local(model, theta)
     K = grad_phd_first(phat, q, h)
-    Q = grad_phd_second(phat, q, h, floor=PROB_FLOOR)
+    Q = floored_grad_second(phat, q, h)
     return K + ref_m_matrix(model, theta).T @ Q
 
 
@@ -162,6 +160,12 @@ class TestJacobian:
             jacobian(geometric_model(), [1.5])
 
 
+def fisher_info(model, theta):
+    """The scalar information sum J^2 / q_f by which every projection
+    divides, as a 1 x 1 matrix."""
+    return _one(model, theta).info[:, None]
+
+
 class TestFisherInfo:
     def test_scalar_information_is_positive(self):
         info = fisher_info(poisson_model(), [4.0])
@@ -203,43 +207,6 @@ class TestMMatrix:
         M = m_matrix(model, [4.0])
         resid = model.cell_prob([4.0]) - model.cell_prob([4.0])
         np.testing.assert_array_equal(M @ resid, np.zeros(8))
-
-
-class TestLambdaCorrect:
-    def test_symmetric(self):
-        L = lambda_correct(poisson_model(), [4.0])
-        assert np.max(np.abs(L - L.T)) < 1e-10
-
-    def test_positive_semidefinite(self):
-        L = lambda_correct(poisson_model(), [4.0])
-        assert np.linalg.eigvalsh(L).min() >= -1e-10
-
-    def test_projection_removes_variance(self):
-        model = poisson_model()
-        L = lambda_correct(model, [4.0])
-        S = sigma(model.cell_prob([4.0]))
-        assert np.trace(L) <= np.trace(S) + 1e-8
-
-    def test_monte_carlo_covariance_oracle(self):
-        # covariance of sqrt(n)(phat - fitted probs) under the true model
-        model = poisson_model()
-        part = model.partition
-        n, reps = 2000, 5000
-        rng = np.random.default_rng(71)
-        X = np.empty((reps, 8))
-        for r in range(reps):
-            counts = np.bincount(part.bin_indices(rng.poisson(4.0, n)), minlength=8)
-            fit = minimize_phd(model, BinnedSample(counts=counts), 1.0)
-            X[r] = math.sqrt(n) * (counts / n - model.cell_prob(fit.theta_hat))
-        L = lambda_correct(model, [4.0])
-        prods = X[:, :, None] * X[:, None, :]
-        emp = prods.mean(axis=0)
-        boot = np.empty((200, 8, 8))
-        for b in range(200):
-            idx = rng.integers(0, reps, reps)
-            boot[b] = prods[idx].mean(axis=0)
-        se = boot.std(axis=0, ddof=1)
-        assert np.all(np.abs(emp - L) <= 3.0 * se + 1e-4)
 
 
 class TestOmegaSq:
@@ -407,8 +374,8 @@ class TestAgainstMatrixReference:
             outcome(ref_gamma_sq, phat, model1, theta1, model2, theta2, h))
         for model, theta in ((model1, theta1), (model2, theta2)):
             np.testing.assert_array_equal(jacobian(model, theta), ref_jacobian(model, theta))
-            for new, ref in ((fisher_info, ref_fisher_info), (m_matrix, ref_m_matrix),
-                             (lambda_correct, ref_lambda_correct)):
+            for new, ref in ((fisher_info, lambda *a: ref_local(*a)[2]),
+                             (m_matrix, ref_m_matrix)):
                 self.assert_same(outcome(new, model, theta), outcome(ref, model, theta))
             self.assert_same(outcome(omega_sq, phat, model, theta, h),
                              outcome(ref_omega_sq, phat, model, theta, h))
@@ -421,7 +388,9 @@ class TestAgainstMatrixReference:
         for model, theta, K, Q in ((pois, [3.0], sv.K1, sv.Q1), (geom, [0.3], sv.K2, sv.Q2)):
             q = model.cell_prob(theta)
             np.testing.assert_array_equal(K, grad_phd_first(phat, q, 0.5))
-            np.testing.assert_array_equal(Q, grad_phd_second(phat, q, 0.5, floor=PROB_FLOOR))
+            np.testing.assert_array_equal(Q, floored_grad_second(phat, q, 0.5))
+            # no occupied cell has a probability below the floor here
+            np.testing.assert_array_equal(Q, grad_phd_second(phat, q, 0.5))
 
 
 class TestSingularInformation:
@@ -429,11 +398,11 @@ class TestSingularInformation:
         part = default_partition()
         flat = DiscreteModel(name="flat", bounds=((0.1, 0.9),), partition=part,
                              cell_fn=lambda th: np.full((th.shape[0], part.m), 1.0 / part.m))
-        for fn in (fisher_info, m_matrix, lambda_correct):
+        for fn in (jacobian, m_matrix):
             with pytest.raises(SingularInformation):
                 fn(flat, [0.5])
         with pytest.raises(SingularInformation):
-            ref_fisher_info(flat, [0.5])
+            ref_local(flat, [0.5])
 
 
 WIDE_CUTS = parse_cuts("1,2,5,10,20,50,100,1000,10000")

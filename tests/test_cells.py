@@ -29,6 +29,7 @@ class TestCellPartition:
         (0.0, 1.0, 7.0),                  # last cut finite
         (0.0, 2.0, 2.0, math.inf),        # not strictly increasing
         (0.0, 3.0, 1.0, math.inf),        # decreasing
+        (0.0, 10**400, math.inf),         # an integer beyond a double
     ])
     def test_invalid_cuts_rejected(self, cuts):
         with pytest.raises(InvalidInput):

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phdsel import (DegenerateGradient, InvalidInput, InvalidParameter,
-                    grad_phd_first, grad_phd_second, hellinger, kl_modified,
+                    grad_phd_first, grad_phd_second, hellinger,
                     penalized_hellinger)
-from phdsel.divergence import _phd_rows
+from phdsel.divergence import _kl_modified_rows, _phd_rows
 
 HD_EXAMPLE = 2.0 * ((1.0 - math.sqrt(0.5)) ** 2 + 0.5)          # (1,0) vs (.5,.5)
 PHD_HALF_EXAMPLE = 2.0 * ((1.0 - math.sqrt(0.5)) ** 2 + 0.25)   # same pair, h=1/2
@@ -105,6 +105,13 @@ class TestPenalizedHellinger:
         assert d == 0.0
 
 
+def kl_modified(q, p) -> float:
+    """Modified KL divergence of the model vector ``q`` from the
+    frequencies ``p``, as the one-row call that ``mle_binned`` makes."""
+    p = np.asarray(p, dtype=float)
+    return float(_kl_modified_rows(p, p > 0.0, np.asarray(q, dtype=float)[None, :])[0])
+
+
 class TestKlModified:
     def test_identity_is_zero(self):
         assert kl_modified([0.25, 0.75], [0.25, 0.75]) == pytest.approx(0.0, abs=1e-15)
@@ -176,8 +183,11 @@ class TestGradients:
     def test_degenerate_gradient_raises_without_floor(self):
         with pytest.raises(DegenerateGradient):
             grad_phd_second([0.5, 0.5], [0.0, 1.0], 0.5)
-        Q = grad_phd_second([0.5, 0.5], [0.0, 1.0], 0.5, floor=1e-12)
-        assert Q[0] < -1e5  # floored square root blows up, by design
+        with pytest.raises(DegenerateGradient):
+            grad_phd_second([0.5, 0.0, 0.5], [0.0, 0.5, 0.5], 1.0)
+        # a zero model probability on an empty cell is no degeneracy
+        Q = grad_phd_second([0.5, 0.5, 0.0], [0.5, 0.5, 0.0], 0.5)
+        np.testing.assert_array_equal(Q, [0.0, 0.0, 1.0])
 
     @pytest.mark.parametrize("h", [1.0, 0.5, 0.25])
     def test_first_gradient_matches_finite_differences(self, h):

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from phdsel import (BinnedSample, CellPartition, DiscreteModel, FitFailed,
                     InvalidInput, MixtureDGP, default_partition,
                     empirical_frequencies, fit_phd_to_probs, geometric_model,
-                    hellinger, kl_modified, minimize_phd, minimize_scalar,
-                    mle_binned, parse_cuts, penalized_hellinger,
-                    poisson_model, sample_mixture)
-from phdsel.fit import _fit_phd_rows
+                    hellinger, minimize_phd, mle_binned, parse_cuts,
+                    penalized_hellinger, poisson_model, sample_mixture)
+from phdsel.fit import _fit_phd_rows, _lockstep
 
 ORACLE_PARTITIONS = (default_partition(), parse_cuts("1,2,5,10,20,50,100,1000,10000"))
 FIT_TOL = 1e-8  # the minimizer's bracket at exit, as a share of the box width
@@ -60,38 +59,41 @@ def three_cell_model():
                          partition=part, cell_fn=cell_fn)
 
 
+def minimize(f, lo, hi):
+    """The one-row lockstep fit of the vectorized objective ``f``."""
+    return _lockstep(f, lo, hi, 1).fit(0)
+
+
 class TestMinimizeScalar:
+    """The lockstep minimizer on one-parameter objectives, one row each."""
+
     def test_quadratic(self):
-        res = minimize_scalar(lambda x: (x - 2.0) ** 2, 0.0, 5.0)
-        assert abs(res.x - 2.0) <= 1e-7
-        assert res.fun == pytest.approx(0.0, abs=1e-14)
+        res = minimize(lambda x: (x - 2.0) ** 2, 0.0, 5.0)
+        assert abs(res.theta_hat[0] - 2.0) <= 1e-7
+        assert res.objective == pytest.approx(0.0, abs=1e-14)
         assert res.converged
 
     def test_sine(self):
-        res = minimize_scalar(math.sin, 0.0, 2.0 * math.pi)
-        assert abs(res.x - 1.5 * math.pi) <= 1e-6
-        assert res.fun == pytest.approx(-1.0, abs=1e-12)
+        res = minimize(np.sin, 0.0, 2.0 * math.pi)
+        assert abs(res.theta_hat[0] - 1.5 * math.pi) <= 1e-6
+        assert res.objective == pytest.approx(-1.0, abs=1e-12)
 
     def test_multistart_finds_global_basin(self):
         # two basins, global on the left; oracle = dense grid
-        f = lambda x: -(math.exp(-4.0 * (x + 2.0) ** 2)
-                        + 0.8 * math.exp(-4.0 * (x - 2.0) ** 2))
+        f = lambda x: -(np.exp(-4.0 * (x + 2.0) ** 2)
+                        + 0.8 * np.exp(-4.0 * (x - 2.0) ** 2))
         xs = np.linspace(-5.0, 5.0, 100_001)
-        oracle_x = xs[np.argmin([f(x) for x in xs])]
-        res = minimize_scalar(f, -5.0, 5.0)
-        assert abs(res.x - oracle_x) <= 1e-4
-        assert abs(res.x + 2.0) <= 1e-6
+        oracle_x = xs[np.argmin(f(xs))]
+        res = minimize(f, -5.0, 5.0)
+        assert abs(res.theta_hat[0] - oracle_x) <= 1e-4
+        assert abs(res.theta_hat[0] + 2.0) <= 1e-6
 
     def test_all_non_finite_fails(self):
         with pytest.raises(FitFailed):
-            minimize_scalar(lambda x: math.nan, 0.0, 1.0)
-
-    def test_invalid_interval(self):
-        with pytest.raises(InvalidInput):
-            minimize_scalar(lambda x: x, 1.0, 1.0)
+            minimize(lambda x: np.full(x.shape, math.nan), 0.0, 1.0)
 
     def test_counts_evaluations(self):
-        res = minimize_scalar(lambda x: (x - 0.5) ** 2, 0.0, 1.0)
+        res = minimize(lambda x: (x - 0.5) ** 2, 0.0, 1.0)
         assert res.evaluations >= 32
 
 
@@ -111,9 +113,9 @@ class TestMinimizePhd:
         model = poisson_model()
         fit = minimize_phd(model, sample, 1.0)
         phat = sample.frequencies()
-        res = minimize_scalar(lambda t: hellinger(phat, model.cell_prob([t])),
-                              *model.bounds[0])
-        assert fit.objective == pytest.approx(res.fun, abs=1e-12)
+        plain = np.vectorize(lambda t: hellinger(phat, model.cell_prob([t])))
+        res = minimize(plain, *model.bounds[0])
+        assert fit.objective == pytest.approx(res.objective, abs=1e-12)
 
     def test_objective_dominates_grid_starts(self):
         model = poisson_model()
@@ -212,11 +214,17 @@ class TestAtBound:
         assert fit.converged and not fit.at_bound
 
     def test_scalar_minimum_at_lower_bound(self):
-        res = minimize_scalar(lambda x: x, 0.0, 1.0)
-        assert res.x == 0.0 and res.at_bound
+        res = minimize(lambda x: x, 0.0, 1.0)
+        assert res.theta_hat[0] == 0.0 and res.at_bound
 
 
 class TestMleBinned:
+    def test_no_finite_likelihood_fails(self):
+        # the geometric puts no mass on the occupied cell [0, 1) anywhere in
+        # its box, so the modified KL divergence is +inf at every start
+        with pytest.raises(FitFailed):
+            mle_binned(geometric_model(), BinnedSample(counts=[3, 1, 0, 0, 0, 0, 0, 0]))
+
     def test_perfect_fit(self):
         model = three_cell_model()
         sample = BinnedSample(counts=np.array([2, 4, 4]))
@@ -272,7 +280,10 @@ class TestMleBinned:
         fit = mle_binned(model, sample)
         phat = sample.frequencies()
         ts = np.linspace(0.05, 0.9, 20_001)
-        kl = [kl_modified(model.cell_prob([t]), phat) for t in ts]
+        def kl(q):  # modified KL divergence; phat has no empty cell
+            return float(np.sum(phat * np.log(phat / q) + q - phat))
+
+        kl = [kl(model.cell_prob([t])) for t in ts]
         ll = [np.sum(sample.counts * np.log(model.cell_prob([t]))) for t in ts]
         assert abs(ts[np.argmin(kl)] - ts[np.argmax(ll)]) <= 1e-4
         assert abs(fit.theta_hat[0] - ts[np.argmin(kl)]) <= 1e-4

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import phdsel.simulate
-from phdsel import (CellPartition, ExperimentConfig, InvalidInput, MixtureDGP,
-                    NoEquidistance, config_from_dict, default_partition,
+from phdsel import (FAVOR_FIRST, FAVOR_SECOND, INDECISIVE, CellPartition,
+                    ExperimentConfig, InvalidInput, MixtureDGP, NoEquidistance,
+                    config_from_dict, default_partition,
                     emit_table, empirical_frequencies, equidistance_gap,
                     equidistance_pi, geometric_model, load_config,
                     model_select, poisson_model, run_experiment,
@@ -20,6 +21,20 @@ def small_config(**overrides):
                 seed=424242)
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def per_replication(config, n, h):
+    """The ``model_select`` report of each replication of the (n, h) block
+    of ``config``, each drawn from its substream as ``run_experiment``
+    draws it."""
+    part = config.partition
+    pois, geom = poisson_model(part), geometric_model(part)
+    reports = []
+    for rep in range(config.reps):
+        data = sample_mixture(MixtureDGP(pi=config.pi), n, substream(config.seed, n, h, rep))
+        sample, _ = empirical_frequencies(data, part)
+        reports.append(model_select(sample, pois, geom, h, config.alpha))
+    return reports
 
 
 class TestConfig:
@@ -42,7 +57,7 @@ class TestConfig:
             ExperimentConfig(pi=0.5, h_values=(0.5, 0.0))
         for bad in (dict(seed=-1), dict(seed=1.5), dict(reps=2.7), dict(sizes=(20, 30.5)),
                     dict(reps=True), dict(pi="0.5"), dict(pi=True), dict(alpha="0.1"),
-                    dict(alpha=True), dict(partition="x")):
+                    dict(alpha=True), dict(partition="x"), dict(h_values=(10**400,))):
             with pytest.raises(InvalidInput, match=next(iter(bad))):
                 ExperimentConfig(**{"pi": 0.5, **bad})
 
@@ -121,21 +136,23 @@ class TestRunExperiment:
         # 7, 7 and 6 rows
         monkeypatch.setattr(phdsel.simulate, "CHUNK_ROWS", 7)
         config = small_config(pi=0.5, sizes=(20, 30), h_values=(1.0, 0.5), reps=5)
-        part = config.partition
-        pois, geom = poisson_model(part), geometric_model(part)
+        rows = run_experiment(config)
         expected = []
         for n in config.sizes:
             for h in config.h_values:
-                results = []
-                for rep in range(config.reps):
-                    data = sample_mixture(MixtureDGP(pi=config.pi), n,
-                                          substream(config.seed, n, h, rep))
-                    sample, _ = empirical_frequencies(data, part)
-                    r = model_select(sample, pois, geom, h, config.alpha)
-                    results.append((r.fit1.theta_hat[0], r.fit2.theta_hat[0], r.d1,
-                                    r.d2, r.hi, r.decision, r.degenerate))
-                expected.append(_aggregate(config, n, h, results))
-        assert run_experiment(config) == expected
+                reports = per_replication(config, n, h)
+                z = reports[0].z
+                columns = (np.array(v) for v in zip(*(
+                    (r.fit1.theta_hat[0], r.fit2.theta_hat[0], r.d1, r.d2, r.hi,
+                     r.degenerate) for r in reports)))
+                expected.append(_aggregate(config, n, h, z, *columns))
+                # the decision counts, replication by replication
+                row = rows[len(expected) - 1]
+                pct = [100.0 * sum(r.decision == d for r in reports) / config.reps
+                       for d in (FAVOR_FIRST, FAVOR_SECOND, INDECISIVE)]
+                assert [row.pct_favor_poisson, row.pct_favor_geometric,
+                        row.pct_indecisive] == pct
+        assert rows == expected
 
     def test_row_grid_shape(self):
         config = small_config(sizes=(20, 30), h_values=(1.0, 0.5), reps=3)
@@ -249,3 +266,66 @@ class TestEmitTable:
             emit_table(rows, "yaml")
         with pytest.raises(InvalidInput):
             emit_table([], "csv")
+
+
+class TestAggregationEdges:
+    """Block rows at the edges of the aggregation, value by value against
+    per-replication ``model_select`` calls, and their CSV rows exactly."""
+
+    def test_one_replication_has_zero_spreads(self):
+        config = small_config(pi=1.0, sizes=(20, 300), h_values=(1.0, 0.5), reps=1)
+        rows = run_experiment(config)
+        lines = emit_table(rows, "csv").splitlines()[1:]
+        blocks = [(n, h) for n in config.sizes for h in config.h_values]
+        assert len(rows) == len(lines) == len(blocks)
+        for row, line, (n, h) in zip(rows, lines, blocks):
+            (r,) = per_replication(config, n, h)
+            assert not r.degenerate
+            fav1 = 100.0 * (r.decision == FAVOR_FIRST)
+            fav2 = 100.0 * (r.decision == FAVOR_SECOND)
+            lam, p = float(r.fit1.theta_hat[0]), float(r.fit2.theta_hat[0])
+            expected = dict(pi=1.0, n=n, h=h, lambda_mean=lam, lambda_sd=0.0,
+                            p_mean=p, p_sd=0.0, dhp_poisson_mean=r.d1, dhp_poisson_sd=0.0,
+                            dhp_geometric_mean=r.d2, dhp_geometric_sd=0.0,
+                            hi_mean=r.hi, hi_sd=0.0, pct_favor_poisson=fav1,
+                            pct_favor_geometric=fav2, pct_indecisive=100.0 - fav1 - fav2,
+                            pct_correct=fav1, pct_incorrect=fav2, n_degenerate=0)
+            assert dataclasses.asdict(row) == expected
+            for key, value in expected.items():
+                assert type(getattr(row, key)) is type(value), key
+            assert line == ",".join([
+                "1", str(n), f"{h:g}", f"{lam:.3f}", "0.000", f"{p:.3f}", "0.000",
+                f"{r.d1:.3f}", "0.000", f"{r.d2:.3f}", "0.000", f"{r.hi:.3f}", "0.000",
+                f"{fav1:.0f}", f"{fav2:.0f}", f"{100.0 - fav1 - fav2:.0f}",
+                f"{fav1:.0f}", f"{fav2:.0f}", "0"])
+
+    def test_one_observation_blocks_are_all_degenerate(self):
+        # one observation occupies one cell, where the selection variance is 0
+        config = small_config(pi=0.0, sizes=(1,), h_values=(1.0, 0.5), reps=6)
+        rows = run_experiment(config)
+        lines = emit_table(rows, "csv").splitlines()[1:]
+        assert len(rows) == len(lines) == 2
+        for row, line, h in zip(rows, lines, config.h_values):
+            reports = per_replication(config, 1, h)
+            assert all(r.degenerate for r in reports)
+            lam, p, d1, d2 = (np.array(v) for v in zip(*(
+                (r.fit1.theta_hat[0], r.fit2.theta_hat[0], r.d1, r.d2) for r in reports)))
+            moments = [(float(v.mean()), float(np.std(v, ddof=1))) for v in (lam, p, d1, d2)]
+            expected = dict(pi=0.0, n=1, h=h,
+                            lambda_mean=moments[0][0], lambda_sd=moments[0][1],
+                            p_mean=moments[1][0], p_sd=moments[1][1],
+                            dhp_poisson_mean=moments[2][0], dhp_poisson_sd=moments[2][1],
+                            dhp_geometric_mean=moments[3][0],
+                            dhp_geometric_sd=moments[3][1],
+                            pct_favor_poisson=0.0, pct_favor_geometric=0.0,
+                            pct_indecisive=100.0, pct_correct=0.0, pct_incorrect=0.0,
+                            n_degenerate=6)
+            got = dataclasses.asdict(row)
+            assert math.isnan(got.pop("hi_mean")) and math.isnan(got.pop("hi_sd"))
+            assert got == expected
+            for key, value in expected.items():
+                assert type(getattr(row, key)) is type(value), key
+            assert line == ",".join(
+                ["0", "1", f"{h:g}"]
+                + [f"{x:.3f}" for moment in moments for x in moment]
+                + ["", "", "0", "0", "100", "0", "0", "6"])

@@ -14,7 +14,11 @@ Each worker also runs ``run_experiment`` on the same design, one config
 per cut set and weight (seed SEED, sizes SIZES, weights H_VALUES, ``--reps``
 replications), which studentizes its replications in batches rather than
 one ``model_select`` call at a time, and renders each config's rows with
-``emit_table`` in the ``csv`` and the ``text`` format.
+``emit_table`` in the ``csv`` and the ``text`` format, and runs
+``phdsel.cli.main`` on CLI_CALLS, over data files that it writes: fits in
+the box and at its bound, a goodness-of-fit test, a decisive selection,
+selections with identical fits and with zero variance, and the
+equidistance solve on the default and the wide cuts.
 
 Prints the largest differences between the trees, one ``key=value`` line
 each: fitted parameters in box widths, distances, and the relative
@@ -22,26 +26,67 @@ differences of HI and gamma_hat (two NaNs count as equal), then the counts
 of replications whose decision or degenerate flag differs; then, over the
 ``run_experiment`` rows, the largest relative difference of a mean or SD
 and the counts of rows whose percentages or ``n_degenerate`` differ, and
-the count of rendered tables that are not byte-identical.  Exits 1 when any
-decision, degenerate flag, percentage, ``n_degenerate`` or table differs, 2
-on a usage or import error.
+the count of rendered tables and of CLI stdout texts that are not
+byte-identical.  Exits 1 when any decision, degenerate flag, percentage,
+``n_degenerate``, table or CLI text differs, 2 on a usage or import error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 SEED = 1001
 SIZES = (20, 300)
 H_VALUES = (0.5, 1.0)
 PIS = (0.0, 0.5, 1.0)
 WIDE_CUTS = "1,2,5,10,20,50,100,1000,10000"
+# The data files of the CLI calls, one observation per line: besides
+# draws.txt, POISSON_N Poisson(4) draws, values past the last default cut
+# (the Poisson rate is pinned at its bound) and one value repeated (one
+# occupied cell, zero selection variance).
+CLI_DATA = {"far.txt": [100, 200, 300], "one_cell.txt": [3] * 40}
+POISSON_N = 300
+CLI_CALLS = (
+    ["estimate", "--data", "draws.txt", "--model", "poisson"],
+    ["estimate", "--data", "draws.txt", "--model", "geometric", "--h", "1"],
+    ["estimate", "--data", "far.txt", "--model", "poisson"],
+    ["gof", "--data", "draws.txt", "--model", "poisson"],
+    ["select", "--data", "draws.txt", "--model1", "poisson", "--model2", "geometric"],
+    ["select", "--data", "draws.txt", "--model1", "poisson", "--model2", "poisson"],
+    ["select", "--data", "one_cell.txt", "--model1", "poisson", "--model2", "geometric"],
+    ["equidistance"],
+    ["equidistance", "--cuts", WIDE_CUTS],
+)
+
+
+def cli_outputs(ph) -> list[str]:
+    """Worker side: the stdout of ``phdsel.cli.main`` on each CLI call."""
+    from phdsel.cli import main
+
+    draws = ph.sample_mixture(ph.MixtureDGP(pi=1.0), POISSON_N,
+                              ph.substream(SEED, POISSON_N, 0.5, 0))
+    data = {"draws.txt": [int(v) for v in draws], **CLI_DATA}
+    outputs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, values in data.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                fh.write("".join(f"{v}\n" for v in values))
+        for call in CLI_CALLS:
+            argv = [os.path.join(tmp, a) if a in data else a for a in call]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                main(argv)
+            outputs.append(out.getvalue())
+    return outputs
 
 
 def replay(src: str, reps: int) -> dict:
@@ -70,7 +115,8 @@ def replay(src: str, reps: int) -> dict:
                         rows.append([float(r.fit1.theta_hat[0]), float(r.fit2.theta_hat[0]),
                                      r.d1, r.d2, r.hi, r.gamma_hat, r.decision,
                                      r.degenerate])
-    return {"bounds": bounds, "rows": rows, "experiment": experiment, "tables": tables}
+    return {"bounds": bounds, "rows": rows, "experiment": experiment, "tables": tables,
+            "cli": cli_outputs(ph)}
 
 
 def _fail(message: str):
@@ -116,6 +162,7 @@ def compare(old: dict, new: dict) -> dict:
         out["degenerate_differences"] += a[7] != b[7]
     out.update(compare_experiment(old["experiment"], new["experiment"]))
     out["table_differences"] = sum(a != b for a, b in zip(old["tables"], new["tables"]))
+    out["cli_differences"] = sum(a != b for a, b in zip(old["cli"], new["cli"]))
     return out
 
 
@@ -152,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
     for key, value in result.items():
         print(f"{key}={value:.3g}" if isinstance(value, float) else f"{key}={value}")
     differing = ("decision_differences", "degenerate_differences", "row_pct_differences",
-                 "row_degenerate_differences", "table_differences")
+                 "row_degenerate_differences", "table_differences", "cli_differences")
     return 1 if any(result[key] for key in differing) else 0
 
 
