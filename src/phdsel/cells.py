@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,13 +46,25 @@ def _as_prob_rows(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number other than a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True, slots=True)
 class CellPartition:
-    """Ordered boundaries 0 = cuts[0] < cuts[1] < ... < cuts[m] = +inf."""
+    """Ordered boundaries 0 = cuts[0] < cuts[1] < ... < cuts[m] = +inf.
+
+    Each cut must be a real number: a string or a bool is refused, not
+    converted.
+    """
 
     cuts: tuple[float, ...]
 
     def __post_init__(self):
+        bad = [c for c in self.cuts if not _is_real(c)]
+        if bad:
+            raise InvalidInput(f"cuts must be numbers, got {bad[0]!r}")
         try:
             cuts = tuple(float(c) for c in self.cuts)
         except OverflowError as exc:

@@ -1,6 +1,7 @@
 """Derivative-free bounded minimization and the model-fitting front ends.
 
-Every fit minimizes R independent one-parameter objectives in lockstep:
+Every fit minimizes R independent one-parameter objectives in lockstep,
+row r on its own box:
 
 * a 32-point uniform grid multi-start, evaluated for all R rows in one call
   on an (R, 32) array of points;
@@ -17,7 +18,9 @@ of the same minimizer.
 
 A fit minimizes exactly the rows it is given, in one lockstep call; callers
 with many rows pass them in slices (``phdsel.simulate.run_experiment``).
-Every model fitted here has one parameter.
+One call can fit several models to the same rows (``_fit_phd_rows``), which
+costs one loop of numpy calls instead of one per model.  Every model fitted
+here has one parameter.
 
 The fit front ends validate their inputs once; the objective they minimize
 calls the model's batched cell kernel directly.
@@ -75,27 +78,29 @@ class FitRows(NamedTuple):
                          at_bound=bool(self.at_bound[r]))
 
 
-def _lockstep(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-              rows: int) -> FitRows:
-    """Minimize ``rows`` objectives on [lo, hi] at once; ``f`` maps an
-    (rows, k) array of points to their (rows, k) values, whose row i may
-    depend only on row i of the points."""
+def _lockstep(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
+              hi: np.ndarray) -> FitRows:
+    """Minimize one objective per row, row r on its own box [lo[r], hi[r]],
+    all at once; ``f`` maps a (rows, k) array of points to their (rows, k)
+    values, whose row i may depend only on row i of the points."""
+    rows = lo.size
     tol = 1e-8 * (hi - lo)
-    xs = np.linspace(lo, hi, GRID_POINTS)
-    fs = f(np.broadcast_to(xs, (rows, GRID_POINTS)))
+    xs = np.linspace(lo, hi, GRID_POINTS)  # column r is row r's grid
+    fs = f(xs.T)
     if not np.isfinite(fs).any(axis=1).all():
         raise FitFailed("objective non-finite at every grid start")
     j = np.argmin(fs, axis=1)  # first minimum = smallest x on ties
+    each = np.arange(rows)
 
     # cand holds (x, f) of the best grid point and of the two interior
     # points as they were when the row's bracket closed, one entry per row
     cand = np.empty((3, 2, rows))
-    cand[0, 0], cand[0, 1] = xs[j], np.minimum.reduce(fs, axis=1)
+    cand[0, 0], cand[0, 1] = xs[j, each], np.minimum.reduce(fs, axis=1)
     final = cand[1:]
     # The state is updated in place, on every row at every step: ab holds
     # the bracket (a, b); pts holds (x, f) of the lower interior point x1,
     # the upper one x2 and the newest evaluation.
-    ab = xs[np.minimum(np.maximum(j + _BRACKET, 0), GRID_POINTS - 1)]
+    ab = xs[np.minimum(np.maximum(j + _BRACKET, 0), GRID_POINTS - 1), each]
     a, b = ab
     w = b - a
     pts = np.empty((3, 2, rows))
@@ -110,17 +115,20 @@ def _lockstep(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
     # No bracket can close within the first `safe` steps, so they skip the
     # check: each step shrinks a bracket by GOLDEN, up to rounding errors of
     # a few ulps of the coordinates, which a box not far from the origin
-    # keeps far below the margin of two steps.
+    # keeps far below the margin of two steps.  A row on any other box
+    # allows no skipped step.
+    near = np.maximum(np.abs(lo), np.abs(hi)) <= 1e3 * (hi - lo)
     safe = 0
-    if max(abs(lo), abs(hi)) <= 1e3 * (hi - lo):
-        safe = max(int(math.log(tol / np.minimum.reduce(w)) / math.log(GOLDEN)) - 2, 0)
+    if near.all():
+        safe = max(int(math.log(np.max(tol / w)) / math.log(GOLDEN)) - 2, 0)
     side = np.empty((2, rows), dtype=bool)
     right, left = side  # the minimum lies in [x1, b] / in [a, x2]
     closed = np.zeros(rows, dtype=bool)
+    shut = np.empty(rows, dtype=bool)
     steps = np.empty(rows, dtype=int)
     for step in range(MAX_STEPS + 1):
-        if step >= safe and np.minimum.reduce(w) < tol:
-            shut = (w < tol) & ~closed
+        if step >= safe and np.less(w, tol, out=shut).any():
+            shut &= ~closed
             if shut.any():
                 closed |= shut
                 steps[shut] = step
@@ -154,20 +162,34 @@ def _cells(model: DiscreteModel, theta: np.ndarray) -> np.ndarray:
     return model.cell_fn(theta.reshape(-1, 1)).reshape(theta.shape + (-1,))
 
 
-def _fit_phd_rows(model: DiscreteModel, phat: np.ndarray, h: np.ndarray) -> FitRows:
-    """Minimum penalized Hellinger fits of ``model`` to each row of the
-    (R, m) frequency array ``phat``, row r with penalty weight ``h[r]``.
+def _fit_phd_rows(models: tuple[DiscreteModel, ...], phat: np.ndarray,
+                  h) -> tuple[FitRows, ...]:
+    """Minimum penalized Hellinger fits of each of ``models`` to each row of
+    the (R, m) frequency array ``phat``, row r with penalty weight ``h[r]``
+    (or ``h`` for all rows), in one lockstep call; one FitRows per model.
 
-    No validation: each row must be a probability vector on the model's
+    The fits are stacked model-major, each model's R rows on its own box:
+    an objective call evaluates each model's cells on its slice of the
+    points, then the distances of all of them at once.
+
+    No validation: each row must be a probability vector on the models'
     cells and each weight finite and positive.
     """
-    rows = phat.shape[0]
-    root_p = np.sqrt(phat)[:, None, :]
-    occupied = (phat > 0.0)[:, None, :]
-    weight = np.empty((rows, 1, 1))
-    weight[:, 0, 0] = h
-    return _lockstep(lambda th: _phd_rows(root_p, occupied, _cells(model, th), weight),
-                     *_box(model), rows)
+    rows, k = phat.shape[0], len(models)
+    # row i * rows + r of the stack is the fit of models[i] to phat[r]
+    stacked = np.concatenate((phat,) * k)
+    root_p = np.sqrt(stacked)[:, None, :]
+    occupied = (stacked > 0.0)[:, None, :]
+    weight = np.broadcast_to(h, (k, rows)).reshape(-1, 1, 1)
+    lo, hi = np.repeat(np.array([_box(model) for model in models]).T, rows, axis=1)
+    spans = [(model, slice(i * rows, (i + 1) * rows)) for i, model in enumerate(models)]
+
+    def objective(th: np.ndarray) -> np.ndarray:
+        cells = np.concatenate([_cells(model, th[sl]) for model, sl in spans])
+        return _phd_rows(root_p, occupied, cells, weight)
+
+    fits = _lockstep(objective, lo, hi)
+    return tuple(FitRows(*(a[sl] for a in fits)) for _, sl in spans)
 
 
 def _target(model: DiscreteModel, p) -> np.ndarray:
@@ -183,7 +205,7 @@ def fit_phd_to_probs(model: DiscreteModel, p: np.ndarray, h: float) -> FitResult
     (population version, used for pseudo-true parameters)."""
     h = check_penalty_weight(h)
     target = _target(model, p)
-    return _fit_phd_rows(model, target[None, :], h).fit(0)
+    return _fit_phd_rows((model,), target[None, :], h)[0].fit(0)
 
 
 def minimize_phd(model: DiscreteModel, sample: BinnedSample, h: float) -> FitResult:
@@ -201,4 +223,4 @@ def mle_binned(model: DiscreteModel, sample: BinnedSample) -> FitResult:
         q = _cells(model, th).reshape(-1, m)
         return _kl_modified_rows(phat, occupied, q).reshape(th.shape)
 
-    return _lockstep(objective, *_box(model), 1).fit(0)
+    return _lockstep(objective, *np.array(_box(model))[:, None]).fit(0)

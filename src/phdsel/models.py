@@ -12,11 +12,13 @@ rather than by truncated summation.
 * Poisson: the cumulative pmf, pmf(0) = exp(-lam) and
   pmf(x) = pmf(x-1) * lam / x by cumulative product, differenced at the
   edges.  The sum stops at T = min(e_{m-1}, floor(lam + 12 sqrt(lam) + 40))
-  with lam the largest rate of the batch.  The Poisson mass beyond T is
-  below 3e-34 for every rate up to 1e4, far below half an ulp of the running
-  cdf, which is within rounding of 1 there; adding those terms would not
-  change one bit of the sums, so the truncation is exact, and the cost no
-  longer grows with the largest cut.
+  with lam the largest rate of the batch.  T = e_{m-1} whenever
+  e_{m-1} <= 40, as on the default cells; there the kernel builds its
+  divisors and edge indices once and never reads the largest rate.  The
+  Poisson mass beyond T is below 3e-34 for every rate up to 1e4, far below
+  half an ulp of the running cdf, which is within rounding of 1 there;
+  adding those terms would not change one bit of the sums, so the
+  truncation is exact, and the cost no longer grows with the largest cut.
 * Geometric on {1, 2, ...}: cell [a, b) in closed form,
   (1-p)^(a-1) (1 - (1-p)^(b-a)) evaluated as
   exp((a-1) log1p(-p)) * -expm1((b-a) log1p(-p)), which keeps full relative
@@ -111,21 +113,33 @@ def _poisson_kernel(part: CellPartition) -> Callable[[np.ndarray], np.ndarray]:
     edges = _integer_edges(part, 0)
     top = edges[-1]
 
+    def terms(n: int) -> tuple[int, np.ndarray, np.ndarray]:
+        """A sum over n pmf terms: n, the divisors 1..n-1 of the pmf
+        recursion and the edges as indices of the cumulative sums."""
+        return n, np.arange(1.0, n), np.minimum(edges, n).astype(np.intp)
+
+    # lam + 12 sqrt(lam) + 40 >= 40 for every rate, so on cuts whose top edge
+    # is at most 40 the sum always stops there and its terms are built once
+    fixed = terms(int(top)) if top <= 40.0 else None
+
     def cell_fn(theta: np.ndarray) -> np.ndarray:
         lam = theta[:, :1]
-        lam_max = float(lam.max())
-        n = int(min(top, math.floor(lam_max + 12.0 * math.sqrt(lam_max) + 40.0)))
+        if fixed is None:
+            lam_max = float(lam.max())
+            n, divisors, at_edges = terms(
+                int(min(top, math.floor(lam_max + 12.0 * math.sqrt(lam_max) + 40.0))))
+        else:
+            n, divisors, at_edges = fixed
         # csum[:, x] = cdf(x - 1): pmf terms in columns 1..n, summed in place
         csum = np.zeros((lam.shape[0], n + 1))
         base = np.exp(-lam)
         csum[:, 1:2] = base
         # the ufunc methods are np.cumprod and np.cumsum without their wrappers
-        np.multiply(base, np.multiply.accumulate(lam / np.arange(1.0, n), axis=1),
-                    out=csum[:, 2:])
+        np.multiply(base, np.multiply.accumulate(lam / divisors, axis=1), out=csum[:, 2:])
         np.add.accumulate(csum[:, 1:], axis=1, out=csum[:, 1:])
         # take, unlike fancy indexing, returns C-ordered rows, so each row sum
         # below is bit-identical to that of a batch of one
-        at = np.take(csum, np.minimum(edges, n).astype(np.intp), axis=1)
+        at = csum.take(at_edges, axis=1)
         probs = np.empty_like(at)
         np.subtract(at[:, 1:], at[:, :-1], out=probs[:, :-1])
         return _residual_last(probs)

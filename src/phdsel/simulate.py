@@ -7,8 +7,8 @@ keyed by (seed, n, h, replication index), so results do not depend on
 execution order.
 
 ``run_experiment`` takes all replications of a config one chunk of rows at
-a time: one lockstep minimizer call per family (see ``phdsel.fit``), then
-one studentization call (see ``phdsel.asymptotics``).
+a time: one lockstep minimizer call that fits both families (see
+``phdsel.fit``), then one studentization call (see ``phdsel.asymptotics``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .cells import CellPartition, default_partition
+from .cells import CellPartition, _is_real, default_partition
 from .divergence import check_penalty_weight
 from .errors import InvalidInput, NoEquidistance
 from .fit import _fit_phd_rows
@@ -54,15 +54,25 @@ def _is_whole(value, minimum: int) -> bool:
             and value >= minimum)
 
 
-def _is_real(value) -> bool:
-    """Whether ``value`` is a real number other than a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 def _nonempty_list_of(test):
     """Rule for a nonempty list or tuple whose every item passes ``test``;
     a string or a bare number is refused, not iterated or wrapped."""
     return lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(map(test, v))
+
+
+def _h_key(h) -> int:
+    """The penalty weight's part of a substream key: h in millionths."""
+    return int(round(h * 10**6))
+
+
+def _is_weight_list(v) -> bool:
+    """Whether ``v`` is a nonempty list of penalty weights > 0 whose
+    substream keys are finite and distinct: two weights with one key would
+    draw the same samples.  Compared, not converted, so an integer beyond a
+    double is refused."""
+    finite_key = lambda h: (_is_real(h) and 0 < h <= sys.float_info.max
+                            and float(h) * 10**6 <= sys.float_info.max)
+    return _nonempty_list_of(finite_key)(v) and len({_h_key(h) for h in v}) == len(v)
 
 
 def _as_partition(cuts) -> CellPartition:
@@ -78,9 +88,8 @@ _RULES = {
     "sizes": (_nonempty_list_of(lambda n: _is_whole(n, 1)),
               "a nonempty list of integers >= 1", tuple),
     "reps": (lambda v: _is_whole(v, 1), "an integer >= 1", int),
-    # compared, not converted, so an integer beyond a double is refused
-    "h_values": (_nonempty_list_of(lambda h: _is_real(h) and 0 < h <= sys.float_info.max),
-                 "a nonempty list of finite numbers > 0", lambda v: tuple(map(float, v))),
+    "h_values": (_is_weight_list, "a nonempty list of numbers > 0 with finite h * 10**6, "
+                 "no two equal when rounded to millionths", lambda v: tuple(map(float, v))),
     "alpha": (lambda v: _is_real(v) and 0.0 < v < 1.0, "a number in (0,1)", float),
     "seed": (lambda v: _is_whole(v, 0), "an integer >= 0", int),
     "cuts": (_nonempty_list_of(_is_real), "a nonempty list of numbers", _as_partition),
@@ -143,8 +152,7 @@ class ExperimentRow:
 
 def substream(seed: int, n: int, h: float, rep: int) -> np.random.Generator:
     """Deterministic per-replication generator keyed by (seed, n, h, rep)."""
-    h_key = int(round(h * 10**6))
-    return np.random.default_rng(np.random.SeedSequence((seed, n, h_key, rep)))
+    return np.random.default_rng(np.random.SeedSequence((seed, n, _h_key(h), rep)))
 
 
 def run_experiment(config: ExperimentConfig,
@@ -153,9 +161,9 @@ def run_experiment(config: ExperimentConfig,
 
     Every replication of every block is drawn and binned first, each from
     its own substream keyed by (seed, n, h, rep).  The R = len(sizes) *
-    len(h_values) * reps rows then go ``CHUNK_ROWS`` at a time through the
-    Poisson fit, the geometric fit (one lockstep call each) and the row
-    core of ``phdsel.asymptotics``.  Row r of a lockstep fit and of a
+    len(h_values) * reps rows then go ``CHUNK_ROWS`` at a time through one
+    lockstep call that fits both families and the row core of
+    ``phdsel.asymptotics``.  Row r of a lockstep fit and of a
     chunk's studentization is bit-identical to that replication alone, so
     every block row equals the aggregate of per-replication
     ``model_select`` calls.
@@ -180,8 +188,7 @@ def run_experiment(config: ExperimentConfig,
     chunks = []
     for start in range(0, len(phat), CHUNK_ROWS):
         sl = slice(start, start + CHUNK_ROWS)
-        fits1 = _fit_phd_rows(pois, phat[sl], weights[sl])
-        fits2 = _fit_phd_rows(geom, phat[sl], weights[sl])
+        fits1, fits2 = _fit_phd_rows((pois, geom), phat[sl], weights[sl])
         hi, degenerate = _studentize_rows(phat[sl], sizes[sl], pois, fits1.x, fits1.fun,
                                           geom, fits2.x, fits2.fun, weights[sl])
         chunks.append((fits1.x, fits2.x, fits1.fun, fits2.fun, hi, degenerate))
@@ -243,14 +250,15 @@ def _distance_gaps(pis, model1: DiscreteModel, model2: DiscreteModel,
                    partition: CellPartition, h: float, poisson_rate: float,
                    geometric_p: float) -> np.ndarray:
     """Fitted-distance gaps d1 - d2 against the exact mixtures with the
-    weights ``pis``; each family is fitted to all of them in one call."""
+    weights ``pis``; both families are fitted to all of them in one call."""
     h = check_penalty_weight(h)
     mixes = np.array([mixture_cell_probs(pi, partition, poisson_rate, geometric_p)
                       for pi in pis])
     for model in (model1, model2):
         if model.partition.m != partition.m:
             raise InvalidInput(f"target has {partition.m} cells, model {model.partition.m}")
-    return _fit_phd_rows(model1, mixes, h).fun - _fit_phd_rows(model2, mixes, h).fun
+    fits1, fits2 = _fit_phd_rows((model1, model2), mixes, h)
+    return fits1.fun - fits2.fun
 
 
 def equidistance_gap(pi: float, model1: DiscreteModel, model2: DiscreteModel,
@@ -271,8 +279,8 @@ def equidistance_pi(model1: DiscreteModel, model2: DiscreteModel,
 
     Identical families make every weight an equidistance point; 0.5 is
     returned with the ``degenerate`` flag.  A gap without a sign change on
-    [0, 1] raises NoEquidistance.  The five probe weights are fitted in one
-    lockstep call per family.
+    [0, 1] raises NoEquidistance.  Both families are fitted to the five
+    probe weights in one lockstep call.
     """
     gap = lambda pi: equidistance_gap(pi, model1, model2, partition, h,
                                       poisson_rate, geometric_p)

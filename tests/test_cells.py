@@ -35,6 +35,21 @@ class TestCellPartition:
         with pytest.raises(InvalidInput):
             CellPartition(cuts=cuts)
 
+    @pytest.mark.parametrize("cuts", [
+        (0.0, "1", "2", math.inf),        # numeric strings, which float() reads
+        (0.0, 1.0, "inf"),
+        (0.0, True, 2.0, math.inf),       # bools, which float() reads as 0 and 1
+        (0.0, np.bool_(True), 2.0, math.inf),
+    ])
+    def test_string_or_bool_cuts_rejected(self, cuts):
+        with pytest.raises(InvalidInput, match="cuts must be numbers"):
+            CellPartition(cuts=cuts)
+
+    def test_numpy_numbers_are_cuts(self):
+        part = CellPartition(cuts=(0.0, np.float32(1.5), np.float64(2.0), np.int64(3), math.inf))
+        assert part.cuts == (0.0, 1.5, 2.0, 3.0, math.inf)
+        assert all(type(c) is float for c in part.cuts)
+
     def test_parse_cuts(self):
         part = parse_cuts("1,2,3")
         assert part.cuts == (0.0, 1.0, 2.0, 3.0, math.inf)

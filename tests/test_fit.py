@@ -61,7 +61,7 @@ def three_cell_model():
 
 def minimize(f, lo, hi):
     """The one-row lockstep fit of the vectorized objective ``f``."""
-    return _lockstep(f, lo, hi, 1).fit(0)
+    return _lockstep(f, np.array([lo]), np.array([hi])).fit(0)
 
 
 class TestMinimizeScalar:
@@ -179,7 +179,7 @@ class TestLockstepRows:
         part, counts, h = drawn
         phat = counts / counts.sum(axis=1, keepdims=True)
         for model in (poisson_model(part), geometric_model(part)):
-            rows = _fit_phd_rows(model, phat, h)
+            rows, = _fit_phd_rows((model,), phat, h)
             if model.name == "poisson":
                 assert len(set(rows.x)) > 1
             for r, c in enumerate(counts):
@@ -189,6 +189,35 @@ class TestLockstepRows:
                 assert rows.evaluations[r] == alone.evaluations
                 assert rows.converged[r] == alone.converged
                 assert rows.at_bound[r] == alone.at_bound
+
+    @given(count_rows())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_two_model_rows_equal_one_model_rows_and_fits_alone(self, drawn):
+        # the Poisson and the geometric fits of every row in one loop: row r
+        # of each model equals that model's one-model call and its R = 1 fit
+        part, counts, h = drawn
+        phat = counts / counts.sum(axis=1, keepdims=True)
+        models = (poisson_model(part), geometric_model(part))
+        for model, rows in zip(models, _fit_phd_rows(models, phat, h), strict=True):
+            one, = _fit_phd_rows((model,), phat, h)
+            for r, c in enumerate(counts):
+                alone = minimize_phd(model, BinnedSample(counts=c), h[r])
+                assert tuple(a[r] for a in rows) == tuple(a[r] for a in one) == (
+                    alone.theta_hat[0], alone.objective, alone.evaluations,
+                    alone.converged, alone.at_bound)
+
+    def test_each_row_keeps_its_own_box(self):
+        # one objective on rows with four boxes, the last far from the
+        # origin: each row's grid, bracket, tolerance and bound flag are
+        # those of its R = 1 fit
+        lo = np.array([0.0, -3.0, 1.0, 1e6])
+        hi = np.array([5.0, 2.0, 1e4, 1e6 + 1.0])
+        f = lambda x: (x - 1.5) ** 2
+        rows = _lockstep(f, lo, hi)
+        for r in range(lo.size):
+            alone = _lockstep(f, lo[r:r + 1], hi[r:r + 1])
+            assert tuple(a[r] for a in rows) == tuple(a[0] for a in alone)
+        assert rows.at_bound.tolist() == [False, False, False, True]
 
 
 class TestAtBound:

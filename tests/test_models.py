@@ -51,6 +51,24 @@ def summed_poisson_cells(lam: float, part: CellPartition) -> np.ndarray:
     return probs
 
 
+def batch_truncated_poisson_cells(lam: np.ndarray, part: CellPartition) -> np.ndarray:
+    """Poisson cells of the (B, 1) rates ``lam``, the pmf sum stopped at
+    T = min(top edge, floor(lam_max + 12 sqrt(lam_max) + 40)) with lam_max
+    the batch's largest rate, every term built per call."""
+    edges = np.array(integer_edges(part, 0), dtype=float)
+    lam_max = float(lam.max())
+    n = int(min(edges[-1], math.floor(lam_max + 12.0 * math.sqrt(lam_max) + 40.0)))
+    csum = np.zeros((lam.shape[0], n + 1))
+    base = np.exp(-lam)
+    csum[:, 1:2] = base
+    csum[:, 2:] = base * np.cumprod(lam / np.arange(1.0, n), axis=1)
+    csum[:, 1:] = np.cumsum(csum[:, 1:], axis=1)
+    at = np.take(csum, np.minimum(edges, n).astype(np.intp), axis=1)
+    interior = at[:, 1:] - at[:, :-1]
+    last = np.maximum(1.0 - interior.sum(axis=1), 0.0)
+    return np.hstack([interior, last[:, None]])
+
+
 def decimal_geometric_cells(p: float, part: CellPartition) -> np.ndarray:
     """Geometric cells on {1, 2, ...} from the survival function (1-p)^(e-1)
     in 50-digit decimal arithmetic."""
@@ -185,6 +203,21 @@ class TestCellKernels:
         stacked = np.vstack([model.cell_fn(np.array([[t]])) for t in grid])
         assert batch.shape == (grid.size, model.partition.m)
         assert np.array_equal(batch, stacked)
+
+    @pytest.mark.parametrize("cuts", ["1,2,3,4,5,6,7", "1,2,5,10,20,40", "1,2,5,10,20,41",
+                                      "1,2,5,10,20,50,100,1000,10000"])
+    def test_poisson_kernel_equals_batch_truncated_sum(self, cuts):
+        # on top edges up to 40 the kernel builds its terms once and never
+        # reads the batch's largest rate; above 40 it truncates by it
+        part = parse_cuts(cuts)
+        kernel = poisson_model(part).cell_fn
+        rates = np.concatenate([np.linspace(*POISSON_BOUNDS, 301),
+                                np.geomspace(POISSON_BOUNDS[0], 1.0, 40)])[:, None]
+        batches = [rates[i:i + 1] for i in range(len(rates))]
+        batches += [rates, rates[::7], rates[-40:], rates[:60], np.full((3, 1), 40.5)]
+        for lam in batches:
+            got = kernel(lam)
+            assert got.tobytes() == batch_truncated_poisson_cells(lam, part).tobytes(), lam.max()
 
     @pytest.mark.parametrize("lam", [*POISSON_BOUNDS, 0.3, 4.0, 17.5])
     def test_poisson_huge_cut_matches_scipy_cdf(self, lam):

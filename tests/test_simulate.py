@@ -72,6 +72,24 @@ class TestConfig:
             with pytest.raises(InvalidInput, match="h_values"):
                 config_from_dict({**raw, "h_values": bad})
 
+    def test_h_values_must_have_distinct_finite_substream_keys(self):
+        # substream keys a weight as round(h * 10**6): two weights that round
+        # to one key would draw the same samples, and a key must be finite
+        raw = dict(pi=0.5, sizes=[5], reps=1, h_values=[0.5], alpha=0.05,
+                   seed=1, cuts=[1, 2, 3, 4, 5, 6, 7])
+        for bad in ((1.0, 1.0000004), (0.5, 0.5), (1e303,), (1.7976931348623157e302,),
+                    (np.float64(1e303),), (10**303,), (1e-7, 2e-7)):
+            with pytest.raises(InvalidInput, match="h_values"):
+                ExperimentConfig(pi=0.5, sizes=(5,), reps=1, h_values=bad)
+            with pytest.raises(InvalidInput, match="config key 'h_values' is invalid"):
+                config_from_dict({**raw, "h_values": list(bad)})
+        with pytest.raises(InvalidInput, match="h_values"):
+            run_experiment(ExperimentConfig(pi=0.5, sizes=(5,), reps=1, h_values=(1e303,)))
+        # the largest weights with a finite key, and weights a millionth apart
+        for good in ((1e302,), (1.0, 1.000001), (1e-6, 2e-6)):
+            assert ExperimentConfig(pi=0.5, h_values=good).h_values == good
+            assert config_from_dict({**raw, "h_values": list(good)}).h_values == good
+
     def test_from_dict_names_offending_key(self):
         raw = dict(pi=0.5, sizes=[20], reps=5, h_values=[0.5], alpha=0.05,
                    seed=1, cuts=[1, 2, 3, 4, 5, 6, 7])
