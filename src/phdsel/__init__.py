@@ -22,9 +22,8 @@ from .fit import FitResult, fit_phd_to_probs, minimize_phd, mle_binned
 from .inference import (FAVOR_FIRST, FAVOR_SECOND, INDECISIVE, GofReport,
                         SelectionReport, decide, gof_test, model_select,
                         power_approx, required_sample_size)
-from .models import (MODEL_BUILDERS, DiscreteModel, MixtureDGP,
-                     geometric_cell_probs, geometric_model, mixture_cell_probs,
-                     model_by_name, poisson_cell_probs, poisson_model,
+from .models import (MODEL_BUILDERS, DiscreteModel, MixtureDGP, geometric_model,
+                     mixture_cell_probs, model_by_name, poisson_model,
                      sample_mixture)
 from .quantiles import chi2_cdf, chi2_quantile, normal_cdf, normal_quantile
 from .simulate import (EquidistanceResult, ExperimentConfig, ExperimentRow,
@@ -43,12 +42,12 @@ __all__ = [
     "SingularInformation", "as_prob_vector", "chi2_cdf", "chi2_quantile",
     "config_from_dict", "decide", "default_partition", "emit_table",
     "empirical_frequencies", "equidistance_gap", "equidistance_pi",
-    "fit_phd_to_probs", "geometric_cell_probs", "geometric_model", "gof_test",
+    "fit_phd_to_probs", "geometric_model", "gof_test",
     "grad_phd_first", "grad_phd_second", "hellinger", "jacobian",
     "lambda_star_hat", "load_config", "m_matrix", "minimize_phd",
     "mixture_cell_probs", "mle_binned", "model_by_name", "model_select",
     "normal_cdf", "normal_quantile", "omega_sq", "parse_cuts",
-    "penalized_hellinger", "poisson_cell_probs", "poisson_model",
+    "penalized_hellinger", "poisson_model",
     "power_approx", "required_sample_size", "run_experiment",
     "sample_mixture", "sigma", "substream",
 ]

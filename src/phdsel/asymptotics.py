@@ -33,7 +33,7 @@ from .divergence import (_grad_first, _grad_second, check_penalty_weight,
                          penalized_hellinger)
 from .errors import (BoundaryParameter, DegenerateVariance, InvalidInput,
                      SingularInformation)
-from .models import DiscreteModel, _box
+from .models import DiscreteModel
 
 PROB_FLOOR = 1e-12
 _GAMMA_SQ_FLOOR = 1e-10
@@ -77,7 +77,7 @@ def _model_rows(model: DiscreteModel, t: np.ndarray) -> _Rows:
     t + s and t - s, with s = 1e-6 max(1, |t|) and the points clipped to
     the box.
     """
-    lo, hi = _box(model)
+    lo, hi = model.bounds[0]
     outside = (t <= lo) | (t >= hi)
     if outside.any():
         raise BoundaryParameter(

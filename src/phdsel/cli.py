@@ -16,8 +16,8 @@ import numpy as np
 
 from .cells import (BinnedSample, CellPartition, default_partition, empirical_frequencies,
                     parse_cuts)
-from .errors import (FitFailed, InvalidInput, InvalidParameter, NoEquidistance,
-                     PhdselError, SingularInformation)
+from .divergence import MAX_PENALTY_WEIGHT, is_penalty_weight
+from .errors import InvalidInput, InvalidParameter, PhdselError
 from .fit import FitResult, minimize_phd
 from .inference import gof_test, model_select
 from .models import MODEL_BUILDERS, model_by_name
@@ -27,10 +27,10 @@ USAGE_EXIT = 2
 NUMERICAL_EXIT = 3
 
 
-def _positive_float(text: str) -> float:
+def _weight(text: str) -> float:
     value = float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    if not is_penalty_weight(value):
+        raise argparse.ArgumentTypeError(f"must be in (0, {MAX_PENALTY_WEIGHT:g}], got {text}")
     return value
 
 
@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     data = argparse.ArgumentParser(add_help=False)
     data.add_argument("--data", required=True, help="file with one observation per line")
     cells = argparse.ArgumentParser(add_help=False)
-    cells.add_argument("--h", type=_positive_float, default=0.5,
+    cells.add_argument("--h", type=_weight, default=0.5,
                        help="empty-cell penalty weight (default 0.5)")
     cells.add_argument("--cuts", help="comma-separated finite cuts, e.g. 1,2,3,4,5,6,7")
     level = argparse.ArgumentParser(add_help=False)
@@ -172,7 +172,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, InvalidInput, InvalidParameter) as exc:
         print(f"phdsel: error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (FitFailed, SingularInformation, NoEquidistance, PhdselError) as exc:
+    except PhdselError as exc:
         print(f"phdsel: numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_EXIT
 

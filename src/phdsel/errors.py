@@ -27,7 +27,7 @@ class SingularInformation(PhdselError, RuntimeError):
 
 class DegenerateGradient(PhdselError, RuntimeError):
     """Distance gradient undefined: model cell probability is zero on an
-    occupied cell and the caller did not request flooring."""
+    occupied cell."""
 
 
 class DegenerateVariance(PhdselError, RuntimeError):

@@ -37,7 +37,7 @@ import numpy as np
 from .cells import BinnedSample, as_prob_vector
 from .divergence import _kl_modified_rows, _phd_rows, check_penalty_weight
 from .errors import FitFailed, InvalidInput
-from .models import DiscreteModel, _box
+from .models import DiscreteModel
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GRID_POINTS = 32
@@ -181,7 +181,7 @@ def _fit_phd_rows(models: tuple[DiscreteModel, ...], phat: np.ndarray,
     root_p = np.sqrt(stacked)[:, None, :]
     occupied = (stacked > 0.0)[:, None, :]
     weight = np.broadcast_to(h, (k, rows)).reshape(-1, 1, 1)
-    lo, hi = np.repeat(np.array([_box(model) for model in models]).T, rows, axis=1)
+    lo, hi = np.repeat(np.array([model.bounds[0] for model in models]).T, rows, axis=1)
     spans = [(model, slice(i * rows, (i + 1) * rows)) for i, model in enumerate(models)]
 
     def objective(th: np.ndarray) -> np.ndarray:
@@ -223,4 +223,4 @@ def mle_binned(model: DiscreteModel, sample: BinnedSample) -> FitResult:
         q = _cells(model, th).reshape(-1, m)
         return _kl_modified_rows(phat, occupied, q).reshape(th.shape)
 
-    return _lockstep(objective, *np.array(_box(model))[:, None]).fit(0)
+    return _lockstep(objective, *np.array(model.bounds[0])[:, None]).fit(0)

@@ -63,9 +63,7 @@ def gof_test(sample: BinnedSample, model: DiscreteModel, h: float,
              alpha: float = 0.05) -> GofReport:
     """Goodness-of-fit test of ``model`` against the binned sample."""
     alpha = _check_alpha(alpha)
-    df = model.partition.m - model.k - 1
-    if df < 1:
-        raise InvalidInput(f"degrees of freedom m-k-1 = {df} must be >= 1")
+    df = model.partition.m - model.k - 1  # >= 1: a model has k = 1 and m >= 3
     fit = minimize_phd(model, sample, h)
     statistic = 2.0 * sample.n * fit.objective
     critical = chi2_quantile(1.0 - alpha, df)
@@ -152,8 +150,9 @@ def model_select(sample: BinnedSample, model1: DiscreteModel,
     """
     alpha = _check_alpha(alpha)
     h = check_penalty_weight(h)
-    if model1.partition.m != model2.partition.m:
-        raise InvalidInput("models must share the partition")
+    if model1.partition != model2.partition:
+        raise InvalidInput(f"models must share the partition, got the cuts "
+                           f"{model1.partition.cuts} and {model2.partition.cuts}")
     fit1 = minimize_phd(model1, sample, h)
     fit2 = minimize_phd(model2, sample, h)
     phat = as_prob_vector(sample.frequencies())

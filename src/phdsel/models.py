@@ -33,7 +33,8 @@ from typing import Callable
 
 import numpy as np
 
-from .cells import CellPartition, _as_prob_rows, as_prob_vector, default_partition
+from .cells import (CellPartition, _as_prob_rows, _is_real, as_prob_vector,
+                    default_partition)
 from .errors import InvalidInput, InvalidParameter
 
 POISSON_BOUNDS = (1e-6, 50.0)
@@ -45,12 +46,13 @@ _ZERO, _ONE = np.zeros(()), np.ones(())
 
 @dataclass(frozen=True)
 class DiscreteModel:
-    """A named parametric family of cell-probability vectors.
+    """A named one-parameter family of cell-probability vectors on a
+    partition of at least 3 cells.
 
     ``cell_fn`` maps a (B, k) parameter array to the (B, m) cell
     probabilities of ``partition`` and does no validation; ``cell_prob`` is
-    its validated batch of one.  ``bounds`` is the box the optimizer
-    searches.
+    its validated batch of one.  ``bounds`` holds the one box (lo, hi) the
+    optimizer searches; a second box is refused at construction.
     """
 
     name: str
@@ -59,13 +61,12 @@ class DiscreteModel:
     cell_fn: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
-        if self.k >= self.partition.m - 1:
-            raise InvalidInput(
-                f"parameter dimension {self.k} must be < m-1 = {self.partition.m - 1}"
-            )
-        for lo, hi in self.bounds:
-            if not lo < hi:
-                raise InvalidInput("each bound must satisfy lo < hi")
+        if len(self.bounds) != 1 or self.partition.m < 3:
+            raise InvalidInput(f"a family has one parameter and at least 3 cells, got the "
+                               f"boxes {self.bounds!r} on {self.partition.m} cells")
+        lo, hi = self.bounds[0]
+        if not lo < hi:
+            raise InvalidInput(f"the box must satisfy lo < hi, got {self.bounds[0]!r}")
 
     @property
     def k(self) -> int:
@@ -88,13 +89,6 @@ class DiscreteModel:
             raise InvalidInput(f"theta must have shape (R, {self.k}), got {arr.shape}")
         q = _as_prob_rows(self.cell_fn(rows))
         return q if arr.ndim == 2 else q[0]
-
-
-def _box(model: DiscreteModel) -> tuple[float, float]:
-    """The box (lo, hi) of a one-parameter model, the only kind supported."""
-    if model.k != 1:
-        raise InvalidInput(f"only one-parameter models are supported, got k={model.k}")
-    return model.bounds[0]
 
 
 def _integer_edges(part: CellPartition, support_start: int) -> np.ndarray:
@@ -163,21 +157,6 @@ def _geometric_kernel(part: CellPartition) -> Callable[[np.ndarray], np.ndarray]
     return cell_fn
 
 
-def poisson_cell_probs(lam: float, part: CellPartition) -> np.ndarray:
-    """Cell probabilities of a Poisson rate-``lam`` pmf on {0, 1, 2, ...}."""
-    if not (np.isfinite(lam) and lam > 0.0):
-        raise InvalidParameter(f"poisson rate must be > 0, got {lam!r}")
-    return as_prob_vector(_poisson_kernel(part)(np.array([[float(lam)]]))[0])
-
-
-def geometric_cell_probs(p: float, part: CellPartition) -> np.ndarray:
-    """Cell probabilities of a geometric success-probability-``p`` pmf on
-    {1, 2, ...}; the cell [0, 1) carries no mass."""
-    if not (np.isfinite(p) and 0.0 < p < 1.0):
-        raise InvalidParameter(f"geometric success probability must be in (0,1), got {p!r}")
-    return as_prob_vector(_geometric_kernel(part)(np.array([[float(p)]]))[0])
-
-
 def poisson_model(part: CellPartition | None = None) -> DiscreteModel:
     part = part or default_partition()
     return DiscreteModel(name="poisson", bounds=(POISSON_BOUNDS,),
@@ -206,22 +185,31 @@ def model_by_name(name: str, part: CellPartition | None = None) -> DiscreteModel
     return builder(part)
 
 
+def _is_mixing_weight(value) -> bool:
+    """Whether ``value`` is a real number, not a bool, in [0, 1]."""
+    return _is_real(value) and 0.0 <= value <= 1.0
+
+
 @dataclass(frozen=True)
 class MixtureDGP:
     """Two-component data generator: Poisson(rate) with weight ``pi``,
-    geometric(success) with weight 1 - ``pi``."""
+    geometric(success) with weight 1 - ``pi``.  The one place that checks a
+    mixture: ``pi`` in [0, 1], a finite rate > 0 and a success probability
+    in (0, 1), each a real number other than a bool."""
 
     pi: float
     poisson_rate: float = 4.0
     geometric_p: float = 0.2
 
     def __post_init__(self):
-        if not 0.0 <= self.pi <= 1.0:
+        if not _is_mixing_weight(self.pi):
             raise InvalidParameter(f"mixing weight must be in [0,1], got {self.pi!r}")
-        if self.poisson_rate <= 0.0:
-            raise InvalidParameter("poisson rate must be > 0")
-        if not 0.0 < self.geometric_p < 1.0:
-            raise InvalidParameter("geometric success probability must be in (0,1)")
+        if not (_is_real(self.poisson_rate) and 0.0 < self.poisson_rate < math.inf):
+            raise InvalidParameter(f"poisson rate must be finite and > 0, "
+                                   f"got {self.poisson_rate!r}")
+        if not (_is_real(self.geometric_p) and 0.0 < self.geometric_p < 1.0):
+            raise InvalidParameter(f"geometric success probability must be in (0,1), "
+                                   f"got {self.geometric_p!r}")
 
 
 def sample_mixture(dgp: MixtureDGP, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -241,9 +229,9 @@ def sample_mixture(dgp: MixtureDGP, n: int, rng: np.random.Generator) -> np.ndar
 def mixture_cell_probs(pi: float, part: CellPartition,
                        poisson_rate: float = 4.0,
                        geometric_p: float = 0.2) -> np.ndarray:
-    """Exact cell probabilities of the mixture (no sampling)."""
-    if not 0.0 <= pi <= 1.0:
-        raise InvalidParameter(f"mixing weight must be in [0,1], got {pi!r}")
-    mix = (pi * poisson_cell_probs(poisson_rate, part)
-           + (1.0 - pi) * geometric_cell_probs(geometric_p, part))
+    """Exact cell probabilities of the mixture (no sampling): the families'
+    own cells at the component parameters, weighted by ``pi`` and 1 - ``pi``."""
+    dgp = MixtureDGP(pi=pi, poisson_rate=poisson_rate, geometric_p=geometric_p)
+    mix = (dgp.pi * poisson_model(part).cell_prob(dgp.poisson_rate)
+           + (1.0 - dgp.pi) * geometric_model(part).cell_prob(dgp.geometric_p))
     return as_prob_vector(mix)

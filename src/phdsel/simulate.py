@@ -17,13 +17,13 @@ import io
 import json
 import math
 import numbers
-import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .cells import CellPartition, _is_real, default_partition
-from .divergence import check_penalty_weight
+from .divergence import (MAX_PENALTY_WEIGHT, check_penalty_weight,
+                         is_penalty_weight)
 from .errors import InvalidInput, NoEquidistance
 from .fit import _fit_phd_rows
 # model_select is not called here; the benchmark's self-test
@@ -31,7 +31,7 @@ from .fit import _fit_phd_rows
 # requires this module to bind it
 from .inference import model_select  # noqa: F401
 from .inference import _studentize_rows
-from .models import (DiscreteModel, MixtureDGP, geometric_model,
+from .models import (DiscreteModel, MixtureDGP, _is_mixing_weight, geometric_model,
                      mixture_cell_probs, poisson_model, sample_mixture)
 from .quantiles import normal_quantile
 
@@ -66,13 +66,9 @@ def _h_key(h) -> int:
 
 
 def _is_weight_list(v) -> bool:
-    """Whether ``v`` is a nonempty list of penalty weights > 0 whose
-    substream keys are finite and distinct: two weights with one key would
-    draw the same samples.  Compared, not converted, so an integer beyond a
-    double is refused."""
-    finite_key = lambda h: (_is_real(h) and 0 < h <= sys.float_info.max
-                            and float(h) * 10**6 <= sys.float_info.max)
-    return _nonempty_list_of(finite_key)(v) and len({_h_key(h) for h in v}) == len(v)
+    """Whether ``v`` is a nonempty list of penalty weights with distinct
+    substream keys: two weights with one key would draw the same samples."""
+    return _nonempty_list_of(is_penalty_weight)(v) and len(set(map(_h_key, v))) == len(v)
 
 
 def _as_partition(cuts) -> CellPartition:
@@ -84,11 +80,11 @@ def _as_partition(cuts) -> CellPartition:
 # no integer), what the value must be, and how a JSON value that passed becomes
 # the field.  JSON names the partition by its finite cuts.
 _RULES = {
-    "pi": (lambda v: _is_real(v) and 0.0 <= v <= 1.0, "a number in [0,1]", float),
+    "pi": (_is_mixing_weight, "a number in [0,1]", float),
     "sizes": (_nonempty_list_of(lambda n: _is_whole(n, 1)),
               "a nonempty list of integers >= 1", tuple),
     "reps": (lambda v: _is_whole(v, 1), "an integer >= 1", int),
-    "h_values": (_is_weight_list, "a nonempty list of numbers > 0 with finite h * 10**6, "
+    "h_values": (_is_weight_list, f"a nonempty list of numbers in (0, {MAX_PENALTY_WEIGHT:g}], "
                  "no two equal when rounded to millionths", lambda v: tuple(map(float, v))),
     "alpha": (lambda v: _is_real(v) and 0.0 < v < 1.0, "a number in (0,1)", float),
     "seed": (lambda v: _is_whole(v, 0), "an integer >= 0", int),
@@ -252,11 +248,12 @@ def _distance_gaps(pis, model1: DiscreteModel, model2: DiscreteModel,
     """Fitted-distance gaps d1 - d2 against the exact mixtures with the
     weights ``pis``; both families are fitted to all of them in one call."""
     h = check_penalty_weight(h)
+    for model in (model1, model2):
+        if model.partition != partition:
+            raise InvalidInput(f"model {model.name!r} has the cuts {model.partition.cuts}, "
+                               f"the mixture {partition.cuts}")
     mixes = np.array([mixture_cell_probs(pi, partition, poisson_rate, geometric_p)
                       for pi in pis])
-    for model in (model1, model2):
-        if model.partition.m != partition.m:
-            raise InvalidInput(f"target has {partition.m} cells, model {model.partition.m}")
     fits1, fits2 = _fit_phd_rows((model1, model2), mixes, h)
     return fits1.fun - fits2.fun
 

@@ -153,6 +153,13 @@ class TestSelect:
         assert out == ""
         assert err.startswith("phdsel: error:")
 
+    def test_weight_above_the_cap_exits_2(self, capsys, poisson_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["select", "--data", poisson_file, "--model1", "poisson",
+                  "--model2", "geometric", "--h", "1e300"])
+        assert exc.value.code == 2
+        assert "1e300" in capsys.readouterr().err
+
     def test_identical_models_degenerate_exit_zero(self, capsys, poisson_file):
         code, out, _ = run(capsys, ["select", "--data", poisson_file,
                                     "--model1", "poisson",

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from phdsel import (DegenerateGradient, InvalidInput, InvalidParameter,
                     grad_phd_first, grad_phd_second, hellinger,
                     penalized_hellinger)
-from phdsel.divergence import _kl_modified_rows, _phd_rows
+from phdsel.divergence import MAX_PENALTY_WEIGHT, _kl_modified_rows, _phd_rows
 
 HD_EXAMPLE = 2.0 * ((1.0 - math.sqrt(0.5)) ** 2 + 0.5)          # (1,0) vs (.5,.5)
 PHD_HALF_EXAMPLE = 2.0 * ((1.0 - math.sqrt(0.5)) ** 2 + 0.25)   # same pair, h=1/2
@@ -80,6 +81,14 @@ class TestPenalizedHellinger:
             penalized_hellinger([0.5, 0.5], [0.5, 0.5], 0.0)
         with pytest.raises(InvalidParameter):
             penalized_hellinger([0.5, 0.5], [0.5, 0.5], -1.0)
+
+    def test_weight_rule_and_its_cap(self):
+        # h is a real number, not a bool, in (0, MAX_PENALTY_WEIGHT]
+        assert MAX_PENALTY_WEIGHT == 1e100
+        assert penalized_hellinger([1.0, 0.0], [0.5, 0.5], MAX_PENALTY_WEIGHT) > 0.0
+        for bad in (1e300, 10**101, 1.0000000000000002e100, math.inf, math.nan, True):
+            with pytest.raises(InvalidParameter, match=re.escape(f"got {bad!r}")):
+                penalized_hellinger([1.0, 0.0], [0.5, 0.5], bad)
 
     @given(simplex_strategy, st.floats(min_value=0.05, max_value=2.0))
     @settings(max_examples=200, deadline=None)

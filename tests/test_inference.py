@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from phdsel import (FAVOR_FIRST, FAVOR_SECOND, INDECISIVE, BinnedSample,
                     CellPartition, DegenerateVariance, DiscreteModel,
-                    InvalidInput, chi2_quantile, decide, default_partition,
+                    InvalidInput, InvalidParameter, chi2_quantile, decide, default_partition,
                     geometric_model, gof_test, model_select, normal_quantile,
                     parse_cuts, poisson_model, power_approx,
                     required_sample_size)
@@ -267,3 +268,16 @@ class TestModelSelect:
         report = model_select(sample, poisson_model(), geometric_model(), 0.5)
         assert report.d1 == report.fit1.objective
         assert report.d2 == report.fit2.objective
+
+    def test_models_on_different_partitions_are_refused(self):
+        # both partitions have 8 cells; only their last finite cut differs
+        other = parse_cuts("1,2,3,4,5,6,100")
+        sample = binned(np.random.default_rng(37), 100)
+        with pytest.raises(InvalidInput, match=re.escape(repr(other.cuts))):
+            model_select(sample, poisson_model(), geometric_model(other), 0.5)
+
+    def test_weight_above_the_cap_is_refused(self):
+        sample = binned(np.random.default_rng(41), 100)
+        for h in (1e300, 10**101, 1.0000000000000002e100):
+            with pytest.raises(InvalidParameter, match=re.escape(f"got {h!r}")):
+                model_select(sample, poisson_model(), geometric_model(), h)

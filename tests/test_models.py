@@ -6,9 +6,8 @@ import pytest
 from scipy import stats
 
 from phdsel import (CellPartition, InvalidInput, InvalidParameter, MixtureDGP,
-                    default_partition, geometric_cell_probs, geometric_model,
-                    mixture_cell_probs, model_by_name, parse_cuts,
-                    poisson_cell_probs, poisson_model, sample_mixture)
+                    default_partition, geometric_model, mixture_cell_probs,
+                    model_by_name, parse_cuts, poisson_model, sample_mixture)
 from phdsel.models import GEOMETRIC_BOUNDS, POISSON_BOUNDS
 
 KERNEL_PARTITIONS = {
@@ -82,19 +81,19 @@ def decimal_geometric_cells(p: float, part: CellPartition) -> np.ndarray:
 
 class TestPoissonCells:
     def test_first_cell_is_exp_minus_lambda(self):
-        p = poisson_cell_probs(4.0, default_partition())
+        p = poisson_model().cell_prob(4.0)
         assert p[0] == pytest.approx(math.exp(-4.0), rel=1e-14)
 
     def test_last_cell_is_upper_tail(self):
         # oracle: complement of the cdf computed by explicit pmf summation
-        p = poisson_cell_probs(4.0, default_partition())
+        p = poisson_model().cell_prob(4.0)
         tail = 1.0 - sum(stats.poisson.pmf(x, 4.0) for x in range(7))
         assert p[-1] == pytest.approx(tail, rel=1e-12)
         assert p[-1] == pytest.approx(0.1106740, abs=5e-8)
 
     @pytest.mark.parametrize("lam", [0.3, 1.0, 4.0, 17.5, 49.0])
     def test_sums_to_one(self, lam):
-        p = poisson_cell_probs(lam, default_partition())
+        p = poisson_model().cell_prob(lam)
         assert abs(p.sum() - 1.0) <= 1e-12
         assert np.all(p >= 0.0)
 
@@ -109,26 +108,20 @@ class TestPoissonCells:
         pmf = stats.poisson.pmf(support, lam)
         oracle = brute_force_cells(pmf, support, part)
         oracle[-1] += max(1.0 - pmf.sum(), 0.0)  # mass beyond the enumeration
-        np.testing.assert_allclose(poisson_cell_probs(lam, part), oracle, atol=1e-12)
-
-    def test_rejects_bad_rate(self):
-        with pytest.raises(InvalidParameter):
-            poisson_cell_probs(0.0, default_partition())
-        with pytest.raises(InvalidParameter):
-            poisson_cell_probs(-1.0, default_partition())
+        np.testing.assert_allclose(poisson_model(part).cell_prob(lam), oracle, atol=1e-12)
 
 
 class TestGeometricCells:
     def test_zero_cell_has_no_mass(self):
-        q = geometric_cell_probs(0.2, default_partition())
+        q = geometric_model().cell_prob(0.2)
         assert q[0] == 0.0
 
     def test_single_support_point_cell(self):
-        q = geometric_cell_probs(0.2, default_partition())
+        q = geometric_model().cell_prob(0.2)
         assert q[1] == pytest.approx(0.2, rel=1e-15)
 
     def test_tail_cell(self):
-        q = geometric_cell_probs(0.2, default_partition())
+        q = geometric_model().cell_prob(0.2)
         assert q[-1] == pytest.approx(0.8**6, rel=1e-12)
 
     @pytest.mark.parametrize("p", [0.05, 0.2, 0.5, 0.95])
@@ -138,12 +131,7 @@ class TestGeometricCells:
         pmf = stats.geom.pmf(xs, p)
         oracle = brute_force_cells(pmf, xs, part)
         oracle[-1] += max(1.0 - pmf.sum(), 0.0)
-        np.testing.assert_allclose(geometric_cell_probs(p, part), oracle, atol=1e-12)
-
-    def test_rejects_bad_probability(self):
-        for bad in (0.0, 1.0, -0.3, 1.7):
-            with pytest.raises(InvalidParameter):
-                geometric_cell_probs(bad, default_partition())
+        np.testing.assert_allclose(geometric_model(part).cell_prob(p), oracle, atol=1e-12)
 
 
 class TestModels:
@@ -255,8 +243,8 @@ class TestMixtureSampling:
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("pi,cells", [
-        (1.0, lambda part: poisson_cell_probs(4.0, part)),
-        (0.0, lambda part: geometric_cell_probs(0.2, part)),
+        (1.0, lambda part: poisson_model(part).cell_prob(4.0)),
+        (0.0, lambda part: geometric_model(part).cell_prob(0.2)),
     ])
     def test_pure_mixture_matches_component_distribution(self, pi, cells):
         # chi-square against the exact cell probabilities of the component
@@ -282,6 +270,27 @@ class TestMixtureCells:
     def test_convex_combination(self):
         part = default_partition()
         mix = mixture_cell_probs(0.25, part)
-        expected = (0.25 * poisson_cell_probs(4.0, part)
-                    + 0.75 * geometric_cell_probs(0.2, part))
+        expected = (0.25 * poisson_model(part).cell_prob(4.0)
+                    + 0.75 * geometric_model(part).cell_prob(0.2))
         np.testing.assert_allclose(mix, expected, rtol=1e-15)
+
+    # the mixture is the one place that checks its rate and success
+    # probability; each error names the offending value
+    def test_rejects_bad_poisson_rate(self):
+        for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidParameter, match=f"got {bad!r}"):
+                MixtureDGP(pi=0.5, poisson_rate=bad)
+            with pytest.raises(InvalidParameter, match=f"got {bad!r}"):
+                mixture_cell_probs(0.5, default_partition(), poisson_rate=bad)
+
+    def test_rejects_bad_geometric_probability(self):
+        for bad in (0.0, 1.0, -0.3, 1.7, math.nan):
+            with pytest.raises(InvalidParameter, match=f"got {bad!r}"):
+                MixtureDGP(pi=0.5, geometric_p=bad)
+            with pytest.raises(InvalidParameter, match=f"got {bad!r}"):
+                mixture_cell_probs(0.5, default_partition(), geometric_p=bad)
+
+    def test_rejects_bad_mixing_weight(self):
+        for bad in (-0.1, 1.5, math.nan, True):
+            with pytest.raises(InvalidParameter, match=f"got {bad!r}"):
+                mixture_cell_probs(bad, default_partition())

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -9,8 +10,7 @@ import numpy as np
 import pytest
 
 import phdsel
-from phdsel import (BinnedSample, CellPartition, DiscreteModel, InvalidInput,
-                    minimize_phd, mle_binned)
+from phdsel import CellPartition, DiscreteModel, InvalidInput
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -23,19 +23,16 @@ def test_star_import_resolves_every_exported_name():
         assert namespace[name] is getattr(phdsel, name)
 
 
-def test_two_parameter_model_is_rejected_at_fit_time():
+def test_two_parameter_model_is_rejected_at_construction():
     def cell_fn(theta):
         a, b = theta[:, :1], theta[:, 1:2]
         return np.hstack([a * b, a * (1.0 - b), (1.0 - a) * b, (1.0 - a) * (1.0 - b)])
 
-    model = DiscreteModel(name="product", bounds=((0.1, 0.9), (0.1, 0.9)),
-                          partition=CellPartition(cuts=(0.0, 1.0, 2.0, 3.0, math.inf)),
-                          cell_fn=cell_fn)
-    sample = BinnedSample(counts=np.array([1, 2, 3, 4]))
-    with pytest.raises(InvalidInput):
-        minimize_phd(model, sample, 0.5)
-    with pytest.raises(InvalidInput):
-        mle_binned(model, sample)
+    bounds = ((0.1, 0.9), (0.1, 0.9))
+    with pytest.raises(InvalidInput, match=re.escape(repr(bounds))):
+        DiscreteModel(name="product", bounds=bounds,
+                      partition=CellPartition(cuts=(0.0, 1.0, 2.0, 3.0, math.inf)),
+                      cell_fn=cell_fn)
 
 
 CLI_SCRIPT = """

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from phdsel import (FAVOR_FIRST, FAVOR_SECOND, INDECISIVE, CellPartition,
                     config_from_dict, default_partition,
                     emit_table, empirical_frequencies, equidistance_gap,
                     equidistance_pi, geometric_model, load_config,
-                    model_select, poisson_model, run_experiment,
+                    model_select, parse_cuts, poisson_model, run_experiment,
                     sample_mixture, substream)
 from phdsel.simulate import _aggregate
 
@@ -85,10 +86,21 @@ class TestConfig:
                 config_from_dict({**raw, "h_values": list(bad)})
         with pytest.raises(InvalidInput, match="h_values"):
             run_experiment(ExperimentConfig(pi=0.5, sizes=(5,), reps=1, h_values=(1e303,)))
-        # the largest weights with a finite key, and weights a millionth apart
-        for good in ((1e302,), (1.0, 1.000001), (1e-6, 2e-6)):
+        # the largest weight accepted, and weights a millionth apart
+        for good in ((1e100,), (1.0, 1.000001), (1e-6, 2e-6)):
             assert ExperimentConfig(pi=0.5, h_values=good).h_values == good
             assert config_from_dict({**raw, "h_values": list(good)}).h_values == good
+
+    def test_weight_above_the_cap_is_refused(self):
+        # overflow starts near h = 1e150 in the selection variance; the cap
+        # 1e100 refuses such weights before a study draws a sample
+        raw = dict(pi=0.5, sizes=[5], reps=2, h_values=[0.5], alpha=0.05,
+                   seed=1, cuts=[1, 2, 3, 4, 5, 6, 7])
+        for bad in (1e300, 1.0000000000000002e100, 10**101, np.float64(1e300)):
+            with pytest.raises(InvalidInput, match=re.escape(f"got ({bad!r},)")):
+                ExperimentConfig(pi=0.5, sizes=(5,), reps=2, h_values=(bad,))
+            with pytest.raises(InvalidInput, match=re.escape(f"got [{bad!r}]")):
+                config_from_dict({**raw, "h_values": [bad]})
 
     def test_from_dict_names_offending_key(self):
         raw = dict(pi=0.5, sizes=[20], reps=5, h_values=[0.5], alpha=0.05,
@@ -252,6 +264,15 @@ class TestEquidistance:
         geom = geometric_model(part)
         with pytest.raises(NoEquidistance):
             equidistance_pi(far_pois, geom, part, 0.5)
+
+    def test_models_on_different_partitions_are_refused(self):
+        # both partitions have 8 cells; only their last finite cut differs
+        part, other = default_partition(), parse_cuts("1,2,3,4,5,6,100")
+        pois, geom = poisson_model(part), geometric_model(other)
+        with pytest.raises(InvalidInput, match=re.escape(repr(other.cuts))):
+            equidistance_pi(pois, geom, part, 0.5)
+        with pytest.raises(InvalidInput, match=re.escape(repr(other.cuts))):
+            equidistance_gap(0.5, pois, geom, part, 0.5)
 
 
 class TestEmitTable:

@@ -18,7 +18,10 @@ one ``model_select`` call at a time, and renders each config's rows with
 ``phdsel.cli.main`` on CLI_CALLS, over data files that it writes: fits in
 the box and at its bound, a goodness-of-fit test, a decisive selection,
 selections with identical fits and with zero variance, and the
-equidistance solve on the default and the wide cuts.
+equidistance solve on the default and the wide cuts.  On each cut set it
+also computes the population values: ``mixture_cell_probs`` at each weight
+in PIS and ``equidistance_gap`` at each weight in GAP_PIS and each h in
+H_VALUES.
 
 Prints the largest differences between the trees, one ``key=value`` line
 each: fitted parameters in box widths, distances, and the relative
@@ -27,8 +30,10 @@ of replications whose decision or degenerate flag differs; then, over the
 ``run_experiment`` rows, the largest relative difference of a mean or SD
 and the counts of rows whose percentages or ``n_degenerate`` differ, and
 the count of rendered tables and of CLI stdout texts that are not
-byte-identical.  Exits 1 when any decision, degenerate flag, percentage,
-``n_degenerate``, table or CLI text differs, 2 on a usage or import error.
+byte-identical, and the count of population values (mixture cell vectors
+and gaps) that are not bit-identical.  Exits 1 when any decision,
+degenerate flag, percentage, ``n_degenerate``, table, CLI text or
+population value differs, 2 on a usage or import error.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ SEED = 1001
 SIZES = (20, 300)
 H_VALUES = (0.5, 1.0)
 PIS = (0.0, 0.5, 1.0)
+GAP_PIS = (0.25, 0.5, 0.75)
 WIDE_CUTS = "1,2,5,10,20,50,100,1000,10000"
 # The data files of the CLI calls, one observation per line: besides
 # draws.txt, POISSON_N Poisson(4) draws, values past the last default cut
@@ -95,10 +101,14 @@ def replay(src: str, reps: int) -> dict:
 
     if not os.path.realpath(ph.__file__).startswith(os.path.realpath(src) + os.sep):
         raise SystemExit(f"phdsel imported from {ph.__file__}, not from {src}")
-    rows, bounds, experiment, tables = [], {}, [], []
+    rows, bounds, experiment, tables, population = [], {}, [], [], []
     for part in (ph.default_partition(), ph.parse_cuts(WIDE_CUTS)):
         pois, geom = ph.poisson_model(part), ph.geometric_model(part)
         bounds = {"theta1": pois.bounds[0], "theta2": geom.bounds[0]}
+        # floats survive the JSON round trip exactly, so == compares bits
+        population += [ph.mixture_cell_probs(pi, part).tolist() for pi in PIS]
+        population += [ph.equidistance_gap(pi, pois, geom, part, h)
+                       for pi in GAP_PIS for h in H_VALUES]
         for pi in PIS:
             config = ph.ExperimentConfig(pi=pi, sizes=SIZES, reps=reps, h_values=H_VALUES,
                                          seed=SEED, partition=part)
@@ -116,7 +126,7 @@ def replay(src: str, reps: int) -> dict:
                                      r.d1, r.d2, r.hi, r.gamma_hat, r.decision,
                                      r.degenerate])
     return {"bounds": bounds, "rows": rows, "experiment": experiment, "tables": tables,
-            "cli": cli_outputs(ph)}
+            "cli": cli_outputs(ph), "population": population}
 
 
 def _fail(message: str):
@@ -163,6 +173,8 @@ def compare(old: dict, new: dict) -> dict:
     out.update(compare_experiment(old["experiment"], new["experiment"]))
     out["table_differences"] = sum(a != b for a, b in zip(old["tables"], new["tables"]))
     out["cli_differences"] = sum(a != b for a, b in zip(old["cli"], new["cli"]))
+    out["population_differences"] = sum(a != b for a, b in zip(old["population"],
+                                                              new["population"]))
     return out
 
 
@@ -199,7 +211,8 @@ def main(argv: list[str] | None = None) -> int:
     for key, value in result.items():
         print(f"{key}={value:.3g}" if isinstance(value, float) else f"{key}={value}")
     differing = ("decision_differences", "degenerate_differences", "row_pct_differences",
-                 "row_degenerate_differences", "table_differences", "cli_differences")
+                 "row_degenerate_differences", "table_differences", "cli_differences",
+                 "population_differences")
     return 1 if any(result[key] for key in differing) else 0
 
 
