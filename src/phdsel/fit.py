@@ -4,7 +4,8 @@ Every fit minimizes R independent one-parameter objectives in lockstep,
 row r on its own box:
 
 * a 32-point uniform grid multi-start, evaluated for all R rows in one call
-  on an (R, 32) array of points;
+  on an (R, 32) array of points, or by the caller, who may know that rows
+  share a box (the PHD fits evaluate each model's grid cells once);
 * golden-section refinement of each row's best bracket, one call on an
   (R, 1) array per step, until the row's bracket is narrower than 1e-8 of
   the box width.  Rows whose bracket has closed still ride along in the
@@ -23,7 +24,8 @@ costs one loop of numpy calls instead of one per model.  Every model fitted
 here has one parameter.
 
 The fit front ends validate their inputs once; the objective they minimize
-calls the model's batched cell kernel directly.
+calls the models' batched cell kernels directly, into one workspace per
+fit.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 from .cells import BinnedSample, as_prob_vector
 from .divergence import _kl_modified_rows, _phd_rows, check_penalty_weight
 from .errors import FitFailed, InvalidInput
-from .models import DiscreteModel
+from .models import DiscreteModel, _residual_last
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GRID_POINTS = 32
@@ -78,15 +80,25 @@ class FitRows(NamedTuple):
                          at_bound=bool(self.at_bound[r]))
 
 
+def _grid(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The start grids of the boxes [lo[r], hi[r]]: column r holds box r's
+    GRID_POINTS points."""
+    return np.linspace(lo, hi, GRID_POINTS)
+
+
 def _lockstep(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
-              hi: np.ndarray) -> FitRows:
+              hi: np.ndarray, fs: np.ndarray | None = None) -> FitRows:
     """Minimize one objective per row, row r on its own box [lo[r], hi[r]],
     all at once; ``f`` maps a (rows, k) array of points to their (rows, k)
-    values, whose row i may depend only on row i of the points."""
+    values, whose row i may depend only on row i of the points.  ``fs``
+    holds the (rows, GRID_POINTS) values at the start grids
+    ``_grid(lo, hi)`` when the caller has them, and ``f(_grid(lo, hi).T)``
+    computes them otherwise."""
     rows = lo.size
     tol = 1e-8 * (hi - lo)
-    xs = np.linspace(lo, hi, GRID_POINTS)  # column r is row r's grid
-    fs = f(xs.T)
+    xs = _grid(lo, hi)  # column r is row r's grid
+    if fs is None:
+        fs = f(xs.T)
     if not np.isfinite(fs).any(axis=1).all():
         raise FitFailed("objective non-finite at every grid start")
     j = np.argmin(fs, axis=1)  # first minimum = smallest x on ties
@@ -111,6 +123,8 @@ def _lockstep(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
     interior[:, 1] = f(interior_x.T).T
     # the interior points after a step that keeps [a, x2] / [x1, b]
     after_left, after_right = pts[2::-2], pts[1:]
+    # the newest evaluation as the (rows, 1) points and values of f
+    x_col, f_col = x_new[:, None], f_new[:, None]
 
     # No bracket can close within the first `safe` steps, so they skip the
     # check: each step shrinks a bracket by GOLDEN, up to rounding errors of
@@ -126,14 +140,16 @@ def _lockstep(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
     closed = np.zeros(rows, dtype=bool)
     shut = np.empty(rows, dtype=bool)
     steps = np.empty(rows, dtype=int)
+    # the ufunc reductions are ndarray.any and .all without their wrappers
+    any_, all_ = np.logical_or.reduce, np.logical_and.reduce
     for step in range(MAX_STEPS + 1):
-        if step >= safe and np.less(w, tol, out=shut).any():
+        if step >= safe and any_(np.less(w, tol, out=shut)):
             shut &= ~closed
-            if shut.any():
+            if any_(shut):
                 closed |= shut
                 steps[shut] = step
                 np.copyto(final, interior, where=shut)
-                if closed.all():
+                if all_(closed):
                     break
         if step == MAX_STEPS:
             break
@@ -144,7 +160,7 @@ def _lockstep(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
         gw = w * GOLDEN
         np.subtract(b, gw, out=x_new)
         np.copyto(x_new, a + gw, where=right)
-        f_new[:] = f(x_new[:, None])[:, 0]
+        f_col[...] = f(x_col)
         interior[:] = np.where(left, after_left, after_right)
     if not closed.all():  # rows still open after MAX_STEPS steps
         steps[~closed] = MAX_STEPS
@@ -157,39 +173,60 @@ def _lockstep(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
     return FitRows(best_x, best_f, GRID_POINTS + 2 + steps, closed, at_bound)
 
 
-def _cells(model: DiscreteModel, theta: np.ndarray) -> np.ndarray:
-    """(r, k) parameter points -> their (r, k, m) cell probabilities."""
-    return model.cell_fn(theta.reshape(-1, 1)).reshape(theta.shape + (-1,))
-
-
 def _fit_phd_rows(models: tuple[DiscreteModel, ...], phat: np.ndarray,
                   h) -> tuple[FitRows, ...]:
     """Minimum penalized Hellinger fits of each of ``models`` to each row of
     the (R, m) frequency array ``phat``, row r with penalty weight ``h[r]``
     (or ``h`` for all rows), in one lockstep call; one FitRows per model.
 
-    The fits are stacked model-major, each model's R rows on its own box:
-    an objective call evaluates each model's cells on its slice of the
-    points, then the distances of all of them at once.
+    The fits are stacked model-major, each model's R rows on its own box.
+    Each model's start grid is one box, so its cells are evaluated once and
+    its R rows of grid values taken from them.  Later objective calls fill
+    one cell workspace per number of points: each model's kernel writes the
+    interior cells of its own stacked rows in place, the residual last cell
+    is completed once for all rows, then the distances of all of them are
+    taken at once.
 
     No validation: each row must be a probability vector on the models'
     cells and each weight finite and positive.
     """
-    rows, k = phat.shape[0], len(models)
+    rows, m = phat.shape
+    k = len(models)
+    root_p = np.sqrt(phat)[:, None, :]
+    occupied = (phat > 0.0)[:, None, :]
+    weights = np.broadcast_to(h, (k, rows))[:, :, None, None]
+    lo, hi = np.array([model.bounds[0] for model in models]).T
+    grids = _grid(lo, hi)  # column i is the grid of models[i]'s box
     # row i * rows + r of the stack is the fit of models[i] to phat[r]
-    stacked = np.concatenate((phat,) * k)
-    root_p = np.sqrt(stacked)[:, None, :]
-    occupied = (stacked > 0.0)[:, None, :]
-    weight = np.broadcast_to(h, (k, rows)).reshape(-1, 1, 1)
-    lo, hi = np.repeat(np.array([model.bounds[0] for model in models]).T, rows, axis=1)
-    spans = [(model, slice(i * rows, (i + 1) * rows)) for i, model in enumerate(models)]
+    fs = np.concatenate([_phd_rows(root_p, occupied, model.cell_fn(grids[:, i:i + 1]),
+                                   weights[i]) for i, model in enumerate(models)])
+    root_s, occupied_s = np.concatenate((root_p,) * k), np.concatenate((occupied,) * k)
+    weight_s = weights.reshape(-1, 1, 1)
+    spaces = {}
+
+    def workspace(c: int):
+        """The workspace of objective calls on c points per stacked row: the
+        (k R, c, m) cells; each model's kernel, the slice of the flattened
+        points it reads and the interior-cell rows it fills; the interior
+        and the last cells of all rows."""
+        flat = np.empty((k * rows * c, m))
+        spans = [slice(i * rows * c, (i + 1) * rows * c) for i in range(k)]
+        fills = [(model.kernel, sl, flat[sl, :-1]) for model, sl in zip(models, spans)]
+        return flat.reshape(k * rows, c, m), fills, flat[:, :-1], flat[:, -1]
 
     def objective(th: np.ndarray) -> np.ndarray:
-        cells = np.concatenate([_cells(model, th[sl]) for model, sl in spans])
-        return _phd_rows(root_p, occupied, cells, weight)
+        c = th.shape[1]
+        if c not in spaces:
+            spaces[c] = workspace(c)
+        cells, fills, interior, last = spaces[c]
+        points = th.reshape(-1, 1)
+        for kernel, sl, out in fills:
+            kernel(points[sl], out)
+        _residual_last(interior, last)
+        return _phd_rows(root_s, occupied_s, cells, weight_s)
 
-    fits = _lockstep(objective, lo, hi)
-    return tuple(FitRows(*(a[sl] for a in fits)) for _, sl in spans)
+    fits = _lockstep(objective, np.repeat(lo, rows), np.repeat(hi, rows), fs)
+    return tuple(FitRows(*(a[i * rows:(i + 1) * rows] for a in fits)) for i in range(k))
 
 
 def _target(model: DiscreteModel, p) -> np.ndarray:
@@ -217,10 +254,9 @@ def mle_binned(model: DiscreteModel, sample: BinnedSample) -> FitResult:
     """Grouped-data maximum likelihood via the modified KL divergence."""
     phat = _target(model, sample.frequencies())
     occupied = phat > 0.0
-    m = phat.size
 
     def objective(th: np.ndarray) -> np.ndarray:
-        q = _cells(model, th).reshape(-1, m)
+        q = model.cell_fn(th.reshape(-1, 1))
         return _kl_modified_rows(phat, occupied, q).reshape(th.shape)
 
     return _lockstep(objective, *np.array(model.bounds[0])[:, None]).fit(0)

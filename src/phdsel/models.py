@@ -1,24 +1,31 @@
 """Parametric cell-probability models and the mixture data generator.
 
 A model maps parameters to the probabilities of the partition cells through
-one array kernel, ``cell_fn``, built once per model from the partition's
-integer cell edges: interior cell i covers the integers [e_i, e_{i+1}) of
-the family's support, where e_i is the cut ceil(cuts[i]) raised to the
-support's first point.  The kernel takes a (B, k) parameter array and
-returns (B, m) cell probabilities without validation.  The last cell
-absorbs the residual 1 - sum(interior), so each row is normalized exactly
-rather than by truncated summation.
+one array kernel, built once per model from the partition's integer cell
+edges: interior cell i covers the integers [e_i, e_{i+1}) of the family's
+support, where e_i is the cut ceil(cuts[i]) raised to the support's first
+point.  Every family follows one kernel contract: ``kernel(theta, out)``
+writes the m - 1 interior cell probabilities of the (B, 1) parameters
+``theta`` into the (B, m - 1) array ``out``, in place and without
+validation.  The last cell absorbs the residual 1 - sum(interior), which
+the caller completes (``_residual_last``), so each row is normalized
+exactly rather than by truncated summation; a fit completes it once for
+the rows of all its models.  ``DiscreteModel.cell_fn`` is the allocating
+(B, m) call.
 
 * Poisson: the cumulative pmf, pmf(0) = exp(-lam) and
   pmf(x) = pmf(x-1) * lam / x by cumulative product, differenced at the
   edges.  The sum stops at T = min(e_{m-1}, floor(lam + 12 sqrt(lam) + 40))
-  with lam the largest rate of the batch.  T = e_{m-1} whenever
-  e_{m-1} <= 40, as on the default cells; there the kernel builds its
-  divisors and edge indices once and never reads the largest rate.  The
-  Poisson mass beyond T is below 3e-34 for every rate up to 1e4, far below
-  half an ulp of the running cdf, which is within rounding of 1 there;
-  adding those terms would not change one bit of the sums, so the
-  truncation is exact, and the cost no longer grows with the largest cut.
+  with lam the largest rate of the batch.  The divisors and edge indices
+  of each T are built once per partition.  T = e_{m-1} whenever
+  e_{m-1} <= 40, as on the default cells; there the kernel never reads the
+  largest rate.  The Poisson mass beyond T is below 3e-34 for every rate
+  up to 1e4, far below half an ulp of the running cdf, which is within
+  rounding of 1 there; adding those terms would not change one bit of the
+  sums, so the truncation is exact, and the cost no longer grows with the
+  largest cut.  A mixture's rate is at most MAX_POISSON_RATE = 700: below
+  about 708 exp(-lam) stays a normal double, and the running product
+  lam^x / x!, which peaks near e^lam, stays finite.
 * Geometric on {1, 2, ...}: cell [a, b) in closed form,
   (1-p)^(a-1) (1 - (1-p)^(b-a)) evaluated as
   exp((a-1) log1p(-p)) * -expm1((b-a) log1p(-p)), which keeps full relative
@@ -27,6 +34,7 @@ rather than by truncated summation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -39,6 +47,9 @@ from .errors import InvalidInput, InvalidParameter
 
 POISSON_BOUNDS = (1e-6, 50.0)
 GEOMETRIC_BOUNDS = (1e-6, 1.0 - 1e-6)
+# The largest Poisson rate of a mixture: every cut set's kernel evaluates
+# rates up to here in finite, normal doubles.
+MAX_POISSON_RATE = 700.0
 # 0-d arrays: as ufunc operands they skip the conversion a Python float
 # needs, which is a measurable share of a kernel call on a few rows
 _ZERO, _ONE = np.zeros(()), np.ones(())
@@ -49,16 +60,18 @@ class DiscreteModel:
     """A named one-parameter family of cell-probability vectors on a
     partition of at least 3 cells.
 
-    ``cell_fn`` maps a (B, k) parameter array to the (B, m) cell
-    probabilities of ``partition`` and does no validation; ``cell_prob`` is
-    its validated batch of one.  ``bounds`` holds the one box (lo, hi) the
-    optimizer searches; a second box is refused at construction.
+    ``kernel(theta, out)`` writes the interior cell probabilities of the
+    (B, 1) parameters ``theta`` into the (B, m - 1) array ``out`` (see the
+    module docstring); ``cell_fn`` is its allocating call with the residual
+    last cell, and ``cell_prob`` the validated one.  ``bounds`` holds the
+    one box (lo, hi) the optimizer searches; a second box is refused at
+    construction.
     """
 
     name: str
     bounds: tuple[tuple[float, float], ...]
     partition: CellPartition
-    cell_fn: Callable[[np.ndarray], np.ndarray]
+    kernel: Callable[[np.ndarray, np.ndarray], None]
 
     def __post_init__(self):
         if len(self.bounds) != 1 or self.partition.m < 3:
@@ -77,6 +90,14 @@ class DiscreteModel:
         if arr.shape != (self.k,):
             raise InvalidInput(f"theta must have shape ({self.k},), got {arr.shape}")
         return arr
+
+    def cell_fn(self, theta: np.ndarray) -> np.ndarray:
+        """(B, 1) parameters -> their (B, m) cell probabilities, without
+        validation."""
+        probs = np.empty((theta.shape[0], self.partition.m))
+        self.kernel(theta, probs[:, :-1])
+        _residual_last(probs[:, :-1], probs[:, -1])
+        return probs
 
     def cell_prob(self, theta) -> np.ndarray:
         """Cell probabilities at ``theta``, one parameter vector of shape
@@ -97,29 +118,38 @@ def _integer_edges(part: CellPartition, support_start: int) -> np.ndarray:
     return np.maximum(np.ceil(np.asarray(part.cuts[:-1])), float(support_start))
 
 
-def _residual_last(probs: np.ndarray) -> np.ndarray:
-    np.maximum(_ONE - np.add.reduce(probs[:, :-1], axis=1), _ZERO, out=probs[:, -1])
-    return probs
+def _residual_last(interior: np.ndarray, last: np.ndarray) -> None:
+    """Write 1 - sum(interior) of each row, floored at 0, into ``last``: the
+    (B, m - 1) interior cells and the (B,) last cell of (B, m) rows."""
+    np.maximum(_ONE - np.add.reduce(interior, axis=1), _ZERO, out=last)
 
 
-def _poisson_kernel(part: CellPartition) -> Callable[[np.ndarray], np.ndarray]:
-    """Batched Poisson kernel on {0, 1, 2, ...}: (B, 1) rates -> (B, m)."""
+# one kernel per partition, so that the models a study builds per config
+# share its terms
+@functools.lru_cache(maxsize=32)
+def _poisson_kernel(part: CellPartition) -> Callable[[np.ndarray, np.ndarray], None]:
+    """Batched Poisson kernel on {0, 1, 2, ...}: (B, 1) rates -> the
+    (B, m - 1) interior cells."""
     edges = _integer_edges(part, 0)
     top = edges[-1]
 
-    def terms(n: int) -> tuple[int, np.ndarray, np.ndarray]:
+    # a fit's rates stay in the box, so its lengths are at most 174
+    @functools.lru_cache(maxsize=256)
+    def terms(n: int) -> tuple[int, np.ndarray, np.ndarray | None]:
         """A sum over n pmf terms: n, the divisors 1..n-1 of the pmf
-        recursion and the edges as indices of the cumulative sums."""
-        return n, np.arange(1.0, n), np.minimum(edges, n).astype(np.intp)
+        recursion and the edges as indices of the cumulative sums, None
+        when they are 0..n, the cumulative sums themselves."""
+        at_edges = np.minimum(edges, n).astype(np.intp)
+        identity = np.array_equal(at_edges, np.arange(n + 1))
+        return n, np.arange(1.0, n), None if identity else at_edges
 
     # lam + 12 sqrt(lam) + 40 >= 40 for every rate, so on cuts whose top edge
-    # is at most 40 the sum always stops there and its terms are built once
+    # is at most 40 the sum always stops there
     fixed = terms(int(top)) if top <= 40.0 else None
 
-    def cell_fn(theta: np.ndarray) -> np.ndarray:
-        lam = theta[:, :1]
+    def kernel(lam: np.ndarray, out: np.ndarray) -> None:
         if fixed is None:
-            lam_max = float(lam.max())
+            lam_max = float(np.maximum.reduce(lam, axis=None))
             n, divisors, at_edges = terms(
                 int(min(top, math.floor(lam_max + 12.0 * math.sqrt(lam_max) + 40.0))))
         else:
@@ -131,42 +161,37 @@ def _poisson_kernel(part: CellPartition) -> Callable[[np.ndarray], np.ndarray]:
         # the ufunc methods are np.cumprod and np.cumsum without their wrappers
         np.multiply(base, np.multiply.accumulate(lam / divisors, axis=1), out=csum[:, 2:])
         np.add.accumulate(csum[:, 1:], axis=1, out=csum[:, 1:])
-        # take, unlike fancy indexing, returns C-ordered rows, so each row sum
-        # below is bit-identical to that of a batch of one
-        at = csum.take(at_edges, axis=1)
-        probs = np.empty_like(at)
-        np.subtract(at[:, 1:], at[:, :-1], out=probs[:, :-1])
-        return _residual_last(probs)
+        at = csum if at_edges is None else csum.take(at_edges, axis=1)
+        np.subtract(at[:, 1:], at[:, :-1], out=out)
 
-    return cell_fn
+    return kernel
 
 
-def _geometric_kernel(part: CellPartition) -> Callable[[np.ndarray], np.ndarray]:
+def _geometric_kernel(part: CellPartition) -> Callable[[np.ndarray, np.ndarray], None]:
     """Batched geometric kernel on {1, 2, ...}: (B, 1) success
-    probabilities -> (B, m); the cell [0, 1) carries no mass."""
+    probabilities -> the (B, m - 1) interior cells; the cell [0, 1) carries
+    no mass."""
     edges = _integer_edges(part, 1)
     start, width = edges[:-1] - 1.0, np.diff(edges)
 
-    def cell_fn(theta: np.ndarray) -> np.ndarray:
-        log_q = np.log1p(-theta[:, :1])
-        probs = np.empty((theta.shape[0], part.m))
+    def kernel(theta: np.ndarray, out: np.ndarray) -> None:
+        log_q = np.log1p(-theta)
         # 0 - expm1 keeps empty cells at +0.0
-        np.multiply(np.exp(start * log_q), _ZERO - np.expm1(width * log_q), out=probs[:, :-1])
-        return _residual_last(probs)
+        np.multiply(np.exp(start * log_q), _ZERO - np.expm1(width * log_q), out=out)
 
-    return cell_fn
+    return kernel
 
 
 def poisson_model(part: CellPartition | None = None) -> DiscreteModel:
     part = part or default_partition()
     return DiscreteModel(name="poisson", bounds=(POISSON_BOUNDS,),
-                         partition=part, cell_fn=_poisson_kernel(part))
+                         partition=part, kernel=_poisson_kernel(part))
 
 
 def geometric_model(part: CellPartition | None = None) -> DiscreteModel:
     part = part or default_partition()
     return DiscreteModel(name="geometric", bounds=(GEOMETRIC_BOUNDS,),
-                         partition=part, cell_fn=_geometric_kernel(part))
+                         partition=part, kernel=_geometric_kernel(part))
 
 
 MODEL_BUILDERS: dict[str, Callable[[CellPartition | None], DiscreteModel]] = {
@@ -194,8 +219,8 @@ def _is_mixing_weight(value) -> bool:
 class MixtureDGP:
     """Two-component data generator: Poisson(rate) with weight ``pi``,
     geometric(success) with weight 1 - ``pi``.  The one place that checks a
-    mixture: ``pi`` in [0, 1], a finite rate > 0 and a success probability
-    in (0, 1), each a real number other than a bool."""
+    mixture: ``pi`` in [0, 1], a rate in (0, MAX_POISSON_RATE] and a success
+    probability in (0, 1), each a real number other than a bool."""
 
     pi: float
     poisson_rate: float = 4.0
@@ -204,8 +229,8 @@ class MixtureDGP:
     def __post_init__(self):
         if not _is_mixing_weight(self.pi):
             raise InvalidParameter(f"mixing weight must be in [0,1], got {self.pi!r}")
-        if not (_is_real(self.poisson_rate) and 0.0 < self.poisson_rate < math.inf):
-            raise InvalidParameter(f"poisson rate must be finite and > 0, "
+        if not (_is_real(self.poisson_rate) and 0.0 < self.poisson_rate <= MAX_POISSON_RATE):
+            raise InvalidParameter(f"poisson rate must be in (0, {MAX_POISSON_RATE:g}], "
                                    f"got {self.poisson_rate!r}")
         if not (_is_real(self.geometric_p) and 0.0 < self.geometric_p < 1.0):
             raise InvalidParameter(f"geometric success probability must be in (0,1), "

@@ -7,8 +7,9 @@ keyed by (seed, n, h, replication index), so results do not depend on
 execution order.
 
 ``run_experiment`` takes all replications of a config one chunk of rows at
-a time: one lockstep minimizer call that fits both families (see
-``phdsel.fit``), then one studentization call (see ``phdsel.asymptotics``).
+a time: one binning call for the chunk's samples, one lockstep minimizer
+call that fits both families (see ``phdsel.fit``), then one studentization
+call (see ``phdsel.asymptotics``).
 """
 
 from __future__ import annotations
@@ -151,18 +152,28 @@ def substream(seed: int, n: int, h: float, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, n, _h_key(h), rep)))
 
 
+def _binned_rows(part: CellPartition, draws: list[np.ndarray]) -> np.ndarray:
+    """The (R, m) cell counts of R samples: one search for the cells of all
+    draws and one count of the cells offset by m times the sample's row."""
+    rows = np.repeat(np.arange(0, len(draws) * part.m, part.m), [d.size for d in draws])
+    cells = part.bin_indices(np.concatenate(draws)) + rows
+    return np.bincount(cells, minlength=len(draws) * part.m).reshape(-1, part.m)
+
+
 def run_experiment(config: ExperimentConfig,
                    max_workers: int | None = None) -> list[ExperimentRow]:
     """Run the full grid of (n, h) blocks.
 
-    Every replication of every block is drawn and binned first, each from
-    its own substream keyed by (seed, n, h, rep).  The R = len(sizes) *
-    len(h_values) * reps rows then go ``CHUNK_ROWS`` at a time through one
-    lockstep call that fits both families and the row core of
-    ``phdsel.asymptotics``.  Row r of a lockstep fit and of a
+    The R = len(sizes) * len(h_values) * reps replications go
+    ``CHUNK_ROWS`` at a time through one binning call (``_binned_rows``),
+    one lockstep call that fits both families and the row core of
+    ``phdsel.asymptotics``; each replication draws its sample from its own
+    substream keyed by (seed, n, h, rep).  Row r of a lockstep fit and of a
     chunk's studentization is bit-identical to that replication alone, so
     every block row equals the aggregate of per-replication
-    ``model_select`` calls.
+    ``model_select`` calls.  The means and SDs of the estimates and
+    distances of all blocks come from one call each, and the decision and
+    degenerate counts of all blocks from one count.
 
     ``max_workers`` is accepted and ignored: the rows never depended on it,
     and splitting the fits or the studentization across two threads
@@ -173,46 +184,49 @@ def run_experiment(config: ExperimentConfig,
     pois = poisson_model(part)
     geom = geometric_model(part)
     blocks = [(n, h) for n in config.sizes for h in config.h_values]
-    counts = np.array([
-        np.bincount(part.bin_indices(sample_mixture(dgp, n, substream(config.seed, n, h, rep))),
-                    minlength=part.m)
-        for n, h in blocks for rep in range(config.reps)
-    ])
-    sizes = np.repeat([n for n, _ in blocks], config.reps)
-    phat = counts / sizes[:, None]
-    weights = np.repeat([h for _, h in blocks], config.reps)
-    chunks = []
-    for start in range(0, len(phat), CHUNK_ROWS):
+    reps = config.reps
+    keys = [(n, h, rep) for n, h in blocks for rep in range(reps)]
+    sizes = np.repeat([n for n, _ in blocks], reps)
+    weights = np.repeat([h for _, h in blocks], reps)
+    # the estimates and distances (lam, p, d1, d2) of every row, then HI
+    estimates = np.empty((4, len(keys)))
+    hi = np.empty(len(keys))
+    degenerate = np.empty(len(keys), dtype=bool)
+    for start in range(0, len(keys), CHUNK_ROWS):
         sl = slice(start, start + CHUNK_ROWS)
-        fits1, fits2 = _fit_phd_rows((pois, geom), phat[sl], weights[sl])
-        hi, degenerate = _studentize_rows(phat[sl], sizes[sl], pois, fits1.x, fits1.fun,
-                                          geom, fits2.x, fits2.fun, weights[sl])
-        chunks.append((fits1.x, fits2.x, fits1.fun, fits2.fun, hi, degenerate))
-    # each result column as (blocks, reps): row i holds block i's replications
-    columns = [np.concatenate(column).reshape(len(blocks), config.reps)
-               for column in zip(*chunks)]
+        draws = [sample_mixture(dgp, n, substream(config.seed, n, h, rep))
+                 for n, h, rep in keys[sl]]
+        phat = _binned_rows(part, draws) / sizes[sl, None]
+        fits1, fits2 = _fit_phd_rows((pois, geom), phat, weights[sl])
+        estimates[:, sl] = fits1.x, fits2.x, fits1.fun, fits2.fun
+        hi[sl], degenerate[sl] = _studentize_rows(phat, sizes[sl], pois, fits1.x, fits1.fun,
+                                                  geom, fits2.x, fits2.fun, weights[sl])
+    # every column as (blocks, reps): row i holds block i's replications
+    estimates = estimates.reshape(4, len(blocks), reps)
+    means = estimates.mean(axis=2).T.tolist()
+    # one replication has no spread: every such row shares one 0.0
+    sds = estimates.std(axis=2, ddof=1).T.tolist() if reps > 1 else [[0.0] * 4] * len(blocks)
+    hi = hi.reshape(len(blocks), reps)
     z = normal_quantile(1.0 - config.alpha / 2.0)
-    return [_aggregate(config, n, h, z, *(column[i] for column in columns))
+    # per block, the replications favoring the first family (hi < -z) and the
+    # second (hi > z), as ``decide`` rules, and the degenerate ones; a NaN HI
+    # (degenerate) is neither decision, so it counts as indecisive
+    counts = np.count_nonzero([hi < -z, hi > z, degenerate.reshape(len(blocks), reps)],
+                              axis=2).T.tolist()
+    return [_row(config, n, h, means[i], sds[i], hi[i], *counts[i])
             for i, (n, h) in enumerate(blocks)]
 
 
-def _aggregate(config: ExperimentConfig, n: int, h: float, z: float,
-               lam: np.ndarray, p: np.ndarray, d1: np.ndarray, d2: np.ndarray,
-               hi: np.ndarray, degenerate: np.ndarray) -> ExperimentRow:
-    """The row of one block from its replications' estimates, distances,
-    HI and degenerate flags.  A replication favors the first family when
-    hi < -z and the second when hi > z, as ``decide`` rules; a NaN HI
-    (degenerate) is neither, so it counts as indecisive."""
+def _row(config: ExperimentConfig, n: int, h: float, means: list[float], sds: list[float],
+         hi: np.ndarray, n_fav1: int, n_fav2: int, n_deg: int) -> ExperimentRow:
+    """The row of one block from the means and SDs of its replications'
+    (lam, p, d1, d2), their HI and their decision and degenerate counts;
+    HI's mean and SD skip the NaN HI of degenerate replications."""
     reps = hi.size
-    n_deg = int(np.count_nonzero(degenerate))
-    ok = ~np.isnan(hi)
-    n_fav1 = int(np.count_nonzero(hi < -z))
-    n_fav2 = int(np.count_nonzero(hi > z))
-    n_ind = reps - n_fav1 - n_fav2  # degenerate reps are indecisive already
-
-    def sd(v: np.ndarray) -> float:
-        return float(np.std(v, ddof=1)) if v.size > 1 else 0.0
-
+    ok = hi[~np.isnan(hi)]
+    hi_mean = hi_sd = math.nan
+    if ok.size:
+        hi_mean, hi_sd = float(ok.mean()), float(np.std(ok, ddof=1)) if ok.size > 1 else 0.0
     pct = lambda c: 100.0 * c / reps
     fav1, fav2 = pct(n_fav1), pct(n_fav2)
     if config.pi == 1.0:
@@ -221,16 +235,17 @@ def _aggregate(config: ExperimentConfig, n: int, h: float, z: float,
         correct, incorrect = fav2, fav1
     else:
         correct = incorrect = None
+    lam_mean, p_mean, d1_mean, d2_mean = means
+    lam_sd, p_sd, d1_sd, d2_sd = sds
     return ExperimentRow(
         pi=config.pi, n=n, h=h,
-        lambda_mean=float(lam.mean()), lambda_sd=sd(lam),
-        p_mean=float(p.mean()), p_sd=sd(p),
-        dhp_poisson_mean=float(d1.mean()), dhp_poisson_sd=sd(d1),
-        dhp_geometric_mean=float(d2.mean()), dhp_geometric_sd=sd(d2),
-        hi_mean=float(hi[ok].mean()) if ok.any() else math.nan,
-        hi_sd=sd(hi[ok]) if ok.any() else math.nan,
+        lambda_mean=lam_mean, lambda_sd=lam_sd, p_mean=p_mean, p_sd=p_sd,
+        dhp_poisson_mean=d1_mean, dhp_poisson_sd=d1_sd,
+        dhp_geometric_mean=d2_mean, dhp_geometric_sd=d2_sd,
+        hi_mean=hi_mean, hi_sd=hi_sd,
         pct_favor_poisson=fav1, pct_favor_geometric=fav2,
-        pct_indecisive=pct(n_ind),
+        # degenerate replications are indecisive already
+        pct_indecisive=pct(reps - n_fav1 - n_fav2),
         pct_correct=correct, pct_incorrect=incorrect,
         n_degenerate=n_deg,
     )

@@ -11,6 +11,7 @@ from phdsel import (BinnedSample, CellPartition, DiscreteModel, FitFailed,
                     hellinger, minimize_phd, mle_binned, parse_cuts,
                     penalized_hellinger, poisson_model, sample_mixture)
 from phdsel.fit import _fit_phd_rows, _lockstep
+from phdsel.simulate import CHUNK_ROWS
 
 ORACLE_PARTITIONS = (default_partition(), parse_cuts("1,2,5,10,20,50,100,1000,10000"))
 FIT_TOL = 1e-8  # the minimizer's bracket at exit, as a share of the box width
@@ -51,12 +52,19 @@ def three_cell_model():
     """theta -> (theta, (1-theta)/2, (1-theta)/2) on three cells."""
     part = CellPartition(cuts=(0.0, 1.0, 2.0, math.inf))
 
-    def cell_fn(theta):
-        t = theta[:, :1]
-        return np.hstack([t, 0.5 * (1.0 - t), 0.5 * (1.0 - t)])
+    def kernel(theta, out):
+        out[:] = np.hstack([theta, 0.5 * (1.0 - theta)])
 
     return DiscreteModel(name="wedge", bounds=((0.05, 0.9),),
-                         partition=part, cell_fn=cell_fn)
+                         partition=part, kernel=kernel)
+
+
+def permuted_kernel(base, perm):
+    """The kernel of ``base`` with its cells in the order ``perm``; the last
+    permuted cell becomes the residual of the others."""
+    def kernel(theta, out):
+        out[:] = base.cell_fn(theta)[:, perm[:-1]]
+    return kernel
 
 
 def minimize(f, lo, hi):
@@ -138,7 +146,7 @@ class TestMinimizePhd:
         perm = rng.permutation(8)
         permuted = DiscreteModel(name="poisson-permuted", bounds=base.bounds,
                                  partition=base.partition,
-                                 cell_fn=lambda th: base.cell_fn(th)[:, perm])
+                                 kernel=permuted_kernel(base, perm))
         fit = minimize_phd(base, BinnedSample(counts=counts), 0.5)
         fit_perm = minimize_phd(permuted, BinnedSample(counts=counts[perm]), 0.5)
         assert abs(fit.theta_hat[0] - fit_perm.theta_hat[0]) <= 1e-6
@@ -205,6 +213,29 @@ class TestLockstepRows:
                 assert tuple(a[r] for a in rows) == tuple(a[r] for a in one) == (
                     alone.theta_hat[0], alone.objective, alone.evaluations,
                     alone.converged, alone.at_bound)
+
+    def test_chunk_of_wide_cut_rows_equals_fits_alone(self):
+        # a full chunk of run_experiment, both families in one call, on the
+        # wide cuts, where the Poisson truncation point follows the chunk's
+        # largest rate: mixture samples of 1 to 300 draws at both weights,
+        # plus a row at the rate bound and a row in one cell
+        part = ORACLE_PARTITIONS[1]
+        rng = np.random.default_rng(2024)
+        counts = [np.bincount(part.bin_indices(
+                      sample_mixture(MixtureDGP(pi=rng.uniform()), rng.integers(1, 301), rng)),
+                      minlength=part.m) for _ in range(CHUNK_ROWS - 2)]
+        counts += [[0] * (part.m - 1) + [5], [0, 0, 7] + [0] * (part.m - 3)]
+        counts = np.array(counts)
+        h = rng.choice([0.5, 1.0], size=CHUNK_ROWS)
+        phat = counts / counts.sum(axis=1, keepdims=True)
+        models = (poisson_model(part), geometric_model(part))
+        for model, rows in zip(models, _fit_phd_rows(models, phat, h), strict=True):
+            assert rows.x.shape == (CHUNK_ROWS,)
+            for r, c in enumerate(counts):
+                alone = minimize_phd(model, BinnedSample(counts=c), h[r])
+                assert tuple(a[r] for a in rows) == (
+                    alone.theta_hat[0], alone.objective, alone.evaluations,
+                    alone.converged, alone.at_bound), (model.name, r)
 
     def test_each_row_keeps_its_own_box(self):
         # one objective on rows with four boxes, the last far from the

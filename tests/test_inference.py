@@ -30,6 +30,14 @@ def edge_samples(draw):
     return part, BinnedSample(counts=counts)
 
 
+def permuted_kernel(base, perm):
+    """The kernel of ``base`` with its cells in the order ``perm``; the last
+    permuted cell becomes the residual of the others."""
+    def kernel(theta, out):
+        out[:] = base.cell_fn(theta)[:, perm[:-1]]
+    return kernel
+
+
 def binned(rng, n, pi=1.0, part=None):
     part = part or default_partition()
     data = np.where(rng.random(n) < pi, rng.poisson(4.0, n), rng.geometric(0.2, n))
@@ -47,12 +55,11 @@ class TestGofTest:
     def test_zero_statistic_never_rejects(self):
         part = CellPartition(cuts=(0.0, 1.0, 2.0, math.inf))
 
-        def cell_fn(theta):
-            t = theta[:, :1]
-            return np.hstack([t, 0.5 * (1.0 - t), 0.5 * (1.0 - t)])
+        def kernel(theta, out):
+            out[:] = np.hstack([theta, 0.5 * (1.0 - theta)])
 
         model = DiscreteModel(name="wedge", bounds=((0.05, 0.9),),
-                              partition=part, cell_fn=cell_fn)
+                              partition=part, kernel=kernel)
         sample = BinnedSample(counts=np.array([2, 4, 4]))
         for alpha in (0.01, 0.05, 0.5, 0.99):
             report = gof_test(sample, model, 0.5, alpha)
@@ -81,7 +88,7 @@ class TestGofTest:
         perm = rng.permutation(8)
         permuted = DiscreteModel(name="perm", bounds=base.bounds,
                                  partition=base.partition,
-                                 cell_fn=lambda th: base.cell_fn(th)[:, perm])
+                                 kernel=permuted_kernel(base, perm))
         r1 = gof_test(sample, base, 0.5)
         r2 = gof_test(BinnedSample(counts=sample.counts[perm]), permuted, 0.5)
         assert r1.statistic == pytest.approx(r2.statistic, abs=1e-8)

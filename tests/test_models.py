@@ -1,4 +1,5 @@
 import math
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -8,7 +9,8 @@ from scipy import stats
 from phdsel import (CellPartition, InvalidInput, InvalidParameter, MixtureDGP,
                     default_partition, geometric_model, mixture_cell_probs,
                     model_by_name, parse_cuts, poisson_model, sample_mixture)
-from phdsel.models import GEOMETRIC_BOUNDS, POISSON_BOUNDS
+from phdsel.models import (GEOMETRIC_BOUNDS, MAX_POISSON_RATE, POISSON_BOUNDS,
+                           _residual_last)
 
 KERNEL_PARTITIONS = {
     "default": default_partition(),
@@ -192,6 +194,25 @@ class TestCellKernels:
         assert batch.shape == (grid.size, model.partition.m)
         assert np.array_equal(batch, stacked)
 
+    @pytest.mark.parametrize("name", ["default", "wide"])
+    def test_shared_workspace_rows_equal_cell_fn(self, name):
+        # as in a fit: both kernels fill their own rows of one workspace, in
+        # either order, and the residual last cell is completed once for all
+        part = KERNEL_PARTITIONS[name]
+        pois, geom = poisson_model(part), geometric_model(part)
+        rates = np.concatenate([np.linspace(*POISSON_BOUNDS, 37), [40.5, 4.0]])[:, None]
+        probs = np.linspace(*GEOMETRIC_BOUNDS, 41)[::-1, None]
+        for (model1, theta1), (model2, theta2) in (((pois, rates), (geom, probs)),
+                                                   ((geom, probs), (pois, rates))):
+            for rows in (slice(None), slice(0, 1), slice(3, 10)):
+                t1, t2 = theta1[rows], theta2[rows]
+                space = np.full((t1.shape[0] + t2.shape[0], part.m), np.nan)
+                model1.kernel(t1, space[:t1.shape[0], :-1])
+                model2.kernel(t2, space[t1.shape[0]:, :-1])
+                _residual_last(space[:, :-1], space[:, -1])
+                expected = np.vstack([model1.cell_fn(t1), model2.cell_fn(t2)])
+                assert space.tobytes() == expected.tobytes(), (model1.name, rows)
+
     @pytest.mark.parametrize("cuts", ["1,2,3,4,5,6,7", "1,2,5,10,20,40", "1,2,5,10,20,41",
                                       "1,2,5,10,20,50,100,1000,10000"])
     def test_poisson_kernel_equals_batch_truncated_sum(self, cuts):
@@ -277,11 +298,22 @@ class TestMixtureCells:
     # the mixture is the one place that checks its rate and success
     # probability; each error names the offending value
     def test_rejects_bad_poisson_rate(self):
-        for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
-            with pytest.raises(InvalidParameter, match=f"got {bad!r}"):
+        # the cap is 700: exp(-rate) is subnormal above about 708, and a rate
+        # of 720 used to overflow the pmf recursion on the wide cuts
+        for bad in (0.0, -1.0, math.nan, math.inf, -math.inf, 700.0000000000001, 720.0, 1e20):
+            with pytest.raises(InvalidParameter, match=re.escape(f"got {bad!r}")):
                 MixtureDGP(pi=0.5, poisson_rate=bad)
-            with pytest.raises(InvalidParameter, match=f"got {bad!r}"):
+            with pytest.raises(InvalidParameter, match=re.escape(f"got {bad!r}")):
                 mixture_cell_probs(0.5, default_partition(), poisson_rate=bad)
+
+    @pytest.mark.parametrize("cuts", ["1,2,3,4,5,6,7", "1,2,5,10,20,50,100,1000,10000"])
+    def test_largest_poisson_rate_is_evaluated(self, cuts):
+        part = parse_cuts(cuts)
+        mix = mixture_cell_probs(0.5, part, poisson_rate=MAX_POISSON_RATE)
+        assert np.all(np.isfinite(mix)) and abs(mix.sum() - 1.0) <= 1e-12
+        draws = sample_mixture(MixtureDGP(pi=1.0, poisson_rate=MAX_POISSON_RATE), 50,
+                               np.random.default_rng(5))
+        assert abs(draws.mean() - MAX_POISSON_RATE) < 5 * math.sqrt(MAX_POISSON_RATE / 50)
 
     def test_rejects_bad_geometric_probability(self):
         for bad in (0.0, 1.0, -0.3, 1.7, math.nan):

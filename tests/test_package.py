@@ -24,15 +24,15 @@ def test_star_import_resolves_every_exported_name():
 
 
 def test_two_parameter_model_is_rejected_at_construction():
-    def cell_fn(theta):
+    def kernel(theta, out):
         a, b = theta[:, :1], theta[:, 1:2]
-        return np.hstack([a * b, a * (1.0 - b), (1.0 - a) * b, (1.0 - a) * (1.0 - b)])
+        out[:] = np.hstack([a * b, a * (1.0 - b), (1.0 - a) * b])
 
     bounds = ((0.1, 0.9), (0.1, 0.9))
     with pytest.raises(InvalidInput, match=re.escape(repr(bounds))):
         DiscreteModel(name="product", bounds=bounds,
                       partition=CellPartition(cuts=(0.0, 1.0, 2.0, 3.0, math.inf)),
-                      cell_fn=cell_fn)
+                      kernel=kernel)
 
 
 CLI_SCRIPT = """

@@ -8,13 +8,12 @@ import pytest
 
 import phdsel.simulate
 from phdsel import (FAVOR_FIRST, FAVOR_SECOND, INDECISIVE, CellPartition,
-                    ExperimentConfig, InvalidInput, MixtureDGP, NoEquidistance,
-                    config_from_dict, default_partition,
+                    ExperimentConfig, ExperimentRow, InvalidInput, MixtureDGP,
+                    NoEquidistance, config_from_dict, default_partition,
                     emit_table, empirical_frequencies, equidistance_gap,
                     equidistance_pi, geometric_model, load_config,
                     model_select, parse_cuts, poisson_model, run_experiment,
                     sample_mixture, substream)
-from phdsel.simulate import _aggregate
 
 
 def small_config(**overrides):
@@ -36,6 +35,42 @@ def per_replication(config, n, h):
         sample, _ = empirical_frequencies(data, part)
         reports.append(model_select(sample, pois, geom, h, config.alpha))
     return reports
+
+
+def block_row(config, n, h, reports):
+    """The row of the (n, h) block from its replications' ``model_select``
+    reports: the mean and SD (ddof=1, 0.0 for one replication) of each
+    estimate and distance, HI's over the replications that are not
+    degenerate (NaN without one), and the share of each decision."""
+    def sd(v):
+        return float(np.std(v, ddof=1)) if v.size > 1 else 0.0
+
+    lam, p, d1, d2 = (np.array(v) for v in zip(*(
+        (r.fit1.theta_hat[0], r.fit2.theta_hat[0], r.d1, r.d2) for r in reports)))
+    assert [math.isnan(r.hi) for r in reports] == [r.degenerate for r in reports]
+    hi = np.array([r.hi for r in reports if not r.degenerate])
+    pct = {d: 100.0 * sum(r.decision == d for r in reports) / len(reports)
+           for d in (FAVOR_FIRST, FAVOR_SECOND, INDECISIVE)}
+    correct = {1.0: (pct[FAVOR_FIRST], pct[FAVOR_SECOND]),
+               0.0: (pct[FAVOR_SECOND], pct[FAVOR_FIRST])}.get(config.pi, (None, None))
+    return ExperimentRow(
+        pi=config.pi, n=n, h=h,
+        lambda_mean=float(np.mean(lam)), lambda_sd=sd(lam),
+        p_mean=float(np.mean(p)), p_sd=sd(p),
+        dhp_poisson_mean=float(np.mean(d1)), dhp_poisson_sd=sd(d1),
+        dhp_geometric_mean=float(np.mean(d2)), dhp_geometric_sd=sd(d2),
+        hi_mean=float(np.mean(hi)) if hi.size else math.nan,
+        hi_sd=sd(hi) if hi.size else math.nan,
+        pct_favor_poisson=pct[FAVOR_FIRST], pct_favor_geometric=pct[FAVOR_SECOND],
+        pct_indecisive=pct[INDECISIVE], pct_correct=correct[0], pct_incorrect=correct[1],
+        n_degenerate=sum(r.degenerate for r in reports))
+
+
+def nan_as_none(row):
+    """``row`` as a dict with NaN values as None, so that == compares them;
+    each value's type is kept beside it."""
+    return {key: (None if isinstance(v, float) and math.isnan(v) else v, type(v))
+            for key, v in dataclasses.asdict(row).items()}
 
 
 class TestConfig:
@@ -162,27 +197,22 @@ class TestRunExperiment:
         assert emit_table(serial, "csv") == emit_table(threaded, "csv")
 
     def test_rows_equal_aggregated_per_replication_selections(self, monkeypatch):
-        # 2 sizes x 2 weights x 5 replications = 20 rows, fitted in chunks of
-        # 7, 7 and 6 rows
         monkeypatch.setattr(phdsel.simulate, "CHUNK_ROWS", 7)
-        config = small_config(pi=0.5, sizes=(20, 30), h_values=(1.0, 0.5), reps=5)
-        rows = run_experiment(config)
-        expected = []
-        for n in config.sizes:
-            for h in config.h_values:
-                reports = per_replication(config, n, h)
-                z = reports[0].z
-                columns = (np.array(v) for v in zip(*(
-                    (r.fit1.theta_hat[0], r.fit2.theta_hat[0], r.d1, r.d2, r.hi,
-                     r.degenerate) for r in reports)))
-                expected.append(_aggregate(config, n, h, z, *columns))
-                # the decision counts, replication by replication
-                row = rows[len(expected) - 1]
-                pct = [100.0 * sum(r.decision == d for r in reports) / config.reps
-                       for d in (FAVOR_FIRST, FAVOR_SECOND, INDECISIVE)]
-                assert [row.pct_favor_poisson, row.pct_favor_geometric,
-                        row.pct_indecisive] == pct
-        assert rows == expected
+        for overrides in (
+                # 2 sizes x 2 weights x 5 replications = 20 rows, fitted in
+                # chunks of 7, 7 and 6 rows
+                dict(pi=0.5, sizes=(20, 30), h_values=(1.0, 0.5), reps=5),
+                # one replication per block: every SD is 0.0
+                dict(pi=1.0, sizes=(20, 300), h_values=(1.0, 0.5), reps=1),
+                # one and two observations: all and some replications degenerate
+                dict(pi=1.0, sizes=(1, 2), h_values=(1.0, 0.5), reps=8)):
+            config = small_config(**overrides)
+            rows = run_experiment(config)
+            expected = [block_row(config, n, h, per_replication(config, n, h))
+                        for n in config.sizes for h in config.h_values]
+            assert list(map(nan_as_none, rows)) == list(map(nan_as_none, expected)), overrides
+        assert {row.n_degenerate for row in rows if row.n == 1} == {config.reps}
+        assert any(0 < row.n_degenerate < config.reps for row in rows if row.n == 2)
 
     def test_row_grid_shape(self):
         config = small_config(sizes=(20, 30), h_values=(1.0, 0.5), reps=3)

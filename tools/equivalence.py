@@ -26,14 +26,16 @@ H_VALUES.
 Prints the largest differences between the trees, one ``key=value`` line
 each: fitted parameters in box widths, distances, and the relative
 differences of HI and gamma_hat (two NaNs count as equal), then the counts
-of replications whose decision or degenerate flag differs; then, over the
+of replications whose decision or degenerate flag differs and of those
+whose two fits differ in their evaluation count, convergence or bound
+flag, which shows whether the minimizer took the same steps; then, over the
 ``run_experiment`` rows, the largest relative difference of a mean or SD
 and the counts of rows whose percentages or ``n_degenerate`` differ, and
 the count of rendered tables and of CLI stdout texts that are not
 byte-identical, and the count of population values (mixture cell vectors
 and gaps) that are not bit-identical.  Exits 1 when any decision,
-degenerate flag, percentage, ``n_degenerate``, table, CLI text or
-population value differs, 2 on a usage or import error.
+degenerate flag, fit count or flag, percentage, ``n_degenerate``, table,
+CLI text or population value differs, 2 on a usage or import error.
 """
 
 from __future__ import annotations
@@ -124,7 +126,9 @@ def replay(src: str, reps: int) -> dict:
                         r = ph.model_select(sample, pois, geom, h)
                         rows.append([float(r.fit1.theta_hat[0]), float(r.fit2.theta_hat[0]),
                                      r.d1, r.d2, r.hi, r.gamma_hat, r.decision,
-                                     r.degenerate])
+                                     r.degenerate]
+                                    + [[fit.evaluations, fit.converged, fit.at_bound]
+                                       for fit in (r.fit1, r.fit2)])
     return {"bounds": bounds, "rows": rows, "experiment": experiment, "tables": tables,
             "cli": cli_outputs(ph), "population": population}
 
@@ -157,7 +161,7 @@ def compare(old: dict, new: dict) -> dict:
     out = {"replications": len(new["rows"]), "max_theta_delta_box_widths": 0.0,
            "max_distance_delta": 0.0, "max_hi_rel_delta": 0.0,
            "max_gamma_hat_rel_delta": 0.0, "decision_differences": 0,
-           "degenerate_differences": 0}
+           "degenerate_differences": 0, "fit_differences": 0}
     if len(old["rows"]) != len(new["rows"]):
         _fail("the trees replayed different numbers of replications")
     for a, b in zip(old["rows"], new["rows"]):
@@ -170,6 +174,7 @@ def compare(old: dict, new: dict) -> dict:
         out["max_gamma_hat_rel_delta"] = max(out["max_gamma_hat_rel_delta"], _rel(a[5], b[5]))
         out["decision_differences"] += a[6] != b[6]
         out["degenerate_differences"] += a[7] != b[7]
+        out["fit_differences"] += a[8:] != b[8:]
     out.update(compare_experiment(old["experiment"], new["experiment"]))
     out["table_differences"] = sum(a != b for a, b in zip(old["tables"], new["tables"]))
     out["cli_differences"] = sum(a != b for a, b in zip(old["cli"], new["cli"]))
@@ -210,9 +215,9 @@ def main(argv: list[str] | None = None) -> int:
     result = compare(old, new)
     for key, value in result.items():
         print(f"{key}={value:.3g}" if isinstance(value, float) else f"{key}={value}")
-    differing = ("decision_differences", "degenerate_differences", "row_pct_differences",
-                 "row_degenerate_differences", "table_differences", "cli_differences",
-                 "population_differences")
+    differing = ("decision_differences", "degenerate_differences", "fit_differences",
+                 "row_pct_differences", "row_degenerate_differences", "table_differences",
+                 "cli_differences", "population_differences")
     return 1 if any(result[key] for key in differing) else 0
 
 
