@@ -30,6 +30,7 @@ fit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -84,6 +85,18 @@ def _grid(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """The start grids of the boxes [lo[r], hi[r]]: column r holds box r's
     GRID_POINTS points."""
     return np.linspace(lo, hi, GRID_POINTS)
+
+
+@functools.lru_cache(maxsize=64)
+def _start_cells(kernel: Callable[[np.ndarray, np.ndarray], None], m: int, lo: float,
+                 hi: float) -> np.ndarray:
+    """The read-only (GRID_POINTS, m) cells that ``kernel`` gives at the
+    start grid of the box [lo, hi], evaluated once per kernel and box."""
+    cells = np.empty((GRID_POINTS, m))
+    kernel(_grid(np.array([lo]), np.array([hi])), cells[:, :-1])
+    _residual_last(cells[:, :-1], cells[:, -1])
+    cells.flags.writeable = False
+    return cells
 
 
 def _lockstep(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
@@ -180,8 +193,9 @@ def _fit_phd_rows(models: tuple[DiscreteModel, ...], phat: np.ndarray,
     (or ``h`` for all rows), in one lockstep call; one FitRows per model.
 
     The fits are stacked model-major, each model's R rows on its own box.
-    Each model's start grid is one box, so its cells are evaluated once and
-    its R rows of grid values taken from them.  Later objective calls fill
+    All rows of a model share its box and so its start grid, whose cells
+    are evaluated once per kernel and box (``_start_cells``); its R rows of
+    grid values are taken from them.  Later objective calls fill
     one cell workspace per number of points: each model's kernel writes the
     interior cells of its own stacked rows in place, the residual last cell
     is completed once for all rows, then the distances of all of them are
@@ -196,10 +210,10 @@ def _fit_phd_rows(models: tuple[DiscreteModel, ...], phat: np.ndarray,
     occupied = (phat > 0.0)[:, None, :]
     weights = np.broadcast_to(h, (k, rows))[:, :, None, None]
     lo, hi = np.array([model.bounds[0] for model in models]).T
-    grids = _grid(lo, hi)  # column i is the grid of models[i]'s box
     # row i * rows + r of the stack is the fit of models[i] to phat[r]
-    fs = np.concatenate([_phd_rows(root_p, occupied, model.cell_fn(grids[:, i:i + 1]),
-                                   weights[i]) for i, model in enumerate(models)])
+    fs = np.concatenate([_phd_rows(root_p, occupied,
+                                   _start_cells(model.kernel, m, *model.bounds[0]), weights[i])
+                         for i, model in enumerate(models)])
     root_s, occupied_s = np.concatenate((root_p,) * k), np.concatenate((occupied,) * k)
     weight_s = weights.reshape(-1, 1, 1)
     spaces = {}

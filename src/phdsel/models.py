@@ -124,8 +124,8 @@ def _residual_last(interior: np.ndarray, last: np.ndarray) -> None:
     np.maximum(_ONE - np.add.reduce(interior, axis=1), _ZERO, out=last)
 
 
-# one kernel per partition, so that the models a study builds per config
-# share its terms
+# One kernel per partition and family, so that the models a study builds per
+# config are equal and share their kernel's terms and their start cells.
 @functools.lru_cache(maxsize=32)
 def _poisson_kernel(part: CellPartition) -> Callable[[np.ndarray, np.ndarray], None]:
     """Batched Poisson kernel on {0, 1, 2, ...}: (B, 1) rates -> the
@@ -167,6 +167,7 @@ def _poisson_kernel(part: CellPartition) -> Callable[[np.ndarray, np.ndarray], N
     return kernel
 
 
+@functools.lru_cache(maxsize=32)
 def _geometric_kernel(part: CellPartition) -> Callable[[np.ndarray, np.ndarray], None]:
     """Batched geometric kernel on {1, 2, ...}: (B, 1) success
     probabilities -> the (B, m - 1) interior cells; the cell [0, 1) carries
