@@ -1,17 +1,18 @@
 """Parametric cell-probability models and the mixture data generator.
 
 A model maps parameters to the probabilities of the partition cells through
-one array kernel, built once per model from the partition's integer cell
-edges: interior cell i covers the integers [e_i, e_{i+1}) of the family's
+one array kernel, built once per partition from its integer cell edges:
+interior cell i covers the integers [e_i, e_{i+1}) of the family's
 support, where e_i is the cut ceil(cuts[i]) raised to the support's first
 point.  Every family follows one kernel contract: ``kernel(theta, out)``
 writes the m - 1 interior cell probabilities of the (B, 1) parameters
 ``theta`` into the (B, m - 1) array ``out``, in place and without
-validation.  The last cell absorbs the residual 1 - sum(interior), which
-the caller completes (``_residual_last``), so each row is normalized
-exactly rather than by truncated summation; a fit completes it once for
-the rows of all its models.  ``DiscreteModel.cell_fn`` is the allocating
-(B, m) call.
+validation.  They may depend on ``theta`` alone, since fits keep a
+kernel's cells at its start grid.  The last cell absorbs the residual
+1 - sum(interior), which the caller completes (``_residual_last``), so
+each row is normalized exactly rather than by truncated summation; a fit
+completes it once for the rows of all its models.
+``DiscreteModel.cell_fn`` is the allocating (B, m) call.
 
 * Poisson: the cumulative pmf, pmf(0) = exp(-lam) and
   pmf(x) = pmf(x-1) * lam / x by cumulative product, differenced at the
