@@ -10,7 +10,7 @@ from phdsel import (BinnedSample, CellPartition, DiscreteModel, FitFailed,
                     empirical_frequencies, fit_phd_to_probs, geometric_model,
                     hellinger, minimize_phd, mle_binned, parse_cuts,
                     penalized_hellinger, poisson_model, sample_mixture)
-from phdsel.fit import _fit_phd_rows, _lockstep
+from phdsel.fit import _fit_phd_rows, _grid, _lockstep, _start_cells
 from phdsel.simulate import CHUNK_ROWS
 
 ORACLE_PARTITIONS = (default_partition(), parse_cuts("1,2,5,10,20,50,100,1000,10000"))
@@ -236,6 +236,19 @@ class TestLockstepRows:
                 assert tuple(a[r] for a in rows) == (
                     alone.theta_hat[0], alone.objective, alone.evaluations,
                     alone.converged, alone.at_bound), (model.name, r)
+
+    @pytest.mark.parametrize("part", ORACLE_PARTITIONS)
+    def test_start_cells_are_the_cells_at_each_rows_grid(self, part):
+        # the cells kept per kernel and box are those of the grid that the
+        # lockstep builds for each stacked row of a two-model fit
+        models = (poisson_model(part), geometric_model(part))
+        lo, hi = np.repeat(np.array([model.bounds[0] for model in models]).T, 3, axis=1)
+        grids = _grid(lo, hi)
+        for r in range(lo.size):
+            model = models[r // 3]
+            kept = _start_cells(model.kernel, part.m, *model.bounds[0])
+            assert kept.tobytes() == model.cell_fn(grids[:, r:r + 1]).tobytes()
+            assert not kept.flags.writeable
 
     def test_each_row_keeps_its_own_box(self):
         # one objective on rows with four boxes, the last far from the
