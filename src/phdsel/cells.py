@@ -51,24 +51,39 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _is_finite_real(value) -> bool:
+    """Whether ``value`` is a real number, not a bool, finite as a double."""
+    try:
+        return _is_real(value) and math.isfinite(value)
+    except OverflowError:  # an integer beyond a double
+        return False
+
+
+def _is_whole(value, minimum: int) -> bool:
+    """Whether ``value`` is an integer, not a bool, finite as a double, >= ``minimum``."""
+    return isinstance(value, numbers.Integral) and _is_finite_real(value) and value >= minimum
+
+
+def _is_open_unit(value) -> bool:
+    """Whether ``value`` is a real number, not a bool, strictly inside (0, 1)."""
+    return _is_real(value) and 0.0 < value < 1.0
+
+
 @dataclass(frozen=True, slots=True)
 class CellPartition:
     """Ordered boundaries 0 = cuts[0] < cuts[1] < ... < cuts[m] = +inf.
 
-    Each cut must be a real number: a string or a bool is refused, not
-    converted.
+    Each cut must be a real number, finite as a double, or +inf: a string
+    or a bool is refused, not converted.
     """
 
     cuts: tuple[float, ...]
 
     def __post_init__(self):
-        bad = [c for c in self.cuts if not _is_real(c)]
+        bad = [c for c in self.cuts if not (_is_finite_real(c) or _is_real(c) and c == math.inf)]
         if bad:
-            raise InvalidInput(f"cuts must be numbers, got {bad[0]!r}")
-        try:
-            cuts = tuple(float(c) for c in self.cuts)
-        except OverflowError as exc:
-            raise InvalidInput(f"cuts must be finite as doubles or +inf: {exc}") from exc
+            raise InvalidInput(f"cuts must be numbers, finite as doubles or +inf, got {bad[0]!r}")
+        cuts = tuple(float(c) for c in self.cuts)
         object.__setattr__(self, "cuts", cuts)
         if len(cuts) < 3:
             raise InvalidInput("partition needs at least 2 cells")
@@ -76,7 +91,6 @@ class CellPartition:
             raise InvalidInput("first cut must be 0")
         if not math.isinf(cuts[-1]):
             raise InvalidInput("last cut must be +inf")
-        # written so that a NaN cut, which compares False both ways, fails
         if not all(a < b for a, b in zip(cuts, cuts[1:])):
             raise InvalidInput("cuts must be strictly increasing")
 
@@ -85,15 +99,11 @@ class CellPartition:
         """Number of cells."""
         return len(self.cuts) - 1
 
-    @property
-    def interior_cuts(self) -> np.ndarray:
-        return np.asarray(self.cuts[1:-1], dtype=float)
-
     def bin_indices(self, values) -> np.ndarray:
         """0-based cell index of each value; values >= last finite cut go to
         the last cell."""
         vals = np.asarray(values, dtype=float)
-        return np.searchsorted(self.interior_cuts, vals, side="right")
+        return np.searchsorted(np.asarray(self.cuts[1:-1]), vals, side="right")
 
 
 def default_partition() -> CellPartition:

@@ -14,8 +14,8 @@ import sys
 
 import numpy as np
 
-from .cells import (BinnedSample, CellPartition, default_partition, empirical_frequencies,
-                    parse_cuts)
+from .cells import (BinnedSample, CellPartition, _is_open_unit, default_partition,
+                    empirical_frequencies, parse_cuts)
 from .divergence import MAX_PENALTY_WEIGHT, is_penalty_weight
 from .errors import InvalidInput, InvalidParameter, PhdselError
 from .fit import FitResult, minimize_phd
@@ -27,18 +27,14 @@ USAGE_EXIT = 2
 NUMERICAL_EXIT = 3
 
 
-def _weight(text: str) -> float:
-    value = float(text)
-    if not is_penalty_weight(value):
-        raise argparse.ArgumentTypeError(f"must be in (0, {MAX_PENALTY_WEIGHT:g}], got {text}")
-    return value
-
-
-def _level(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must be in (0,1), got {text}")
-    return value
+def _number(rule, wanted: str):
+    """An option type: the float of the text, which must pass ``rule``."""
+    def number(text: str) -> float:
+        value = float(text)
+        if not rule(value):
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text}")
+        return value
+    return number
 
 
 def _partition_arg(args) -> CellPartition:
@@ -68,11 +64,12 @@ def build_parser() -> argparse.ArgumentParser:
     data = argparse.ArgumentParser(add_help=False)
     data.add_argument("--data", required=True, help="file with one observation per line")
     cells = argparse.ArgumentParser(add_help=False)
-    cells.add_argument("--h", type=_weight, default=0.5,
-                       help="empty-cell penalty weight (default 0.5)")
+    cells.add_argument("--h", type=_number(is_penalty_weight, f"in (0, {MAX_PENALTY_WEIGHT:g}]"),
+                       default=0.5, help="empty-cell penalty weight (default 0.5)")
     cells.add_argument("--cuts", help="comma-separated finite cuts, e.g. 1,2,3,4,5,6,7")
     level = argparse.ArgumentParser(add_help=False)
-    level.add_argument("--alpha", type=_level, default=0.05, help="test level (default 0.05)")
+    level.add_argument("--alpha", type=_number(_is_open_unit, "in (0,1)"), default=0.05,
+                       help="test level (default 0.05)")
 
     p = sub.add_parser("estimate", parents=[data, cells],
                        help="fit one model by minimum penalized Hellinger distance")

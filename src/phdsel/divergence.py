@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cells import _is_real, as_prob_vector
+from .cells import _is_finite_real, as_prob_vector
 from .errors import DegenerateGradient, InvalidInput, InvalidParameter
 
 # The largest penalty weight: study rows stay finite up to h = 1e150, where
@@ -21,15 +21,13 @@ MAX_PENALTY_WEIGHT = 1e100
 
 def is_penalty_weight(h) -> bool:
     """The one rule for h: a real number, not a bool, in (0, MAX_PENALTY_WEIGHT]."""
-    try:  # as a double, so a numpy float32 is compared without casting the cap
-        return _is_real(h) and 0.0 < float(h) <= MAX_PENALTY_WEIGHT
-    except OverflowError:  # an integer beyond a double
-        return False
+    # as a double, so a numpy float32 is compared without casting the cap
+    return _is_finite_real(h) and 0.0 < float(h) <= MAX_PENALTY_WEIGHT
 
 
 def check_penalty_weight(h: float) -> float:
     if not is_penalty_weight(h):
-        raise InvalidParameter(f"penalty weight must be a number in "
+        raise InvalidParameter(f"penalty weight h must be a number in "
                                f"(0, {MAX_PENALTY_WEIGHT:g}], got {h!r}")
     return float(h)
 

@@ -139,15 +139,6 @@ def _lockstep(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
     # the newest evaluation as the (rows, 1) points and values of f
     x_col, f_col = x_new[:, None], f_new[:, None]
 
-    # No bracket can close within the first `safe` steps, so they skip the
-    # check: each step shrinks a bracket by GOLDEN, up to rounding errors of
-    # a few ulps of the coordinates, which a box not far from the origin
-    # keeps far below the margin of two steps.  A row on any other box
-    # allows no skipped step.
-    near = np.maximum(np.abs(lo), np.abs(hi)) <= 1e3 * (hi - lo)
-    safe = 0
-    if near.all():
-        safe = max(int(math.log(np.max(tol / w)) / math.log(GOLDEN)) - 2, 0)
     side = np.empty((2, rows), dtype=bool)
     right, left = side  # the minimum lies in [x1, b] / in [a, x2]
     closed = np.zeros(rows, dtype=bool)
@@ -156,7 +147,7 @@ def _lockstep(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
     # the ufunc reductions are ndarray.any and .all without their wrappers
     any_, all_ = np.logical_or.reduce, np.logical_and.reduce
     for step in range(MAX_STEPS + 1):
-        if step >= safe and any_(np.less(w, tol, out=shut)):
+        if any_(np.less(w, tol, out=shut)):
             shut &= ~closed
             if any_(shut):
                 closed |= shut

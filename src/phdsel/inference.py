@@ -17,12 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import _interior, _selection_rows, lambda_star_hat
-from .cells import BinnedSample, as_prob_vector
+from .cells import BinnedSample, CellPartition, _is_finite_real, as_prob_vector
 from .divergence import check_penalty_weight
 from .errors import DegenerateVariance, InvalidInput
 from .fit import FitResult, minimize_phd
 from .models import DiscreteModel
-from .quantiles import chi2_cdf, chi2_quantile, normal_cdf, normal_quantile
+from .quantiles import _check_level, chi2_cdf, chi2_quantile, normal_cdf, normal_quantile
 
 FAVOR_FIRST = "favor_first"
 FAVOR_SECOND = "favor_second"
@@ -53,16 +53,22 @@ class SelectionReport:
     fit2: FitResult
 
 
-def _check_alpha(alpha: float) -> float:
-    if not 0.0 < alpha < 1.0:
-        raise InvalidInput(f"test level must be in (0,1), got {alpha!r}")
-    return float(alpha)
+def _critical_z(alpha: float) -> float:
+    """The two-sided normal critical value z of the test level ``alpha``."""
+    return normal_quantile(1.0 - alpha / 2.0)
+
+
+def _check_shared_partition(*parts: CellPartition) -> None:
+    """Refuse partitions that differ in their cuts, naming them all."""
+    if any(part != parts[0] for part in parts[1:]):
+        raise InvalidInput("models must share the partition, got the cuts "
+                           + " and ".join(str(part.cuts) for part in parts))
 
 
 def gof_test(sample: BinnedSample, model: DiscreteModel, h: float,
              alpha: float = 0.05) -> GofReport:
     """Goodness-of-fit test of ``model`` against the binned sample."""
-    alpha = _check_alpha(alpha)
+    alpha = _check_level(alpha, "alpha")
     df = model.partition.m - model.k - 1  # >= 1: a model has k = 1 and m >= 3
     fit = minimize_phd(model, sample, h)
     statistic = 2.0 * sample.n * fit.objective
@@ -73,8 +79,8 @@ def gof_test(sample: BinnedSample, model: DiscreteModel, h: float,
 
 
 def _check_omega_sq(omega_sq: float) -> None:
-    if not math.isfinite(omega_sq):
-        raise InvalidInput(f"omega_sq must be finite, got {omega_sq!r}")
+    if not _is_finite_real(omega_sq):
+        raise InvalidInput(f"omega_sq must be a finite number, got {omega_sq!r}")
     if omega_sq <= 0.0:
         raise DegenerateVariance(f"omega_sq must be > 0, got {omega_sq!r}")
 
@@ -83,15 +89,15 @@ def power_approx(D: float, omega_sq: float, n: int, alpha: float, df: int) -> fl
     """Normal approximation to the rejection probability at a population
     distance ``D`` and variance ``omega_sq``; increasing in both D and n.
 
-    ``D``, ``omega_sq`` and ``n`` must be finite; a NaN or infinite value
-    raises InvalidInput, and ``omega_sq <= 0`` raises DegenerateVariance.
+    ``D``, ``omega_sq`` and ``n >= 1`` must be finite numbers, else
+    InvalidInput, and ``omega_sq <= 0`` raises DegenerateVariance.
     """
-    alpha = _check_alpha(alpha)
-    if not math.isfinite(D):
-        raise InvalidInput(f"population distance must be finite, got {D!r}")
+    alpha = _check_level(alpha, "alpha")
+    if not _is_finite_real(D):
+        raise InvalidInput(f"D must be a finite number, got {D!r}")
     _check_omega_sq(omega_sq)
-    if not (math.isfinite(n) and n >= 1):
-        raise InvalidInput(f"n must be finite and >= 1, got {n!r}")
+    if not (_is_finite_real(n) and n >= 1):
+        raise InvalidInput(f"n must be a finite number >= 1, got {n!r}")
     q = chi2_quantile(1.0 - alpha, df)
     return 1.0 - normal_cdf((q - 2.0 * n * D) / (2.0 * math.sqrt(n) * math.sqrt(omega_sq)))
 
@@ -109,11 +115,10 @@ def required_sample_size(D: float, omega_sq: float, alpha: float,
     so small, or an ``omega_sq`` so large, that the size is not a finite
     double raises InvalidInput.
     """
-    alpha = _check_alpha(alpha)
-    if not 0.0 < beta_star < 1.0:
-        raise InvalidInput(f"target power must be in (0,1), got {beta_star!r}")
-    if not (math.isfinite(D) and D > 0.0):
-        raise InvalidInput(f"population distance must be finite and > 0, got {D!r}")
+    alpha = _check_level(alpha, "alpha")
+    beta_star = _check_level(beta_star, "beta_star")
+    if not (_is_finite_real(D) and D > 0.0):
+        raise InvalidInput(f"D must be a finite number > 0, got {D!r}")
     _check_omega_sq(omega_sq)
     q = chi2_quantile(1.0 - alpha, df)
     c = normal_quantile(1.0 - beta_star)
@@ -148,15 +153,13 @@ def model_select(sample: BinnedSample, model1: DiscreteModel,
     ``"zero_variance"`` when they differ but the plug-in variance vanishes,
     as on a sample with one occupied cell.
     """
-    alpha = _check_alpha(alpha)
+    alpha = _check_level(alpha, "alpha")
     h = check_penalty_weight(h)
-    if model1.partition != model2.partition:
-        raise InvalidInput(f"models must share the partition, got the cuts "
-                           f"{model1.partition.cuts} and {model2.partition.cuts}")
+    _check_shared_partition(model1.partition, model2.partition)
     fit1 = minimize_phd(model1, sample, h)
     fit2 = minimize_phd(model2, sample, h)
     phat = as_prob_vector(sample.frequencies())
-    z = normal_quantile(1.0 - alpha / 2.0)
+    z = _critical_z(alpha)
     d1, d2 = fit1.objective, fit2.objective
     try:
         gamma_sq = lambda_star_hat(phat, model1, _interior(model1, fit1.theta_hat),

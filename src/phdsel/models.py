@@ -42,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cells import (CellPartition, _as_prob_rows, _is_real, as_prob_vector,
+from .cells import (CellPartition, _as_prob_rows, _is_open_unit, _is_real, as_prob_vector,
                     default_partition)
 from .errors import InvalidInput, InvalidParameter
 
@@ -104,12 +104,17 @@ class DiscreteModel:
         """Cell probabilities at ``theta``, one parameter vector of shape
         (k,) or a block of R of them of shape (R, k): one validated kernel
         call, giving a simplex point per parameter vector, shape (m,) or
-        (R, m)."""
+        (R, m).  Cells that are not one raise InvalidParameter naming theta."""
         arr = np.asarray(theta, dtype=float)
         rows = arr if arr.ndim == 2 else self.theta_array(arr)[None, :]
         if rows.shape[1] != self.k:
             raise InvalidInput(f"theta must have shape (R, {self.k}), got {arr.shape}")
-        q = _as_prob_rows(self.cell_fn(rows))
+        with np.errstate(all="ignore"):
+            q = self.cell_fn(rows)
+        try:
+            q = _as_prob_rows(q)
+        except InvalidInput as exc:
+            raise InvalidParameter(f"{self.name} at theta={arr.tolist()}: {exc}") from None
         return q if arr.ndim == 2 else q[0]
 
 
@@ -234,8 +239,8 @@ class MixtureDGP:
         if not (_is_real(self.poisson_rate) and 0.0 < self.poisson_rate <= MAX_POISSON_RATE):
             raise InvalidParameter(f"poisson rate must be in (0, {MAX_POISSON_RATE:g}], "
                                    f"got {self.poisson_rate!r}")
-        if not (_is_real(self.geometric_p) and 0.0 < self.geometric_p < 1.0):
-            raise InvalidParameter(f"geometric success probability must be in (0,1), "
+        if not _is_open_unit(self.geometric_p):
+            raise InvalidParameter(f"geometric_p must be a number in (0,1), "
                                    f"got {self.geometric_p!r}")
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 
+from .cells import _is_open_unit, _is_whole
 from .errors import InvalidInput
 
 _GAMMA_EPS = 1e-15
@@ -64,27 +65,35 @@ def _gamma_q_contfrac(a: float, x: float) -> float:
     return f * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
+def _check_df(df) -> None:
+    if not _is_whole(df, 1):
+        raise InvalidInput(f"df must be an integer >= 1, got {df!r}")
+
+
+def _check_level(value, name: str = "q") -> float:
+    if not _is_open_unit(value):
+        raise InvalidInput(f"{name} must be a number in (0,1), got {value!r}")
+    return float(value)
+
+
 def chi2_cdf(x: float, df: int) -> float:
-    if df < 1:
-        raise InvalidInput(f"degrees of freedom must be >= 1, got {df!r}")
+    _check_df(df)
     if x <= 0.0:
         return 0.0
     return regularized_gamma_p(0.5 * df, 0.5 * x)
 
 
 def chi2_quantile(q: float, df: int) -> float:
-    """(Lower) quantile of the chi-square law, by bisection on the CDF."""
-    if not 0.0 < q < 1.0:
-        raise InvalidInput(f"quantile level must be in (0,1), got {q!r}")
-    if df < 1:
-        raise InvalidInput(f"degrees of freedom must be >= 1, got {df!r}")
+    """(Lower) quantile of the chi-square law, by bisection on its CDF P(df/2, x/2)."""
+    _check_level(q)
+    _check_df(df)
     hi = df + 10.0 * math.sqrt(2.0 * df) + 20.0
-    while chi2_cdf(hi, df) < q:
+    while regularized_gamma_p(0.5 * df, 0.5 * hi) < q:
         hi *= 2.0
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if chi2_cdf(mid, df) < q:
+        if regularized_gamma_p(0.5 * df, 0.5 * mid) < q:
             lo = mid
         else:
             hi = mid
@@ -99,8 +108,7 @@ def normal_cdf(x: float) -> float:
 
 def normal_quantile(q: float) -> float:
     """Standard normal quantile by bisection; accurate to ~1e-13."""
-    if not 0.0 < q < 1.0:
-        raise InvalidInput(f"quantile level must be in (0,1), got {q!r}")
+    _check_level(q)
     lo, hi = -40.0, 40.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)

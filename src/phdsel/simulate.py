@@ -17,12 +17,11 @@ from __future__ import annotations
 import io
 import json
 import math
-import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .cells import CellPartition, _is_real, default_partition
+from .cells import CellPartition, _is_open_unit, _is_real, _is_whole, default_partition
 from .divergence import (MAX_PENALTY_WEIGHT, check_penalty_weight,
                          is_penalty_weight)
 from .errors import InvalidInput, NoEquidistance
@@ -31,10 +30,9 @@ from .fit import _fit_phd_rows
 # bench/tests/test_bench.py::TestSelfTime::test_recorder_patches_every_binding_and_restores
 # requires this module to bind it
 from .inference import model_select  # noqa: F401
-from .inference import _studentize_rows
+from .inference import _check_shared_partition, _critical_z, _studentize_rows
 from .models import (DiscreteModel, MixtureDGP, _is_mixing_weight, geometric_model,
                      mixture_cell_probs, poisson_model, sample_mixture)
-from .quantiles import normal_quantile
 
 DEFAULT_SIZES = (20, 30, 40, 50, 300)
 DEFAULT_H_VALUES = (1.0, 0.5)
@@ -47,12 +45,6 @@ DEFAULT_SEED = 20260809
 # build about 450 MB; on 10,000 wide-cuts rows one studentization call over
 # all rows ran no faster and lifted peak RSS from 56 MB to 87 MB.
 CHUNK_ROWS = 128
-
-
-def _is_whole(value, minimum: int) -> bool:
-    """Whether ``value`` is an integer (not a bool) >= ``minimum``."""
-    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and value >= minimum)
 
 
 def _nonempty_list_of(test):
@@ -87,7 +79,7 @@ _RULES = {
     "reps": (lambda v: _is_whole(v, 1), "an integer >= 1", int),
     "h_values": (_is_weight_list, f"a nonempty list of numbers in (0, {MAX_PENALTY_WEIGHT:g}], "
                  "no two equal when rounded to millionths", lambda v: tuple(map(float, v))),
-    "alpha": (lambda v: _is_real(v) and 0.0 < v < 1.0, "a number in (0,1)", float),
+    "alpha": (_is_open_unit, "a number in (0,1)", float),
     "seed": (lambda v: _is_whole(v, 0), "an integer >= 0", int),
     "cuts": (_nonempty_list_of(_is_real), "a nonempty list of numbers", _as_partition),
     "partition": (lambda v: isinstance(v, CellPartition), "a CellPartition", None),
@@ -207,7 +199,7 @@ def run_experiment(config: ExperimentConfig,
     # one replication has no spread: every such row shares one 0.0
     sds = estimates.std(axis=2, ddof=1).T.tolist() if reps > 1 else [[0.0] * 4] * len(blocks)
     hi = hi.reshape(len(blocks), reps)
-    z = normal_quantile(1.0 - config.alpha / 2.0)
+    z = _critical_z(config.alpha)
     # per block, the replications favoring the first family (hi < -z) and the
     # second (hi > z), as ``decide`` rules, and the degenerate ones; a NaN HI
     # (degenerate) is neither decision, so it counts as indecisive
@@ -263,10 +255,7 @@ def _distance_gaps(pis, model1: DiscreteModel, model2: DiscreteModel,
     """Fitted-distance gaps d1 - d2 against the exact mixtures with the
     weights ``pis``; both families are fitted to all of them in one call."""
     h = check_penalty_weight(h)
-    for model in (model1, model2):
-        if model.partition != partition:
-            raise InvalidInput(f"model {model.name!r} has the cuts {model.partition.cuts}, "
-                               f"the mixture {partition.cuts}")
+    _check_shared_partition(model1.partition, model2.partition, partition)
     mixes = np.array([mixture_cell_probs(pi, partition, poisson_rate, geometric_p)
                       for pi in pis])
     fits1, fits2 = _fit_phd_rows((model1, model2), mixes, h)
@@ -294,10 +283,9 @@ def equidistance_pi(model1: DiscreteModel, model2: DiscreteModel,
     [0, 1] raises NoEquidistance.  Both families are fitted to the five
     probe weights in one lockstep call.
     """
-    gap = lambda pi: equidistance_gap(pi, model1, model2, partition, h,
-                                      poisson_rate, geometric_p)
-    probe = [float(g) for g in _distance_gaps((0.0, 0.25, 0.5, 0.75, 1.0), model1, model2,
-                                              partition, h, poisson_rate, geometric_p)]
+    gaps = lambda pis: _distance_gaps(pis, model1, model2, partition, h, poisson_rate,
+                                      geometric_p).tolist()
+    probe = gaps((0.0, 0.25, 0.5, 0.75, 1.0))
     if max(abs(g) for g in probe) < 1e-10:
         return EquidistanceResult(pi_star=0.5, degenerate=True)
     lo, hi_ = 0.0, 1.0
@@ -310,7 +298,7 @@ def equidistance_pi(model1: DiscreteModel, model2: DiscreteModel,
         raise NoEquidistance("distance gap has no sign change on [0, 1]")
     for _ in range(60):
         mid = 0.5 * (lo + hi_)
-        g_mid = gap(mid)
+        g_mid = gaps([mid])[0]
         if g_mid == 0.0:
             return EquidistanceResult(pi_star=mid, degenerate=False)
         if (g_mid > 0.0) == (g_lo > 0.0):

@@ -17,13 +17,7 @@ from phdsel import (BinnedSample, BoundaryParameter, CellPartition,
 from phdsel.asymptotics import PROB_FLOOR, _interior, _one, _selection_rows
 from phdsel.inference import _studentize_rows
 
-
-def permuted_kernel(base, perm):
-    """The kernel of ``base`` with its cells in the order ``perm``; the last
-    permuted cell becomes the residual of the others."""
-    def kernel(theta, out):
-        out[:] = base.cell_fn(theta)[:, perm[:-1]]
-    return kernel
+from kernel_helpers import permuted_kernel
 
 
 def analytic_poisson_jacobian(lam, part):

@@ -183,6 +183,14 @@ class TestSelect:
         assert fields["degenerate"] == "true"
         assert fields["degenerate_reason"] == "zero_variance"
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "1e400", "0", "1", "True"])
+    def test_alpha_outside_the_open_unit_interval_exits_2(self, capsys, poisson_file, alpha):
+        with pytest.raises(SystemExit) as exc:
+            main(["select", "--data", poisson_file, "--model1", "poisson",
+                  "--model2", "geometric", "--alpha", alpha])
+        assert exc.value.code == 2
+        assert "argument --alpha:" in capsys.readouterr().err
+
     def test_alpha_default_documented_in_help(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["select", "--help"])

@@ -13,6 +13,8 @@ from phdsel import (BinnedSample, CellPartition, DiscreteModel, FitFailed,
 from phdsel.fit import _fit_phd_rows, _grid, _lockstep, _start_cells
 from phdsel.simulate import CHUNK_ROWS
 
+from kernel_helpers import permuted_kernel
+
 ORACLE_PARTITIONS = (default_partition(), parse_cuts("1,2,5,10,20,50,100,1000,10000"))
 FIT_TOL = 1e-8  # the minimizer's bracket at exit, as a share of the box width
 
@@ -57,14 +59,6 @@ def three_cell_model():
 
     return DiscreteModel(name="wedge", bounds=((0.05, 0.9),),
                          partition=part, kernel=kernel)
-
-
-def permuted_kernel(base, perm):
-    """The kernel of ``base`` with its cells in the order ``perm``; the last
-    permuted cell becomes the residual of the others."""
-    def kernel(theta, out):
-        out[:] = base.cell_fn(theta)[:, perm[:-1]]
-    return kernel
 
 
 def minimize(f, lo, hi):

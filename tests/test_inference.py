@@ -13,6 +13,8 @@ from phdsel import (FAVOR_FIRST, FAVOR_SECOND, INDECISIVE, BinnedSample,
                     parse_cuts, poisson_model, power_approx,
                     required_sample_size)
 
+from kernel_helpers import permuted_kernel
+
 
 @st.composite
 def edge_samples(draw):
@@ -28,14 +30,6 @@ def edge_samples(draw):
                                         max_size=part.m)))
         counts[draw(st.integers(0, part.m - 1))] += 1
     return part, BinnedSample(counts=counts)
-
-
-def permuted_kernel(base, perm):
-    """The kernel of ``base`` with its cells in the order ``perm``; the last
-    permuted cell becomes the residual of the others."""
-    def kernel(theta, out):
-        out[:] = base.cell_fn(theta)[:, perm[:-1]]
-    return kernel
 
 
 def binned(rng, n, pi=1.0, part=None):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from phdsel import (CellPartition, InvalidInput, InvalidParameter, MixtureDGP,
-                    default_partition, geometric_model, mixture_cell_probs,
-                    model_by_name, parse_cuts, poisson_model, sample_mixture)
+from phdsel import (BoundaryParameter, CellPartition, InvalidInput, InvalidParameter,
+                    MixtureDGP, default_partition, geometric_model, jacobian,
+                    mixture_cell_probs, model_by_name, omega_sq, parse_cuts, poisson_model,
+                    sample_mixture)
 from phdsel.models import (GEOMETRIC_BOUNDS, MAX_POISSON_RATE, POISSON_BOUNDS,
                            _residual_last)
 
@@ -212,6 +213,24 @@ class TestCellKernels:
                 _residual_last(space[:, :-1], space[:, -1])
                 expected = np.vstack([model1.cell_fn(t1), model2.cell_fn(t2)])
                 assert space.tobytes() == expected.tobytes(), (model1.name, rows)
+
+    @pytest.mark.parametrize("build,name,good,theta", [(poisson_model, "wide", 4.0, 800.0),
+                                                       (geometric_model, "default", 0.2, 1.0),
+                                                       (geometric_model, "default", 0.2, 1.5)])
+    def test_cell_prob_outside_the_domain_names_the_parameter(self, build, name, good, theta):
+        # under the suite's error::RuntimeWarning filter: the kernel's numpy
+        # warnings stay inside cell_prob, which names the model and theta
+        model = build(KERNEL_PARTITIONS[name])
+        named = re.escape(f"{model.name} at theta=[{theta!r}]")
+        with pytest.raises(InvalidParameter, match=named):
+            model.cell_prob([theta])
+        with pytest.raises(InvalidParameter, match=re.escape(f"[[{good!r}], [{theta!r}]]")):
+            model.cell_prob([[good], [theta]])
+        # the limit laws refuse a parameter outside the box before any cells
+        with pytest.raises(BoundaryParameter):
+            jacobian(model, [theta])
+        with pytest.raises(BoundaryParameter):
+            omega_sq(np.full(model.partition.m, 1.0 / model.partition.m), model, [theta], 0.5)
 
     @pytest.mark.parametrize("cuts", ["1,2,3,4,5,6,7", "1,2,5,10,20,40", "1,2,5,10,20,41",
                                       "1,2,5,10,20,50,100,1000,10000"])

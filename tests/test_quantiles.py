@@ -28,10 +28,12 @@ class TestChiSquare:
     def test_rejects_bad_arguments(self):
         with pytest.raises(InvalidInput):
             chi2_quantile(0.0, 6)
-        with pytest.raises(InvalidInput):
-            chi2_quantile(0.5, 0)
-        with pytest.raises(InvalidInput):
-            chi2_cdf(1.0, 0)
+        # df is a whole number >= 1: 2.5 and True used to pass as 2.5 and 1
+        for df in (0, 2.5, True):
+            with pytest.raises(InvalidInput, match=f"df must be an integer >= 1, got {df!r}"):
+                chi2_quantile(0.5, df)
+            with pytest.raises(InvalidInput, match=f"df must be an integer >= 1, got {df!r}"):
+                chi2_cdf(1.0, df)
 
 
 class TestRegularizedGamma:

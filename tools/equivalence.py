@@ -21,7 +21,10 @@ selections with identical fits and with zero variance, and the
 equidistance solve on the default and the wide cuts.  On each cut set it
 also computes the population values: ``mixture_cell_probs`` at each weight
 in PIS and ``equidistance_gap`` at each weight in GAP_PIS and each h in
-H_VALUES.
+H_VALUES.  Last, it calls the scalar functions ``power_approx``,
+``required_sample_size``, ``chi2_cdf``, ``chi2_quantile`` and
+``normal_quantile`` on a fixed grid of valid inputs (``scalar_values``),
+numpy scalars and the sample sizes 1 and 300 among them.
 
 Prints the largest differences between the trees, one ``key=value`` line
 each: fitted parameters in box widths, distances, and the relative
@@ -32,10 +35,11 @@ flag, which shows whether the minimizer took the same steps; then, over the
 ``run_experiment`` rows, the largest relative difference of a mean or SD
 and the counts of rows whose percentages or ``n_degenerate`` differ, and
 the count of rendered tables and of CLI stdout texts that are not
-byte-identical, and the count of population values (mixture cell vectors
-and gaps) that are not bit-identical.  Exits 1 when any decision,
-degenerate flag, fit count or flag, percentage, ``n_degenerate``, table,
-CLI text or population value differs, 2 on a usage or import error.
+byte-identical, and the counts of population values (mixture cell vectors
+and gaps) and of scalar values (a result, or the name of the error raised)
+that are not bit-identical.  Exits 1 when any decision, degenerate flag,
+fit count or flag, percentage, ``n_degenerate``, table, CLI text,
+population or scalar value differs, 2 on a usage or import error.
 """
 
 from __future__ import annotations
@@ -97,6 +101,34 @@ def cli_outputs(ph) -> list[str]:
     return outputs
 
 
+def scalar_values(ph) -> list:
+    """Worker side: each scalar function on each point of its grid, as the
+    result or the name of the error it raised."""
+    import numpy as np
+
+    levels = (1e-10, 0.05, np.float64(0.5), 0.95, 1.0 - 2**-53)
+    dfs = (1, np.int64(6), 30)
+    calls = [(ph.normal_quantile, q) for q in levels]
+    calls += [(ph.chi2_quantile, q, df) for q in levels for df in dfs]
+    calls += [(ph.chi2_cdf, x, df) for x in (0.0, 0.5, np.float64(6.3), 40.0) for df in dfs]
+    calls += [(ph.power_approx, D, om, n, alpha, df)
+              for D in (0.0, 1e-3, np.float64(0.02)) for om in (0.05, np.float64(0.3))
+              for n in (1, np.int64(20), 300) for alpha in (0.01, np.float64(0.05))
+              for df in (1, 6)]
+    calls += [(ph.required_sample_size, D, om, alpha, beta, df)
+              for D in (1e-3, np.float64(0.02), 0.2) for om in (0.05, 0.3)
+              for alpha in (0.01, 0.05) for beta in (0.2, np.float64(0.5), 0.8)
+              for df in (1, np.int64(6))]
+    values = []
+    for fn, *args in calls:
+        try:
+            value = fn(*args)
+            values.append(value if isinstance(value, int) else float(value))
+        except Exception as exc:  # a refusal counts as a value too
+            values.append(type(exc).__name__)
+    return values
+
+
 def replay(src: str, reps: int) -> dict:
     """Worker side: the per-replication selections of the tree ``src``."""
     import phdsel as ph
@@ -130,7 +162,7 @@ def replay(src: str, reps: int) -> dict:
                                     + [[fit.evaluations, fit.converged, fit.at_bound]
                                        for fit in (r.fit1, r.fit2)])
     return {"bounds": bounds, "rows": rows, "experiment": experiment, "tables": tables,
-            "cli": cli_outputs(ph), "population": population}
+            "cli": cli_outputs(ph), "population": population, "scalars": scalar_values(ph)}
 
 
 def _fail(message: str):
@@ -180,6 +212,9 @@ def compare(old: dict, new: dict) -> dict:
     out["cli_differences"] = sum(a != b for a, b in zip(old["cli"], new["cli"]))
     out["population_differences"] = sum(a != b for a, b in zip(old["population"],
                                                               new["population"]))
+    if len(old["scalars"]) != len(new["scalars"]):
+        _fail("the trees computed different numbers of scalar values")
+    out["scalar_differences"] = sum(a != b for a, b in zip(old["scalars"], new["scalars"]))
     return out
 
 
@@ -217,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{key}={value:.3g}" if isinstance(value, float) else f"{key}={value}")
     differing = ("decision_differences", "degenerate_differences", "fit_differences",
                  "row_pct_differences", "row_degenerate_differences", "table_differences",
-                 "cli_differences", "population_differences")
+                 "cli_differences", "population_differences", "scalar_differences")
     return 1 if any(result[key] for key in differing) else 0
 
 
