@@ -24,9 +24,7 @@ completes it once for the rows of all its models.
   up to 1e4, far below half an ulp of the running cdf, which is within
   rounding of 1 there; adding those terms would not change one bit of the
   sums, so the truncation is exact, and the cost no longer grows with the
-  largest cut.  A mixture's rate is at most MAX_POISSON_RATE = 700: below
-  about 708 exp(-lam) stays a normal double, and the running product
-  lam^x / x!, which peaks near e^lam, stays finite.
+  largest cut.
 * Geometric on {1, 2, ...}: cell [a, b) in closed form,
   (1-p)^(a-1) (1 - (1-p)^(b-a)) evaluated as
   exp((a-1) log1p(-p)) * -expm1((b-a) log1p(-p)), which keeps full relative
@@ -42,15 +40,14 @@ from typing import Callable
 
 import numpy as np
 
-from .cells import (CellPartition, _as_prob_rows, _is_open_unit, _is_real, as_prob_vector,
+from .cells import (CellPartition, _as_prob_rows, _is_real, _is_whole, as_prob_vector,
                     default_partition)
 from .errors import InvalidInput, InvalidParameter
 
 POISSON_BOUNDS = (1e-6, 50.0)
 GEOMETRIC_BOUNDS = (1e-6, 1.0 - 1e-6)
-# The largest Poisson rate of a mixture: every cut set's kernel evaluates
-# rates up to here in finite, normal doubles.
-MAX_POISSON_RATE = 700.0
+POISSON_RATE = 4.0
+GEOMETRIC_P = 0.2
 # 0-d arrays: as ufunc operands they skip the conversion a Python float
 # needs, which is a measurable share of a kernel call on a few rows
 _ZERO, _ONE = np.zeros(()), np.ones(())
@@ -224,24 +221,15 @@ def _is_mixing_weight(value) -> bool:
 
 @dataclass(frozen=True)
 class MixtureDGP:
-    """Two-component data generator: Poisson(rate) with weight ``pi``,
-    geometric(success) with weight 1 - ``pi``.  The one place that checks a
-    mixture: ``pi`` in [0, 1], a rate in (0, MAX_POISSON_RATE] and a success
-    probability in (0, 1), each a real number other than a bool."""
+    """Two-component data generator: Poisson(POISSON_RATE) with weight
+    ``pi``, geometric(GEOMETRIC_P) with weight 1 - ``pi``; ``pi`` must be a
+    real number other than a bool in [0, 1]."""
 
     pi: float
-    poisson_rate: float = 4.0
-    geometric_p: float = 0.2
 
     def __post_init__(self):
         if not _is_mixing_weight(self.pi):
             raise InvalidParameter(f"mixing weight must be in [0,1], got {self.pi!r}")
-        if not (_is_real(self.poisson_rate) and 0.0 < self.poisson_rate <= MAX_POISSON_RATE):
-            raise InvalidParameter(f"poisson rate must be in (0, {MAX_POISSON_RATE:g}], "
-                                   f"got {self.poisson_rate!r}")
-        if not _is_open_unit(self.geometric_p):
-            raise InvalidParameter(f"geometric_p must be a number in (0,1), "
-                                   f"got {self.geometric_p!r}")
 
 
 def sample_mixture(dgp: MixtureDGP, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -250,20 +238,18 @@ def sample_mixture(dgp: MixtureDGP, n: int, rng: np.random.Generator) -> np.ndar
     Deterministic for a given generator state; each draw comes from the
     Poisson component with probability ``dgp.pi``.
     """
-    if n < 1:
-        raise InvalidInput("n must be >= 1")
+    if not _is_whole(n, 1):
+        raise InvalidInput(f"n must be an integer >= 1, got {n!r}")
     take_first = rng.random(n) < dgp.pi
-    first = rng.poisson(dgp.poisson_rate, n)
-    second = rng.geometric(dgp.geometric_p, n)
+    first = rng.poisson(POISSON_RATE, n)
+    second = rng.geometric(GEOMETRIC_P, n)
     return np.where(take_first, first, second)
 
 
-def mixture_cell_probs(pi: float, part: CellPartition,
-                       poisson_rate: float = 4.0,
-                       geometric_p: float = 0.2) -> np.ndarray:
+def mixture_cell_probs(pi: float, part: CellPartition) -> np.ndarray:
     """Exact cell probabilities of the mixture (no sampling): the families'
     own cells at the component parameters, weighted by ``pi`` and 1 - ``pi``."""
-    dgp = MixtureDGP(pi=pi, poisson_rate=poisson_rate, geometric_p=geometric_p)
-    mix = (dgp.pi * poisson_model(part).cell_prob(dgp.poisson_rate)
-           + (1.0 - dgp.pi) * geometric_model(part).cell_prob(dgp.geometric_p))
+    dgp = MixtureDGP(pi=pi)
+    mix = (dgp.pi * poisson_model(part).cell_prob(POISSON_RATE)
+           + (1.0 - dgp.pi) * geometric_model(part).cell_prob(GEOMETRIC_P))
     return as_prob_vector(mix)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .cells import _is_open_unit, _is_whole
+from .cells import _is_finite_real, _is_open_unit, _is_real, _is_whole
 from .errors import InvalidInput
 
 _GAMMA_EPS = 1e-15
@@ -76,10 +76,19 @@ def _check_level(value, name: str = "q") -> float:
     return float(value)
 
 
+def _check_x(x) -> None:
+    # +-inf passes: power_approx can pass normal_cdf an infinite argument
+    if not (_is_finite_real(x) or (_is_real(x) and abs(x) == math.inf)):
+        raise InvalidInput(f"x must be a real number or +-inf, got {x!r}")
+
+
 def chi2_cdf(x: float, df: int) -> float:
+    _check_x(x)
     _check_df(df)
     if x <= 0.0:
         return 0.0
+    if x == math.inf:
+        return 1.0
     return regularized_gamma_p(0.5 * df, 0.5 * x)
 
 
@@ -103,16 +112,21 @@ def chi2_quantile(q: float, df: int) -> float:
 
 
 def normal_cdf(x: float) -> float:
+    _check_x(x)
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 def normal_quantile(q: float) -> float:
-    """Standard normal quantile by bisection; accurate to ~1e-13."""
+    """Standard normal quantile by bisection on the cdf erfc(-x/sqrt(2))/2;
+    accurate to ~1e-13.  Levels above 1/2 are reflected: 1 - q is exact
+    there, while the cdf rounds near 1."""
     _check_level(q)
+    if q > 0.5:
+        return -normal_quantile(1.0 - q)
     lo, hi = -40.0, 40.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if normal_cdf(mid) < q:
+        if 0.5 * math.erfc(-mid / math.sqrt(2.0)) < q:
             lo = mid
         else:
             hi = mid

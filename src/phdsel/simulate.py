@@ -250,31 +250,25 @@ class EquidistanceResult:
 
 
 def _distance_gaps(pis, model1: DiscreteModel, model2: DiscreteModel,
-                   partition: CellPartition, h: float, poisson_rate: float,
-                   geometric_p: float) -> np.ndarray:
+                   partition: CellPartition, h: float) -> np.ndarray:
     """Fitted-distance gaps d1 - d2 against the exact mixtures with the
     weights ``pis``; both families are fitted to all of them in one call."""
     h = check_penalty_weight(h)
     _check_shared_partition(model1.partition, model2.partition, partition)
-    mixes = np.array([mixture_cell_probs(pi, partition, poisson_rate, geometric_p)
-                      for pi in pis])
+    mixes = np.array([mixture_cell_probs(pi, partition) for pi in pis])
     fits1, fits2 = _fit_phd_rows((model1, model2), mixes, h)
     return fits1.fun - fits2.fun
 
 
 def equidistance_gap(pi: float, model1: DiscreteModel, model2: DiscreteModel,
-                     partition: CellPartition, h: float,
-                     poisson_rate: float = 4.0, geometric_p: float = 0.2) -> float:
+                     partition: CellPartition, h: float) -> float:
     """Fitted-distance gap d1 - d2 of the two families against the exact
     mixture with weight ``pi`` (population level, no sampling)."""
-    return float(_distance_gaps([pi], model1, model2, partition, h, poisson_rate,
-                                geometric_p)[0])
+    return float(_distance_gaps([pi], model1, model2, partition, h)[0])
 
 
 def equidistance_pi(model1: DiscreteModel, model2: DiscreteModel,
-                    partition: CellPartition, h: float,
-                    poisson_rate: float = 4.0,
-                    geometric_p: float = 0.2) -> EquidistanceResult:
+                    partition: CellPartition, h: float) -> EquidistanceResult:
     """Mixing weight at which both families are equally distant from the
     mixture, found by bisection of the population gap.
 
@@ -283,8 +277,7 @@ def equidistance_pi(model1: DiscreteModel, model2: DiscreteModel,
     [0, 1] raises NoEquidistance.  Both families are fitted to the five
     probe weights in one lockstep call.
     """
-    gaps = lambda pis: _distance_gaps(pis, model1, model2, partition, h, poisson_rate,
-                                      geometric_p).tolist()
+    gaps = lambda pis: _distance_gaps(pis, model1, model2, partition, h).tolist()
     probe = gaps((0.0, 0.25, 0.5, 0.75, 1.0))
     if max(abs(g) for g in probe) < 1e-10:
         return EquidistanceResult(pi_star=0.5, degenerate=True)

@@ -13,8 +13,8 @@ import phdsel
 from phdsel import (CellPartition, DiscreteModel, ExperimentConfig, InvalidInput,
                     InvalidParameter, MixtureDGP, chi2_cdf, chi2_quantile, default_partition,
                     empirical_frequencies, geometric_model, gof_test, model_select,
-                    normal_quantile, penalized_hellinger, poisson_model, power_approx,
-                    required_sample_size)
+                    normal_cdf, normal_quantile, penalized_hellinger, poisson_model,
+                    power_approx, required_sample_size, sample_mixture)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -73,12 +73,15 @@ SCALAR_INPUTS = {
                                        "beta_star", np.float64(0.8), InvalidInput),
     "required_sample_size.df": (lambda v: required_sample_size(0.1, 0.2, 0.05, 0.8, v),
                                 "df", np.int64(5), InvalidInput),
+    "chi2_cdf.x": (lambda v: chi2_cdf(v, 6), "x", np.float64(3.0), InvalidInput),
     "chi2_cdf.df": (lambda v: chi2_cdf(3.0, v), "df", np.int64(6), InvalidInput),
     "chi2_quantile.q": (lambda v: chi2_quantile(v, 6), "q", np.float64(0.95), InvalidInput),
     "chi2_quantile.df": (lambda v: chi2_quantile(0.95, v), "df", np.int64(6), InvalidInput),
+    "normal_cdf.x": (lambda v: normal_cdf(v), "x", np.float64(0.5), InvalidInput),
     "normal_quantile.q": (lambda v: normal_quantile(v), "q", np.float64(0.5), InvalidInput),
-    "MixtureDGP.geometric_p": (lambda v: MixtureDGP(pi=0.5, geometric_p=v),
-                               "geometric_p", np.float64(0.2), InvalidParameter),
+    "sample_mixture.n": (lambda v: sample_mixture(MixtureDGP(pi=0.5), v,
+                                                  np.random.default_rng(1)),
+                         "n", np.int64(20), InvalidInput),
     "ExperimentConfig.alpha": (lambda v: ExperimentConfig(pi=0.5, alpha=v),
                                "alpha", np.float64(0.05), InvalidInput),
     "ExperimentConfig.sizes": (lambda v: ExperimentConfig(pi=0.5, sizes=(20, v)),

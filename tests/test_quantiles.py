@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -56,9 +58,12 @@ class TestNormal:
     def test_two_sided_five_percent_point(self):
         assert normal_quantile(0.975) == pytest.approx(1.959964, abs=1e-6)
 
-    @pytest.mark.parametrize("q", [0.001, 0.05, 0.2, 0.5, 0.8, 0.975, 0.999])
+    # the upper tail levels are reflected onto the lower tail, where the
+    # cdf does not round to 1
+    @pytest.mark.parametrize("q", [0.001, 0.05, 0.2, 0.5, 0.8, 0.975, 0.999,
+                                   1 - 1e-6, 1 - 1e-10, 1 - 2**-53])
     def test_quantile_matches_scipy(self, q):
-        assert normal_quantile(q) == pytest.approx(stats.norm.ppf(q), abs=1e-10)
+        assert normal_quantile(q) == pytest.approx(stats.norm.ppf(q), abs=1e-12)
 
     def test_cdf_matches_scipy(self):
         for x in np.linspace(-8.0, 8.0, 33):
@@ -67,3 +72,9 @@ class TestNormal:
     def test_round_trip(self):
         for q in (0.025, 0.5, 0.9):
             assert normal_cdf(normal_quantile(q)) == pytest.approx(q, abs=1e-12)
+
+
+def test_cdfs_at_infinity_are_their_limits():
+    # power_approx can hand normal_cdf an infinite argument
+    assert chi2_cdf(math.inf, 6) == 1.0 and chi2_cdf(-math.inf, 6) == 0.0
+    assert normal_cdf(math.inf) == 1.0 and normal_cdf(-math.inf) == 0.0

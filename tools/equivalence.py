@@ -20,7 +20,8 @@ the box and at its bound, a goodness-of-fit test, a decisive selection,
 selections with identical fits and with zero variance, and the
 equidistance solve on the default and the wide cuts.  On each cut set it
 also computes the population values: ``mixture_cell_probs`` at each weight
-in PIS and ``equidistance_gap`` at each weight in GAP_PIS and each h in
+in PIS, ``equidistance_gap`` at each weight in GAP_PIS and each h in
+H_VALUES, and the ``pi_star`` of ``equidistance_pi`` at each h in
 H_VALUES.  Last, it calls the scalar functions ``power_approx``,
 ``required_sample_size``, ``chi2_cdf``, ``chi2_quantile`` and
 ``normal_quantile`` on a fixed grid of valid inputs (``scalar_values``),
@@ -35,11 +36,12 @@ flag, which shows whether the minimizer took the same steps; then, over the
 ``run_experiment`` rows, the largest relative difference of a mean or SD
 and the counts of rows whose percentages or ``n_degenerate`` differ, and
 the count of rendered tables and of CLI stdout texts that are not
-byte-identical, and the counts of population values (mixture cell vectors
-and gaps) and of scalar values (a result, or the name of the error raised)
-that are not bit-identical.  Exits 1 when any decision, degenerate flag,
-fit count or flag, percentage, ``n_degenerate``, table, CLI text,
-population or scalar value differs, 2 on a usage or import error.
+byte-identical, and the counts of population values (mixture cell vectors,
+gaps and equidistance weights) and of scalar values (a result, or the name
+of the error raised) that are not bit-identical.  Exits 1 when any
+decision, degenerate flag, fit count or flag, percentage,
+``n_degenerate``, table, CLI text, population or scalar value differs, 2
+on a usage or import error.
 """
 
 from __future__ import annotations
@@ -143,6 +145,7 @@ def replay(src: str, reps: int) -> dict:
         population += [ph.mixture_cell_probs(pi, part).tolist() for pi in PIS]
         population += [ph.equidistance_gap(pi, pois, geom, part, h)
                        for pi in GAP_PIS for h in H_VALUES]
+        population += [ph.equidistance_pi(pois, geom, part, h).pi_star for h in H_VALUES]
         for pi in PIS:
             config = ph.ExperimentConfig(pi=pi, sizes=SIZES, reps=reps, h_values=H_VALUES,
                                          seed=SEED, partition=part)
