@@ -79,7 +79,7 @@ def _kl_modified_rows(P: np.ndarray, occupied: np.ndarray,
     maximum likelihood.  No validation."""
     p = P[occupied]
     q = Q.compress(occupied, axis=1)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         fit = np.sum(p * np.log(p / q) + q - p, axis=1)
     # empty cells contribute q_i, the limit slope of -log x + x - 1
     return fit + np.sum(Q.compress(~occupied, axis=1), axis=1)

@@ -22,7 +22,7 @@ from .divergence import check_penalty_weight
 from .errors import DegenerateVariance, InvalidInput
 from .fit import FitResult, minimize_phd
 from .models import DiscreteModel
-from .quantiles import _check_level, chi2_cdf, chi2_quantile, normal_cdf, normal_quantile
+from .quantiles import _check_level, _gamma_tails, chi2_quantile, normal_cdf, normal_quantile
 
 FAVOR_FIRST = "favor_first"
 FAVOR_SECOND = "favor_second"
@@ -73,7 +73,7 @@ def gof_test(sample: BinnedSample, model: DiscreteModel, h: float,
     fit = minimize_phd(model, sample, h)
     statistic = 2.0 * sample.n * fit.objective
     critical = chi2_quantile(1.0 - alpha, df)
-    p_value = 1.0 - chi2_cdf(statistic, df)
+    p_value = _gamma_tails(0.5 * df, 0.5 * statistic)[1]
     return GofReport(statistic=statistic, df=df, critical=critical,
                      p_value=p_value, reject=statistic > critical, fit=fit)
 
@@ -99,7 +99,9 @@ def power_approx(D: float, omega_sq: float, n: int, alpha: float, df: int) -> fl
     if not (_is_finite_real(n) and n >= 1):
         raise InvalidInput(f"n must be a finite number >= 1, got {n!r}")
     q = chi2_quantile(1.0 - alpha, df)
-    return 1.0 - normal_cdf((q - 2.0 * n * D) / (2.0 * math.sqrt(n) * math.sqrt(omega_sq)))
+    # (q - 2 n D) / (2 sqrt(n omega_sq)) divided through by 2 sqrt(n): no inf / inf or inf * 0
+    root_n = math.sqrt(n)
+    return 1.0 - normal_cdf((q / (2.0 * root_n) - root_n * D) / math.sqrt(omega_sq))
 
 
 def required_sample_size(D: float, omega_sq: float, alpha: float,

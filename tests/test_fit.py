@@ -292,6 +292,13 @@ class TestMleBinned:
         with pytest.raises(FitFailed):
             mle_binned(geometric_model(), BinnedSample(counts=[3, 1, 0, 0, 0, 0, 0, 0]))
 
+    def test_overflowing_likelihood_ratio_fails_without_warning(self):
+        # on the wide cuts some geometric cell probability is so small at every
+        # start that p / q overflows on an occupied cell; RuntimeWarnings are errors
+        model = geometric_model(parse_cuts("1,2,5,10,20,50,100,1000,10000"))
+        with pytest.raises(FitFailed):
+            mle_binned(model, BinnedSample(counts=[7, 10, 1, 13, 0, 29, 14, 21, 7, 14]))
+
     def test_perfect_fit(self):
         model = three_cell_model()
         sample = BinnedSample(counts=np.array([2, 4, 4]))

@@ -75,6 +75,16 @@ class TestGofTest:
         assert 5.4 <= stats_.mean() <= 6.6
         assert 0.02 <= rejects / reps <= 0.09
 
+    def test_p_value_keeps_its_digits_far_in_the_upper_tail(self):
+        from scipy import stats
+        part = default_partition()
+        data = np.array([0] * 50 + [7] * 50)
+        sample = BinnedSample(counts=np.bincount(part.bin_indices(data), minlength=part.m))
+        report = gof_test(sample, poisson_model(), 0.5)
+        assert report.statistic == pytest.approx(234.309, abs=1e-3)
+        assert report.p_value == pytest.approx(stats.chi2.sf(report.statistic, report.df),
+                                               rel=1e-10, abs=0)
+
     def test_permutation_invariance_of_statistic(self):
         base = poisson_model()
         rng = np.random.default_rng(11)
@@ -117,6 +127,14 @@ class TestPowerApprox:
         assert beta == pytest.approx(expected, abs=1e-9)
         assert beta < 0.05
         assert power_approx(1e-15, omega_sq_val, 10**6, 0.05, 6) < 0.5
+
+    @pytest.mark.parametrize("D", [1.0, 0.0])
+    def test_overflowing_products_give_the_limit(self, D):
+        # 2 n D and 2 sqrt(n) sqrt(omega_sq) overflow a double, yet the normal
+        # argument is -sqrt(n) D / sqrt(omega_sq) = -D up to a vanishing term
+        from scipy import stats
+        assert power_approx(D, 1e308, 1e308, 0.05, 6) == pytest.approx(stats.norm.cdf(D),
+                                                                       rel=1e-15)
 
     def test_large_n_power_tends_to_one(self):
         assert power_approx(0.05, 0.25, 10**5, 0.05, 6) > 1.0 - 1e-9

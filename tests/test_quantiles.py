@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from phdsel import InvalidInput, chi2_cdf, chi2_quantile, normal_cdf, normal_quantile
-from phdsel.quantiles import regularized_gamma_p
+from phdsel.quantiles import _gamma_tails
 
 
 class TestChiSquare:
@@ -13,10 +13,14 @@ class TestChiSquare:
         assert chi2_quantile(0.95, 6) == pytest.approx(12.5916, abs=2e-4)
         assert chi2_quantile(0.95, 6) == pytest.approx(stats.chi2.ppf(0.95, 6), rel=1e-10)
 
+    # relative only: the default absolute 1e-12 of approx hides lower-tail
+    # errors; above 1/2 the reference is the upper tail at the exact 1 - q
     @pytest.mark.parametrize("df", [1, 2, 5, 6, 10, 30])
-    @pytest.mark.parametrize("q", [0.01, 0.1, 0.5, 0.9, 0.95, 0.99, 0.999])
+    @pytest.mark.parametrize("q", [1e-10, 1e-6, 0.01, 0.1, 0.5, 0.9, 0.95, 0.99, 0.999,
+                                   1 - 1e-8, 1 - 1e-10, 1 - 2**-53])
     def test_quantile_matches_scipy(self, df, q):
-        assert chi2_quantile(q, df) == pytest.approx(stats.chi2.ppf(q, df), rel=1e-9)
+        expected = stats.chi2.ppf(q, df) if q <= 0.5 else stats.chi2.isf(1 - q, df)
+        assert chi2_quantile(q, df) == pytest.approx(expected, rel=1e-11, abs=0)
 
     @pytest.mark.parametrize("df", [1, 4, 6, 17])
     def test_cdf_matches_scipy(self, df):
@@ -40,26 +44,33 @@ class TestChiSquare:
 
 class TestRegularizedGamma:
     def test_matches_scipy(self):
-        from scipy.special import gammainc
+        from scipy.special import gammainc, gammaincc
         for a in (0.5, 1.0, 3.0, 10.0):
             for x in (0.01, 0.5, 1.0, 5.0, 30.0):
-                assert regularized_gamma_p(a, x) == pytest.approx(
-                    gammainc(a, x), abs=1e-13)
+                p, q = _gamma_tails(a, x)
+                assert p == pytest.approx(gammainc(a, x), abs=1e-13)
+                assert q == pytest.approx(gammaincc(a, x), abs=1e-13)
+
+    def test_each_tail_keeps_its_digits(self):
+        from scipy.special import gammainc, gammaincc
+        # relative only: both values are far below approx's default abs 1e-12
+        assert _gamma_tails(3.0, 200.0)[1] == pytest.approx(gammaincc(3.0, 200.0),
+                                                            rel=1e-13, abs=0)
+        assert _gamma_tails(3.0, 1e-6)[0] == pytest.approx(gammainc(3.0, 1e-6),
+                                                           rel=1e-13, abs=0)
 
     def test_edges(self):
-        assert regularized_gamma_p(2.0, 0.0) == 0.0
-        with pytest.raises(InvalidInput):
-            regularized_gamma_p(-1.0, 2.0)
-        with pytest.raises(InvalidInput):
-            regularized_gamma_p(1.0, -2.0)
+        assert _gamma_tails(2.0, 0.0) == (0.0, 1.0)
+        assert _gamma_tails(2.0, math.inf) == (1.0, 0.0)
 
 
 class TestNormal:
     def test_two_sided_five_percent_point(self):
         assert normal_quantile(0.975) == pytest.approx(1.959964, abs=1e-6)
+        assert abs(normal_quantile(0.975) - stats.norm.ppf(0.975)) <= 1e-15
 
-    # the upper tail levels are reflected onto the lower tail, where the
-    # cdf does not round to 1
+    # the inverse takes the upper tail from the exact 1 - q, where the cdf
+    # would round to 1
     @pytest.mark.parametrize("q", [0.001, 0.05, 0.2, 0.5, 0.8, 0.975, 0.999,
                                    1 - 1e-6, 1 - 1e-10, 1 - 2**-53])
     def test_quantile_matches_scipy(self, q):
@@ -68,6 +79,9 @@ class TestNormal:
     def test_cdf_matches_scipy(self):
         for x in np.linspace(-8.0, 8.0, 33):
             assert normal_cdf(x) == pytest.approx(stats.norm.cdf(x), abs=1e-14)
+
+    def test_median_is_exactly_zero(self):
+        assert normal_quantile(0.5) == 0.0
 
     def test_round_trip(self):
         for q in (0.025, 0.5, 0.9):

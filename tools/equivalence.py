@@ -11,21 +11,23 @@ combination (125 give 3000).  Replication r of a combination draws its
 sample from ``substream(SEED, n, h, r)``, as ``run_experiment`` does.
 
 Each worker also runs ``run_experiment`` on the same design, one config
-per cut set and weight (seed SEED, sizes SIZES, weights H_VALUES, ``--reps``
-replications), which studentizes its replications in batches rather than
-one ``model_select`` call at a time, and renders each config's rows with
-``emit_table`` in the ``csv`` and the ``text`` format, and runs
-``phdsel.cli.main`` on CLI_CALLS, over data files that it writes: fits in
-the box and at its bound, a goodness-of-fit test, a decisive selection,
+per cut set and weight (seed SEED, sizes SIZES, weights H_VALUES,
+``--reps`` replications), which studentizes its replications in batches
+rather than one ``model_select`` call at a time, and renders each
+config's rows with ``emit_table`` in the ``csv`` and the ``text``
+format, and runs ``phdsel.cli.main`` on CLI_CALLS, over data files that
+it writes: fits in the box and at its bound, goodness-of-fit tests (one
+far in the upper tail, on a single occupied cell), a decisive selection,
 selections with identical fits and with zero variance, and the
 equidistance solve on the default and the wide cuts.  On each cut set it
-also computes the population values: ``mixture_cell_probs`` at each weight
-in PIS, ``equidistance_gap`` at each weight in GAP_PIS and each h in
-H_VALUES, and the ``pi_star`` of ``equidistance_pi`` at each h in
+also computes the population values: ``mixture_cell_probs`` at each
+weight in PIS, ``equidistance_gap`` at each weight in GAP_PIS and each h
+in H_VALUES, and the ``pi_star`` of ``equidistance_pi`` at each h in
 H_VALUES.  Last, it calls the scalar functions ``power_approx``,
 ``required_sample_size``, ``chi2_cdf``, ``chi2_quantile`` and
 ``normal_quantile`` on a fixed grid of valid inputs (``scalar_values``),
-numpy scalars and the sample sizes 1 and 300 among them.
+numpy scalars, the sample sizes 1 and 300 and power inputs whose
+products overflow a double among them.
 
 Prints the largest differences between the trees, one ``key=value`` line
 each: fitted parameters in box widths, distances, and the relative
@@ -74,6 +76,7 @@ CLI_CALLS = (
     ["estimate", "--data", "draws.txt", "--model", "geometric", "--h", "1"],
     ["estimate", "--data", "far.txt", "--model", "poisson"],
     ["gof", "--data", "draws.txt", "--model", "poisson"],
+    ["gof", "--data", "one_cell.txt", "--model", "poisson"],
     ["select", "--data", "draws.txt", "--model1", "poisson", "--model2", "geometric"],
     ["select", "--data", "draws.txt", "--model1", "poisson", "--model2", "poisson"],
     ["select", "--data", "one_cell.txt", "--model1", "poisson", "--model2", "geometric"],
@@ -117,6 +120,8 @@ def scalar_values(ph) -> list:
               for D in (0.0, 1e-3, np.float64(0.02)) for om in (0.05, np.float64(0.3))
               for n in (1, np.int64(20), 300) for alpha in (0.01, np.float64(0.05))
               for df in (1, 6)]
+    # 2 n D and 2 sqrt(n) sqrt(omega_sq) overflow a double
+    calls += [(ph.power_approx, D, 1e308, 1e308, 0.05, 6) for D in (0.0, 1.0)]
     calls += [(ph.required_sample_size, D, om, alpha, beta, df)
               for D in (1e-3, np.float64(0.02), 0.2) for om in (0.05, 0.3)
               for alpha in (0.01, 0.05) for beta in (0.2, np.float64(0.5), 0.8)
