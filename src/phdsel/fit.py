@@ -3,9 +3,8 @@
 Every fit minimizes R independent one-parameter objectives in lockstep,
 row r on its own box:
 
-* a 32-point uniform grid multi-start, evaluated for all R rows in one call
-  on an (R, 32) array of points, or by the caller, who may know that rows
-  share a box (the PHD fits evaluate each model's grid cells once);
+* a 32-point uniform grid multi-start, its values taken from the model's
+  grid cells, evaluated once per kernel and box (``_start_cells``);
 * golden-section refinement of each row's best bracket, one call on an
   (R, 1) array per step, until the row's bracket is narrower than 1e-8 of
   the box width.  Rows whose bracket has closed still ride along in the
@@ -100,18 +99,15 @@ def _start_cells(kernel: Callable[[np.ndarray, np.ndarray], None], m: int, lo: f
 
 
 def _lockstep(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
-              hi: np.ndarray, fs: np.ndarray | None = None) -> FitRows:
+              hi: np.ndarray, fs: np.ndarray) -> FitRows:
     """Minimize one objective per row, row r on its own box [lo[r], hi[r]],
     all at once; ``f`` maps a (rows, k) array of points to their (rows, k)
     values, whose row i may depend only on row i of the points.  ``fs``
     holds the (rows, GRID_POINTS) values at the start grids
-    ``_grid(lo, hi)`` when the caller has them, and ``f(_grid(lo, hi).T)``
-    computes them otherwise."""
+    ``_grid(lo, hi)``."""
     rows = lo.size
     tol = 1e-8 * (hi - lo)
     xs = _grid(lo, hi)  # column r is row r's grid
-    if fs is None:
-        fs = f(xs.T)
     if not np.isfinite(fs).any(axis=1).all():
         raise FitFailed("objective non-finite at every grid start")
     j = np.argmin(fs, axis=1)  # first minimum = smallest x on ties
@@ -264,4 +260,6 @@ def mle_binned(model: DiscreteModel, sample: BinnedSample) -> FitResult:
         q = model.cell_fn(th.reshape(-1, 1))
         return _kl_modified_rows(phat, occupied, q).reshape(th.shape)
 
-    return _lockstep(objective, *np.array(model.bounds[0])[:, None]).fit(0)
+    grid_cells = _start_cells(model.kernel, phat.size, *model.bounds[0])
+    fs = _kl_modified_rows(phat, occupied, grid_cells)[None, :]
+    return _lockstep(objective, *np.array(model.bounds[0])[:, None], fs).fit(0)

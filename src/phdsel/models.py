@@ -246,10 +246,14 @@ def sample_mixture(dgp: MixtureDGP, n: int, rng: np.random.Generator) -> np.ndar
     return np.where(take_first, first, second)
 
 
+def _mixture_rows(pis, part: CellPartition) -> np.ndarray:
+    """The (R, m) cells of ``mixture_cell_probs`` at R unchecked weights."""
+    pis = np.asarray(pis)[:, None]
+    return (pis * poisson_model(part).cell_prob(POISSON_RATE)
+            + (1.0 - pis) * geometric_model(part).cell_prob(GEOMETRIC_P))
+
+
 def mixture_cell_probs(pi: float, part: CellPartition) -> np.ndarray:
     """Exact cell probabilities of the mixture (no sampling): the families'
     own cells at the component parameters, weighted by ``pi`` and 1 - ``pi``."""
-    dgp = MixtureDGP(pi=pi)
-    mix = (dgp.pi * poisson_model(part).cell_prob(POISSON_RATE)
-           + (1.0 - dgp.pi) * geometric_model(part).cell_prob(GEOMETRIC_P))
-    return as_prob_vector(mix)
+    return as_prob_vector(_mixture_rows([MixtureDGP(pi=pi).pi], part)[0])

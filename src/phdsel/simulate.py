@@ -31,8 +31,8 @@ from .fit import _fit_phd_rows
 # requires this module to bind it
 from .inference import model_select  # noqa: F401
 from .inference import _check_shared_partition, _critical_z, _studentize_rows
-from .models import (DiscreteModel, MixtureDGP, _is_mixing_weight, geometric_model,
-                     mixture_cell_probs, poisson_model, sample_mixture)
+from .models import (DiscreteModel, MixtureDGP, _is_mixing_weight, _mixture_rows,
+                     geometric_model, poisson_model, sample_mixture)
 
 DEFAULT_SIZES = (20, 30, 40, 50, 300)
 DEFAULT_H_VALUES = (1.0, 0.5)
@@ -45,6 +45,8 @@ DEFAULT_SEED = 20260809
 # build about 450 MB; on 10,000 wide-cuts rows one studentization call over
 # all rows ran no faster and lifted peak RSS from 56 MB to 87 MB.
 CHUNK_ROWS = 128
+# The equidistance solve's bisection levels per fit call and its tolerance
+EQUI_LEVELS, EQUI_TOL = 5, 1e-10
 
 
 def _nonempty_list_of(test):
@@ -252,11 +254,10 @@ class EquidistanceResult:
 def _distance_gaps(pis, model1: DiscreteModel, model2: DiscreteModel,
                    partition: CellPartition, h: float) -> np.ndarray:
     """Fitted-distance gaps d1 - d2 against the exact mixtures with the
-    weights ``pis``; both families are fitted to all of them in one call."""
+    unchecked weights ``pis``, all fitted by both families in one call."""
     h = check_penalty_weight(h)
     _check_shared_partition(model1.partition, model2.partition, partition)
-    mixes = np.array([mixture_cell_probs(pi, partition) for pi in pis])
-    fits1, fits2 = _fit_phd_rows((model1, model2), mixes, h)
+    fits1, fits2 = _fit_phd_rows((model1, model2), _mixture_rows(pis, partition), h)
     return fits1.fun - fits2.fun
 
 
@@ -264,43 +265,38 @@ def equidistance_gap(pi: float, model1: DiscreteModel, model2: DiscreteModel,
                      partition: CellPartition, h: float) -> float:
     """Fitted-distance gap d1 - d2 of the two families against the exact
     mixture with weight ``pi`` (population level, no sampling)."""
-    return float(_distance_gaps([pi], model1, model2, partition, h)[0])
+    return float(_distance_gaps([MixtureDGP(pi=pi).pi], model1, model2, partition, h)[0])
 
 
 def equidistance_pi(model1: DiscreteModel, model2: DiscreteModel,
                     partition: CellPartition, h: float) -> EquidistanceResult:
     """Mixing weight at which both families are equally distant from the
-    mixture, found by bisection of the population gap.
+    mixture: the midpoint of the bisection bracket of the population gap
+    once it is narrower than ``EQUI_TOL``.
 
-    Identical families make every weight an equidistance point; 0.5 is
-    returned with the ``degenerate`` flag.  A gap without a sign change on
-    [0, 1] raises NoEquidistance.  Both families are fitted to the five
-    probe weights in one lockstep call.
+    Each fit call takes j = min(``EQUI_LEVELS``, the levels still needed)
+    levels at once: both families are fitted to the 2**j + 1 evenly spaced
+    weights of the bracket, and the first interval whose gap changes sign
+    is kept, bisection's own for a gap that crosses zero once.  A weight
+    whose gap is exactly 0 is returned.  Identical families, whose first
+    gaps are all below ``EQUI_TOL``, give 0.5 with the ``degenerate`` flag.
+    A gap of one nonzero sign at 0 and at 1 raises NoEquidistance.
     """
-    gaps = lambda pis: _distance_gaps(pis, model1, model2, partition, h).tolist()
-    probe = gaps((0.0, 0.25, 0.5, 0.75, 1.0))
-    if max(abs(g) for g in probe) < 1e-10:
-        return EquidistanceResult(pi_star=0.5, degenerate=True)
-    lo, hi_ = 0.0, 1.0
-    g_lo, g_hi = probe[0], probe[-1]
-    if g_lo == 0.0:
-        return EquidistanceResult(pi_star=0.0, degenerate=False)
-    if g_hi == 0.0:
-        return EquidistanceResult(pi_star=1.0, degenerate=False)
-    if (g_lo > 0.0) == (g_hi > 0.0):
-        raise NoEquidistance("distance gap has no sign change on [0, 1]")
-    for _ in range(60):
-        mid = 0.5 * (lo + hi_)
-        g_mid = gaps([mid])[0]
-        if g_mid == 0.0:
-            return EquidistanceResult(pi_star=mid, degenerate=False)
-        if (g_mid > 0.0) == (g_lo > 0.0):
-            lo, g_lo = mid, g_mid
-        else:
-            hi_ = mid
-        if hi_ - lo < 1e-10:
-            break
-    return EquidistanceResult(pi_star=0.5 * (lo + hi_), degenerate=False)
+    lo, width = 0.0, 1.0
+    while width >= EQUI_TOL:
+        # no more levels than bring the bracket below EQUI_TOL
+        j = min(EQUI_LEVELS, math.floor(math.log2(width / EQUI_TOL)) + 1)
+        pis = lo + width / 2**j * np.arange(2**j + 1)
+        gaps = _distance_gaps(pis, model1, model2, partition, h)
+        if width == 1.0 and np.all(np.abs(gaps) < EQUI_TOL):
+            return EquidistanceResult(pi_star=0.5, degenerate=True)
+        if not gaps.all():  # the first weight whose gap is exactly 0
+            return EquidistanceResult(float(pis[np.argmax(gaps == 0.0)]), degenerate=False)
+        positive = gaps > 0.0
+        if positive[0] == positive[-1]:  # at 0 and 1; every kept bracket changes sign
+            raise NoEquidistance("distance gap has no sign change on [0, 1]")
+        lo, width = float(pis[np.argmax(positive[1:] != positive[:-1])]), width / 2**j
+    return EquidistanceResult(pi_star=lo + 0.5 * width, degenerate=False)
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(ExperimentRow))

@@ -61,9 +61,15 @@ def three_cell_model():
                          partition=part, kernel=kernel)
 
 
+def lockstep(f, lo, hi):
+    """The lockstep fit of the vectorized objective ``f`` on the boxes
+    [lo[r], hi[r]], with its values at the start grids."""
+    return _lockstep(f, lo, hi, f(_grid(lo, hi).T))
+
+
 def minimize(f, lo, hi):
     """The one-row lockstep fit of the vectorized objective ``f``."""
-    return _lockstep(f, np.array([lo]), np.array([hi])).fit(0)
+    return lockstep(f, np.array([lo]), np.array([hi])).fit(0)
 
 
 class TestMinimizeScalar:
@@ -251,9 +257,9 @@ class TestLockstepRows:
         lo = np.array([0.0, -3.0, 1.0, 1e6])
         hi = np.array([5.0, 2.0, 1e4, 1e6 + 1.0])
         f = lambda x: (x - 1.5) ** 2
-        rows = _lockstep(f, lo, hi)
+        rows = lockstep(f, lo, hi)
         for r in range(lo.size):
-            alone = _lockstep(f, lo[r:r + 1], hi[r:r + 1])
+            alone = lockstep(f, lo[r:r + 1], hi[r:r + 1])
             assert tuple(a[r] for a in rows) == tuple(a[0] for a in alone)
         assert rows.at_bound.tolist() == [False, False, False, True]
 

@@ -10,7 +10,7 @@ from phdsel import (BoundaryParameter, CellPartition, InvalidInput, InvalidParam
                     MixtureDGP, default_partition, geometric_model, jacobian,
                     mixture_cell_probs, model_by_name, omega_sq, parse_cuts, poisson_model,
                     sample_mixture)
-from phdsel.models import GEOMETRIC_BOUNDS, POISSON_BOUNDS, _residual_last
+from phdsel.models import GEOMETRIC_BOUNDS, POISSON_BOUNDS, _mixture_rows, _residual_last
 
 KERNEL_PARTITIONS = {
     "default": default_partition(),
@@ -312,6 +312,18 @@ class TestMixtureCells:
         expected = (0.25 * poisson_model(part).cell_prob(4.0)
                     + 0.75 * geometric_model(part).cell_prob(0.2))
         np.testing.assert_allclose(mix, expected, rtol=1e-15)
+
+    @pytest.mark.parametrize("cuts", ["1,2,3,4,5,6,7", "1,2,5,10,20,50,100,1000,10000"])
+    def test_rows_are_the_mixtures_of_each_weight(self, cuts):
+        part = parse_cuts(cuts)
+        pis = np.concatenate([np.linspace(0.0, 1.0, 33), [0.1, 1 / 3, 0.7]])
+        first, second = poisson_model(part).cell_prob(4.0), geometric_model(part).cell_prob(0.2)
+        rows = _mixture_rows(pis, part)
+        assert rows.shape == (pis.size, part.m)
+        for pi, row in zip(pis.tolist(), rows):
+            # bit for bit: the weighted sum of one weight's component cells
+            assert row.tolist() == (pi * first + (1.0 - pi) * second).tolist()
+            assert row.tolist() == mixture_cell_probs(pi, part).tolist()
 
     # the kernel still evaluates rates far above the study's on every cut set
     @pytest.mark.parametrize("cuts", ["1,2,3,4,5,6,7", "1,2,5,10,20,50,100,1000,10000"])

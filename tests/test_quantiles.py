@@ -22,6 +22,17 @@ class TestChiSquare:
         expected = stats.chi2.ppf(q, df) if q <= 0.5 else stats.chi2.isf(1 - q, df)
         assert chi2_quantile(q, df) == pytest.approx(expected, rel=1e-11, abs=0)
 
+    # near x = a the gamma loops need about sqrt(a) terms, far more than 300
+    @pytest.mark.parametrize("df", [10**4, 10**5, 10**6])
+    @pytest.mark.parametrize("q", [0.05, 0.5, 0.95])
+    def test_quantile_matches_scipy_at_large_df(self, df, q):
+        expected = stats.chi2.ppf(q, df) if q <= 0.5 else stats.chi2.isf(1 - q, df)
+        assert chi2_quantile(q, df) == pytest.approx(expected, rel=1e-11, abs=0)
+
+    @pytest.mark.parametrize("df", [10**4, 10**5, 10**6])
+    def test_cdf_at_the_median_at_large_df(self, df):
+        assert chi2_cdf(stats.chi2.median(df), df) == pytest.approx(0.5, abs=1e-9)
+
     @pytest.mark.parametrize("df", [1, 4, 6, 17])
     def test_cdf_matches_scipy(self, df):
         for x in np.linspace(0.01, 60.0, 40):

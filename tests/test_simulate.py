@@ -8,7 +8,7 @@ import pytest
 
 import phdsel.simulate
 from phdsel import (FAVOR_FIRST, FAVOR_SECOND, INDECISIVE, CellPartition,
-                    ExperimentConfig, ExperimentRow, InvalidInput, MixtureDGP,
+                    ExperimentConfig, ExperimentRow, InvalidInput, InvalidParameter, MixtureDGP,
                     NoEquidistance, config_from_dict, default_partition,
                     emit_table, empirical_frequencies, equidistance_gap,
                     equidistance_pi, geometric_model, load_config,
@@ -254,13 +254,92 @@ class TestRunExperiment:
             assert sign * (large_n.hi_mean - small_n.hi_mean) > -2.0 * se
 
 
+def bisection_pi(gap):
+    """The equidistance weight by bisection of ``gap`` one weight at a time,
+    down to a bracket narrower than 1e-10, whose midpoint is returned; a
+    weight whose gap is exactly 0 is returned.  The reference for a gap
+    that changes sign at 0 and 1 and crosses zero once."""
+    lo, hi = 0.0, 1.0
+    for end in (lo, hi):
+        if gap(end) == 0.0:
+            return end
+    lo_positive = gap(lo) > 0.0
+    while hi - lo >= 1e-10:
+        mid = 0.5 * (lo + hi)
+        g = gap(mid)
+        if g == 0.0:
+            return mid
+        if (g > 0.0) == lo_positive:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def count_fit_calls(monkeypatch) -> list:
+    """Patch the lockstep fit of ``phdsel.simulate`` to count its calls."""
+    calls = []
+    fit = phdsel.simulate._fit_phd_rows
+
+    def counted(*args):
+        calls.append(args[1].shape[0])
+        return fit(*args)
+
+    monkeypatch.setattr(phdsel.simulate, "_fit_phd_rows", counted)
+    return calls
+
+
+EQUIDISTANCE_CUTS = [None, "1,2,5,10,20,50,100,1000,10000", "2,4,6,8,10,15"]
+
+
 class TestEquidistance:
-    def test_identical_families_return_half_with_flag(self):
+    def test_identical_families_return_half_with_flag(self, monkeypatch):
         part = default_partition()
+        calls = count_fit_calls(monkeypatch)
         result = equidistance_pi(poisson_model(part), poisson_model(part),
                                  part, 0.5)
         assert result.pi_star == 0.5
         assert result.degenerate
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("h", [0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("cuts", EQUIDISTANCE_CUTS)
+    def test_matches_one_weight_bisection_bit_for_bit(self, cuts, h):
+        part = default_partition() if cuts is None else parse_cuts(cuts)
+        pois, geom = poisson_model(part), geometric_model(part)
+        expected = bisection_pi(lambda pi: equidistance_gap(pi, pois, geom, part, h))
+        result = equidistance_pi(pois, geom, part, h)
+        assert result.pi_star.hex() == expected.hex()
+        assert not result.degenerate
+
+    @pytest.mark.parametrize("h", [0.5, 1.0])
+    @pytest.mark.parametrize("cuts", EQUIDISTANCE_CUTS[:2])
+    def test_solve_takes_seven_batched_fits(self, monkeypatch, cuts, h):
+        # five bisection levels per call, 34 in all: 33 weights per call,
+        # 17 in the last
+        part = default_partition() if cuts is None else parse_cuts(cuts)
+        calls = count_fit_calls(monkeypatch)
+        equidistance_pi(poisson_model(part), geometric_model(part), part, h)
+        assert calls == [33] * 6 + [17]
+
+    @pytest.mark.parametrize("root", [0.3, 0.375, 1 / 3, 1e-9, 1.0 - 2**-30, 0.0, 1.0])
+    def test_loop_keeps_the_bisection_bracket(self, monkeypatch, root):
+        # a linear gap with its one zero at ``root``: a dyadic root is hit
+        # exactly, any other is bracketed as bisection brackets it
+        gap = lambda pis: np.asarray(pis, dtype=float) - root
+        monkeypatch.setattr(phdsel.simulate, "_distance_gaps", lambda pis, *args: gap(pis))
+        part = default_partition()
+        result = equidistance_pi(poisson_model(part), geometric_model(part), part, 0.5)
+        assert result.pi_star == bisection_pi(lambda pi: float(gap([pi])[0]))
+        assert abs(result.pi_star - root) < 1e-10
+        assert not result.degenerate
+
+    def test_gaps_below_the_tolerance_are_degenerate(self, monkeypatch):
+        monkeypatch.setattr(phdsel.simulate, "_distance_gaps",
+                            lambda pis, *args: np.full(len(pis), 5e-11))
+        part = default_partition()
+        result = equidistance_pi(poisson_model(part), geometric_model(part), part, 0.5)
+        assert (result.pi_star, result.degenerate) == (0.5, True)
 
     def test_gap_has_a_single_sign_change(self):
         part = default_partition()
@@ -292,8 +371,16 @@ class TestEquidistance:
         part = default_partition()
         far_pois = dataclasses.replace(poisson_model(part), bounds=((30.0, 50.0),))
         geom = geometric_model(part)
-        with pytest.raises(NoEquidistance):
+        with pytest.raises(NoEquidistance, match=re.escape("no sign change on [0, 1]")):
             equidistance_pi(far_pois, geom, part, 0.5)
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan, True])
+    def test_gap_refuses_a_bad_mixing_weight(self, bad):
+        part = default_partition()
+        pois, geom = poisson_model(part), geometric_model(part)
+        with pytest.raises(InvalidParameter, match=re.escape(f"mixing weight must be in "
+                                                             f"[0,1], got {bad!r}")):
+            equidistance_gap(bad, pois, geom, part, 0.5)
 
     def test_models_on_different_partitions_are_refused(self):
         # both partitions have 8 cells; only their last finite cut differs

@@ -19,15 +19,17 @@ format, and runs ``phdsel.cli.main`` on CLI_CALLS, over data files that
 it writes: fits in the box and at its bound, goodness-of-fit tests (one
 far in the upper tail, on a single occupied cell), a decisive selection,
 selections with identical fits and with zero variance, and the
-equidistance solve on the default and the wide cuts.  On each cut set it
+equidistance solve on the default and the wide cuts.  On each cut set of
+POPULATION_CUTS (the default, the wide and the cuts 2,4,6,8,10,15) it
 also computes the population values: ``mixture_cell_probs`` at each
 weight in PIS, ``equidistance_gap`` at each weight in GAP_PIS and each h
-in H_VALUES, and the ``pi_star`` of ``equidistance_pi`` at each h in
-H_VALUES.  Last, it calls the scalar functions ``power_approx``,
-``required_sample_size``, ``chi2_cdf``, ``chi2_quantile`` and
-``normal_quantile`` on a fixed grid of valid inputs (``scalar_values``),
-numpy scalars, the sample sizes 1 and 300 and power inputs whose
-products overflow a double among them.
+in H_VALUES, and the ``pi_star`` and ``degenerate`` flag of
+``equidistance_pi`` at each h in H_VALUES, for the two families and for
+the Poisson family against itself (the degenerate path).  Last, it calls
+the scalar functions ``power_approx``, ``required_sample_size``,
+``chi2_cdf``, ``chi2_quantile`` and ``normal_quantile`` on a fixed grid
+of valid inputs (``scalar_values``), numpy scalars, the sample sizes 1 and
+300 and power inputs whose products overflow a double among them.
 
 Prints the largest differences between the trees, one ``key=value`` line
 each: fitted parameters in box widths, distances, and the relative
@@ -65,6 +67,8 @@ H_VALUES = (0.5, 1.0)
 PIS = (0.0, 0.5, 1.0)
 GAP_PIS = (0.25, 0.5, 0.75)
 WIDE_CUTS = "1,2,5,10,20,50,100,1000,10000"
+# the cut sets of the population values; None is the default cells
+POPULATION_CUTS = (None, WIDE_CUTS, "2,4,6,8,10,15")
 # The data files of the CLI calls, one observation per line: besides
 # draws.txt, POISSON_N Poisson(4) draws, values past the last default cut
 # (the Poisson rate is pinned at its bound) and one value repeated (one
@@ -136,21 +140,37 @@ def scalar_values(ph) -> list:
     return values
 
 
+def population_values(ph) -> list:
+    """Worker side: on each cut set of POPULATION_CUTS, the mixture cells at
+    each weight in PIS, the gap at each weight in GAP_PIS and each h in
+    H_VALUES, and the equidistance solve (``pi_star`` and ``degenerate``)
+    of the two families and of the Poisson family against itself at each h
+    in H_VALUES."""
+    values = []
+    for cuts in POPULATION_CUTS:
+        part = ph.default_partition() if cuts is None else ph.parse_cuts(cuts)
+        pois, geom = ph.poisson_model(part), ph.geometric_model(part)
+        # floats survive the JSON round trip exactly, so == compares bits
+        values += [ph.mixture_cell_probs(pi, part).tolist() for pi in PIS]
+        values += [ph.equidistance_gap(pi, pois, geom, part, h)
+                   for pi in GAP_PIS for h in H_VALUES]
+        values += [[r.pi_star, r.degenerate]
+                   for r in (ph.equidistance_pi(pois, model, part, h)
+                             for model in (geom, pois) for h in H_VALUES)]
+    return values
+
+
 def replay(src: str, reps: int) -> dict:
     """Worker side: the per-replication selections of the tree ``src``."""
     import phdsel as ph
 
     if not os.path.realpath(ph.__file__).startswith(os.path.realpath(src) + os.sep):
         raise SystemExit(f"phdsel imported from {ph.__file__}, not from {src}")
-    rows, bounds, experiment, tables, population = [], {}, [], [], []
+    rows, bounds, experiment, tables = [], {}, [], []
     for part in (ph.default_partition(), ph.parse_cuts(WIDE_CUTS)):
         pois, geom = ph.poisson_model(part), ph.geometric_model(part)
         bounds = {"theta1": pois.bounds[0], "theta2": geom.bounds[0]}
         # floats survive the JSON round trip exactly, so == compares bits
-        population += [ph.mixture_cell_probs(pi, part).tolist() for pi in PIS]
-        population += [ph.equidistance_gap(pi, pois, geom, part, h)
-                       for pi in GAP_PIS for h in H_VALUES]
-        population += [ph.equidistance_pi(pois, geom, part, h).pi_star for h in H_VALUES]
         for pi in PIS:
             config = ph.ExperimentConfig(pi=pi, sizes=SIZES, reps=reps, h_values=H_VALUES,
                                          seed=SEED, partition=part)
@@ -170,7 +190,8 @@ def replay(src: str, reps: int) -> dict:
                                     + [[fit.evaluations, fit.converged, fit.at_bound]
                                        for fit in (r.fit1, r.fit2)])
     return {"bounds": bounds, "rows": rows, "experiment": experiment, "tables": tables,
-            "cli": cli_outputs(ph), "population": population, "scalars": scalar_values(ph)}
+            "cli": cli_outputs(ph), "population": population_values(ph),
+            "scalars": scalar_values(ph)}
 
 
 def _fail(message: str):
