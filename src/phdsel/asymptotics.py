@@ -9,8 +9,8 @@ multinomial covariance Sigma(p) = diag(p) - p p^T,
 w^T Sigma(p) w = sum p w^2 - (sum p w)^2.  Nothing is factored or solved.
 
 One row core computes these for R rows at once: (R, m) frequencies against
-each family at (R,) estimates, with one validated cell call on the
-estimates and one kernel call on the 2R points theta +- s for J.  Every sum
+each family at (R,) estimates, with one validated cell call per family on
+the 3R points theta, theta + s and theta - s, the last two for J.  Every sum
 runs along the cell axis with ``np.add.reduce``, so row r is bit-identical
 to the core's call on that row alone.  The public functions are its R = 1
 call; ``run_experiment`` studentizes a chunk of replications in one call.
@@ -56,8 +56,8 @@ class SelectionVariance:
 # J and g = J / q_f, and the (R,) information I.
 _Rows = namedtuple("_Rows", "q qf J g info")
 # The selection variance of R rows: each model's rows and distance gradients
-# K and Q, gamma^2, and the degenerate reason, "" unless gamma^2 < 1e-10.
-_Selection = namedtuple("_Selection", "rows1 K1 Q1 rows2 K2 Q2 gamma_sq reason")
+# K and Q, gamma^2, and the flags gamma^2 < 1e-10 and equal fitted cells.
+_Selection = namedtuple("_Selection", "rows1 K1 Q1 rows2 K2 Q2 gamma_sq degenerate identical")
 
 
 def _interior(model: DiscreteModel, theta) -> np.ndarray:
@@ -72,22 +72,20 @@ def _interior(model: DiscreteModel, theta) -> np.ndarray:
 def _model_rows(model: DiscreteModel, t: np.ndarray) -> _Rows:
     """``model`` at the (R,) parameters ``t``.
 
-    A parameter on or outside the box boundary is rejected.  The cells come
-    from one validated call, J from one kernel call on the stacked points
-    t + s and t - s, with s = 1e-6 max(1, |t|) and the points clipped to
-    the box.
+    A parameter on or outside the box boundary is rejected.  One validated
+    call on the stacked points t, t + s and t - s gives the cells and the
+    two sides of J, with s = 1e-6 max(1, |t|) and the points clipped to the
+    box; each row's cells depend on its point alone.
     """
     lo, hi = model.bounds[0]
     outside = (t <= lo) | (t >= hi)
     if outside.any():
         raise BoundaryParameter(
             f"theta[0]={float(t[outside][0])!r} is on the boundary of [{lo}, {hi}]")
-    q = model.cell_prob(t[:, None])
     step = 1e-6 * np.maximum(1.0, np.abs(t))
-    up = np.minimum(t + step, hi)
-    dn = np.maximum(t - step, lo)
-    at = model.cell_fn(np.concatenate((up, dn))[:, None])
-    J = (at[:t.size] - at[t.size:]) / (up - dn)[:, None]
+    points = np.array((t, np.minimum(t + step, hi), np.maximum(t - step, lo)))
+    q, at_up, at_dn = model.cell_prob(points.reshape(-1, 1)).reshape(3, t.size, -1)
+    J = (at_up - at_dn) / (points[1] - points[2])[:, None]
     qf = np.maximum(q, PROB_FLOOR)
     g = J / qf
     info = np.add.reduce(J * g, axis=-1)
@@ -124,17 +122,15 @@ def _selection_rows(P: np.ndarray, model1: DiscreteModel, theta1: np.ndarray,
     estimates ``theta1`` and ``theta2``; ``h`` is a float or an (R, 1)
     column of weights.  No validation of ``P`` or ``h``.
 
-    A row whose variance is below 1e-10 gets the reason ``"identical_fits"``
-    when its two fitted cell vectors are equal, else ``"zero_variance"``.
+    ``degenerate`` flags the rows whose variance is below 1e-10,
+    ``identical`` those whose two fitted cell vectors are equal.
     """
     occupied = P > 0.0
     rows1, K1, Q1, MQ1 = _gradient_rows(P, occupied, model1, theta1, h)
     rows2, K2, Q2, MQ2 = _gradient_rows(P, occupied, model2, theta2, h)
     gamma_sq = np.maximum(_sigma_form(P, (K1 - K2) + MQ1 - MQ2), 0.0)
-    identical = (rows1.q == rows2.q).all(axis=-1)
-    reason = np.where(gamma_sq < _GAMMA_SQ_FLOOR,
-                      np.where(identical, "identical_fits", "zero_variance"), "")
-    return _Selection(rows1, K1, Q1, rows2, K2, Q2, gamma_sq, reason)
+    return _Selection(rows1, K1, Q1, rows2, K2, Q2, gamma_sq, gamma_sq < _GAMMA_SQ_FLOOR,
+                      (rows1.q == rows2.q).all(axis=-1))
 
 
 def _one(model: DiscreteModel, theta) -> _Rows:
@@ -207,10 +203,10 @@ def lambda_star_hat(phat, model1: DiscreteModel, theta1,
     gamma_sq = float(sel.gamma_sq[0])
     d1 = penalized_hellinger(P, sel.rows1.q[0], h)
     d2 = penalized_hellinger(P, sel.rows2.q[0], h)
-    if sel.reason[0]:
+    if sel.degenerate[0]:
         raise DegenerateVariance(
             f"selection variance {gamma_sq:.3e} below {_GAMMA_SQ_FLOOR:.0e}",
-            reason=str(sel.reason[0]))
+            reason="identical_fits" if sel.identical[0] else "zero_variance")
     SM, MSM = _sandwich(P, sel.rows1 if d1 <= d2 else sel.rows2)
     star = np.block([[_sigma(P), SM], [SM.T, MSM]])
     return SelectionVariance(K1=sel.K1[0], Q1=sel.Q1[0], K2=sel.K2[0], Q2=sel.Q2[0],

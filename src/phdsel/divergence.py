@@ -100,10 +100,8 @@ def grad_phd_first(phat, ptheta, h: float) -> np.ndarray:
 def _grad_first(P: np.ndarray, occupied: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """First-argument gradient at frequencies ``P`` with occupied cells
     ``occupied`` and model vectors ``Q``, one vector or (R, m) rows of them.
-    No validation."""
-    grad = np.zeros_like(P)
-    grad[occupied] = 2.0 * (1.0 - np.sqrt(Q[occupied] / P[occupied]))
-    return grad
+    No validation; an empty cell keeps the ratio 1, so its entry is 0."""
+    return 2.0 * (1.0 - np.sqrt(np.divide(Q, P, out=np.ones_like(P), where=occupied)))
 
 
 def grad_phd_second(phat, ptheta, h: float) -> np.ndarray:
@@ -126,6 +124,5 @@ def _grad_second(P: np.ndarray, occupied: np.ndarray, Q: np.ndarray,
     ``occupied``, model vectors ``Q`` and weight ``h``, which broadcasts
     against ``P`` (a float, or an (R, 1) column for (R, m) rows).  No
     validation."""
-    grad = np.full_like(P, 2.0 * h)
-    grad[occupied] = 2.0 * (1.0 - np.sqrt(P[occupied] / Q[occupied]))
-    return grad
+    ratio = np.divide(P, Q, out=np.ones_like(P), where=occupied)
+    return np.where(occupied, 2.0 * (1.0 - np.sqrt(ratio)), 2.0 * h)

@@ -196,5 +196,4 @@ def _studentize_rows(phat: np.ndarray, n: np.ndarray, model1: DiscreteModel,
     to the ``model_select`` report of that row.  No validation."""
     sel = _selection_rows(phat, model1, _interior(model1, theta1),
                           model2, _interior(model2, theta2), h[:, None])
-    degenerate = sel.reason != ""
-    return _statistic(n, d1, d2, sel.gamma_sq, degenerate)[0], degenerate
+    return _statistic(n, d1, d2, sel.gamma_sq, sel.degenerate)[0], sel.degenerate

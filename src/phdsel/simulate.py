@@ -254,9 +254,7 @@ class EquidistanceResult:
 def _distance_gaps(pis, model1: DiscreteModel, model2: DiscreteModel,
                    partition: CellPartition, h: float) -> np.ndarray:
     """Fitted-distance gaps d1 - d2 against the exact mixtures with the
-    unchecked weights ``pis``, all fitted by both families in one call."""
-    h = check_penalty_weight(h)
-    _check_shared_partition(model1.partition, model2.partition, partition)
+    weights ``pis``, all fitted by both families in one call.  No validation."""
     fits1, fits2 = _fit_phd_rows((model1, model2), _mixture_rows(pis, partition), h)
     return fits1.fun - fits2.fun
 
@@ -265,6 +263,8 @@ def equidistance_gap(pi: float, model1: DiscreteModel, model2: DiscreteModel,
                      partition: CellPartition, h: float) -> float:
     """Fitted-distance gap d1 - d2 of the two families against the exact
     mixture with weight ``pi`` (population level, no sampling)."""
+    h = check_penalty_weight(h)
+    _check_shared_partition(model1.partition, model2.partition, partition)
     return float(_distance_gaps([MixtureDGP(pi=pi).pi], model1, model2, partition, h)[0])
 
 
@@ -276,26 +276,33 @@ def equidistance_pi(model1: DiscreteModel, model2: DiscreteModel,
 
     Each fit call takes j = min(``EQUI_LEVELS``, the levels still needed)
     levels at once: both families are fitted to the 2**j + 1 evenly spaced
-    weights of the bracket, and the first interval whose gap changes sign
-    is kept, bisection's own for a gap that crosses zero once.  A weight
-    whose gap is exactly 0 is returned.  Identical families, whose first
-    gaps are all below ``EQUI_TOL``, give 0.5 with the ``degenerate`` flag.
+    weights of the bracket, whose ends keep their gaps after the first call,
+    and the first interval whose gap changes sign is kept, bisection's own
+    for a gap that crosses zero once.  A weight whose gap is exactly 0 is
+    returned.  Identical families, whose first gaps are all below
+    ``EQUI_TOL``, give 0.5 with the ``degenerate`` flag.
     A gap of one nonzero sign at 0 and at 1 raises NoEquidistance.
     """
-    lo, width = 0.0, 1.0
+    h = check_penalty_weight(h)
+    _check_shared_partition(model1.partition, model2.partition, partition)
+    lo, width, ends = 0.0, 1.0, None
     while width >= EQUI_TOL:
         # no more levels than bring the bracket below EQUI_TOL
         j = min(EQUI_LEVELS, math.floor(math.log2(width / EQUI_TOL)) + 1)
-        pis = lo + width / 2**j * np.arange(2**j + 1)
-        gaps = _distance_gaps(pis, model1, model2, partition, h)
-        if width == 1.0 and np.all(np.abs(gaps) < EQUI_TOL):
-            return EquidistanceResult(pi_star=0.5, degenerate=True)
+        pis = lo + width / 2**j * np.arange(2**j + 1)  # dyadic: the ends recur exactly
+        if ends is None:
+            gaps = _distance_gaps(pis, model1, model2, partition, h)
+            if np.all(np.abs(gaps) < EQUI_TOL):
+                return EquidistanceResult(pi_star=0.5, degenerate=True)
+        else:
+            gaps = np.insert(ends, 1, _distance_gaps(pis[1:-1], model1, model2, partition, h))
         if not gaps.all():  # the first weight whose gap is exactly 0
             return EquidistanceResult(float(pis[np.argmax(gaps == 0.0)]), degenerate=False)
         positive = gaps > 0.0
         if positive[0] == positive[-1]:  # at 0 and 1; every kept bracket changes sign
             raise NoEquidistance("distance gap has no sign change on [0, 1]")
-        lo, width = float(pis[np.argmax(positive[1:] != positive[:-1])]), width / 2**j
+        k = int(np.argmax(positive[1:] != positive[:-1]))
+        lo, width, ends = float(pis[k]), width / 2**j, gaps[k:k + 2]
     return EquidistanceResult(pi_star=lo + 0.5 * width, degenerate=False)
 
 

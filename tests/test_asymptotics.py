@@ -456,7 +456,13 @@ def core_outcome(samples, models, weights):
 def selection_arrays(sel):
     """Every array of a row-core result, the models' rows included."""
     return [*sel.rows1, sel.K1, sel.Q1, *sel.rows2, sel.K2, sel.Q2, sel.gamma_sq,
-            sel.reason]
+            sel.degenerate, sel.identical]
+
+
+def reasons(sel) -> list[str]:
+    """The ``degenerate_reason`` that the flags of a row-core result name."""
+    return ["" if not degenerate else "identical_fits" if identical else "zero_variance"
+            for degenerate, identical in zip(sel.degenerate, sel.identical)]
 
 
 class TestRowCore:
@@ -482,7 +488,7 @@ class TestRowCore:
                 np.testing.assert_array_equal(a[r:r + 1], b)
             report = model_select(sample, models[0], models[1], float(h))
             assert report.degenerate == bool(degenerate[r])
-            assert report.degenerate_reason == sel.reason[r]
+            assert report.degenerate_reason == reasons(sel)[r]
             np.testing.assert_array_equal(report.hi, hi[r])
         # dropping the degenerate rows leaves every other row as it was
         kept = np.flatnonzero(~degenerate)
@@ -499,8 +505,29 @@ class TestRowCore:
         data = sample_mixture(MixtureDGP(pi=0.5), 300, np.random.default_rng(5))
         mixed = BinnedSample(counts=np.bincount(part.bin_indices(data), minlength=part.m))
         weights = np.array([0.5, 1.0, 0.5])
-        _, (_, degenerate, sel) = core_outcome([mixed, one_cell, mixed], [pois, geom], weights)
-        assert degenerate.tolist() == [False, True, False]
-        assert sel.reason.tolist() == ["", "zero_variance", ""]
-        _, (_, degenerate, sel) = core_outcome([mixed, one_cell], [pois, pois], weights[:2])
-        assert sel.reason.tolist() == ["identical_fits", "identical_fits"]
+        for samples, models, expected in (
+                ([mixed, one_cell, mixed], [pois, geom], ["", "zero_variance", ""]),
+                ([mixed, one_cell], [pois, pois], ["identical_fits", "identical_fits"])):
+            _, (_, degenerate, sel) = core_outcome(samples, models, weights[:len(samples)])
+            assert sel.degenerate.dtype == bool and sel.identical.dtype == bool
+            np.testing.assert_array_equal(degenerate, sel.degenerate)
+            assert reasons(sel) == expected
+            assert [model_select(s, *models, float(h)).degenerate_reason
+                    for s, h in zip(samples, weights)] == expected
+
+    def test_one_cell_call_per_family(self, monkeypatch):
+        part = default_partition()
+        pois, geom = poisson_model(part), geometric_model(part)
+        data = sample_mixture(MixtureDGP(pi=0.5), 300, np.random.default_rng(5))
+        phat = np.tile(np.bincount(part.bin_indices(data), minlength=part.m) / 300.0, (4, 1))
+        calls = []
+        cell_fn = DiscreteModel.cell_fn
+
+        def counted(model, theta):
+            calls.append(theta.shape[0])
+            return cell_fn(model, theta)
+
+        monkeypatch.setattr(DiscreteModel, "cell_fn", counted)
+        _selection_rows(phat, pois, np.full(4, 4.0), geom, np.full(4, 0.2), 0.5)
+        # the estimates, then the points t + s and t - s, in one call
+        assert calls == [12, 12]

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from phdsel import (DegenerateGradient, InvalidInput, InvalidParameter,
                     grad_phd_first, grad_phd_second, hellinger,
                     penalized_hellinger)
-from phdsel.divergence import MAX_PENALTY_WEIGHT, _kl_modified_rows, _phd_rows
+from phdsel.divergence import (MAX_PENALTY_WEIGHT, _grad_first, _grad_second,
+                               _kl_modified_rows, _phd_rows)
 
 HD_EXAMPLE = 2.0 * ((1.0 - math.sqrt(0.5)) ** 2 + 0.5)          # (1,0) vs (.5,.5)
 PHD_HALF_EXAMPLE = 2.0 * ((1.0 - math.sqrt(0.5)) ** 2 + 0.25)   # same pair, h=1/2
@@ -217,6 +218,24 @@ class TestGradients:
             Q = grad_phd_second(p / p.sum(), q / q.sum(), h)
             fd = fd_gradient(lambda v: phd_free(p / p.sum(), v, h), q / q.sum())
             np.testing.assert_allclose(Q, fd, rtol=1e-6, atol=1e-9)
+
+    @pytest.mark.parametrize("column", [False, True])
+    def test_row_gradients_equal_a_masked_reference(self, column):
+        # the where-form against assignment through the occupied mask, on
+        # (R, m) rows with empty cells and a float or (R, 1) column of h
+        rng = np.random.default_rng(37)
+        P = rng.dirichlet(np.ones(7), size=40) * (rng.random((40, 7)) < 0.6)
+        P[0] = 0.0
+        Q = rng.dirichlet(np.ones(7), size=40)
+        occupied = P > 0.0
+        h = rng.uniform(0.1, 2.0, size=(40, 1)) if column else 0.37
+        first = np.zeros_like(P)
+        first[occupied] = 2.0 * (1.0 - np.sqrt(Q[occupied] / P[occupied]))
+        second = np.full_like(P, 2.0 * h)
+        second[occupied] = 2.0 * (1.0 - np.sqrt(P[occupied] / Q[occupied]))
+        assert occupied.any() and not occupied.all()
+        np.testing.assert_array_equal(_grad_first(P, occupied, Q), first)
+        np.testing.assert_array_equal(_grad_second(P, occupied, Q, h), second)
 
     def test_second_gradient_fd_on_empty_cells(self):
         # the penalty term h * q_i is linear, so the 2h convention is exact

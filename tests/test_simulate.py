@@ -315,12 +315,12 @@ class TestEquidistance:
     @pytest.mark.parametrize("h", [0.5, 1.0])
     @pytest.mark.parametrize("cuts", EQUIDISTANCE_CUTS[:2])
     def test_solve_takes_seven_batched_fits(self, monkeypatch, cuts, h):
-        # five bisection levels per call, 34 in all: 33 weights per call,
-        # 17 in the last
+        # five bisection levels per call, 34 in all: 33 weights in the first
+        # call, then the 31 inside the kept bracket, 15 in the last
         part = default_partition() if cuts is None else parse_cuts(cuts)
         calls = count_fit_calls(monkeypatch)
         equidistance_pi(poisson_model(part), geometric_model(part), part, h)
-        assert calls == [33] * 6 + [17]
+        assert calls == [33] + [31] * 5 + [15]
 
     @pytest.mark.parametrize("root", [0.3, 0.375, 1 / 3, 1e-9, 1.0 - 2**-30, 0.0, 1.0])
     def test_loop_keeps_the_bisection_bracket(self, monkeypatch, root):

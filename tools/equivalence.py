@@ -25,7 +25,12 @@ also computes the population values: ``mixture_cell_probs`` at each
 weight in PIS, ``equidistance_gap`` at each weight in GAP_PIS and each h
 in H_VALUES, and the ``pi_star`` and ``degenerate`` flag of
 ``equidistance_pi`` at each h in H_VALUES, for the two families and for
-the Poisson family against itself (the degenerate path).  Last, it calls
+the Poisson family against itself (the degenerate path), and the public
+wrappers of the selection-variance row core at fixed inputs
+(``row_core_values``: ``jacobian``, ``m_matrix``, ``omega_sq``, the
+``lambda_star_hat`` variance and the DegenerateVariance reason of
+identical fits and of a one-cell sample); it also fits ``mle_binned`` to
+each CLI data file on the default cells.  Last, it calls
 the scalar functions ``power_approx``, ``required_sample_size``,
 ``chi2_cdf``, ``chi2_quantile`` and ``normal_quantile`` on a fixed grid
 of valid inputs (``scalar_values``), numpy scalars, the sample sizes 1 and
@@ -89,13 +94,18 @@ CLI_CALLS = (
 )
 
 
+def cli_data(ph) -> dict[str, list[int]]:
+    """Worker side: the observations of each CLI data file, by file name."""
+    draws = ph.sample_mixture(ph.MixtureDGP(pi=1.0), POISSON_N,
+                              ph.substream(SEED, POISSON_N, 0.5, 0))
+    return {"draws.txt": [int(v) for v in draws], **CLI_DATA}
+
+
 def cli_outputs(ph) -> list[str]:
     """Worker side: the stdout of ``phdsel.cli.main`` on each CLI call."""
     from phdsel.cli import main
 
-    draws = ph.sample_mixture(ph.MixtureDGP(pi=1.0), POISSON_N,
-                              ph.substream(SEED, POISSON_N, 0.5, 0))
-    data = {"draws.txt": [int(v) for v in draws], **CLI_DATA}
+    data = cli_data(ph)
     outputs = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, values in data.items():
@@ -140,13 +150,46 @@ def scalar_values(ph) -> list:
     return values
 
 
+def degenerate_reason(ph, *args) -> str | None:
+    """Worker side: the ``reason`` of the DegenerateVariance that
+    ``lambda_star_hat`` raises on ``args``, None when it raises none."""
+    try:
+        ph.lambda_star_hat(*args)
+    except ph.DegenerateVariance as exc:
+        return exc.reason
+    return None
+
+
+def row_core_values(ph, part, phats) -> list:
+    """Worker side: the public wrappers of the selection-variance row core
+    on the partition ``part``, the Poisson family at rate 4 and the
+    geometric at p = 0.2: both Jacobians and projections,
+    ``omega_sq`` of each family against the first frequencies of ``phats``
+    and the ``lambda_star_hat`` variance against each, at each h in
+    H_VALUES, and the degenerate reason of identical fits and of a sample
+    on one cell."""
+    pois, geom = ph.poisson_model(part), ph.geometric_model(part)
+    at = ((pois, [4.0]), (geom, [0.2]))
+    values = [f(model, theta).tolist() for f in (ph.jacobian, ph.m_matrix) for model, theta in at]
+    values += [ph.omega_sq(phats[0], model, theta, h) for model, theta in at for h in H_VALUES]
+    values += [ph.lambda_star_hat(phat, pois, [4.0], geom, [0.2], h).GammaSq
+               for phat in phats for h in H_VALUES]
+    one_cell = [0.0] * 3 + [1.0] + [0.0] * (part.m - 4)
+    return values + [degenerate_reason(ph, phats[0], pois, [4.0], pois, [4.0], 0.5),
+                     degenerate_reason(ph, one_cell, pois, [3.0], geom, [0.3], 0.5)]
+
+
 def population_values(ph) -> list:
     """Worker side: on each cut set of POPULATION_CUTS, the mixture cells at
     each weight in PIS, the gap at each weight in GAP_PIS and each h in
-    H_VALUES, and the equidistance solve (``pi_star`` and ``degenerate``)
-    of the two families and of the Poisson family against itself at each h
-    in H_VALUES."""
+    H_VALUES, the equidistance solve (``pi_star`` and ``degenerate``) of
+    the two families and of the Poisson family against itself at each h in
+    H_VALUES, and ``row_core_values`` against the mixture with weight 1/2
+    and the binned Poisson draws of the CLI; then the ``mle_binned`` fit
+    (estimate, objective, evaluations) of each family to each CLI data
+    file on the default cells, or the name of the error it raised."""
     values = []
+    data = cli_data(ph)
     for cuts in POPULATION_CUTS:
         part = ph.default_partition() if cuts is None else ph.parse_cuts(cuts)
         pois, geom = ph.poisson_model(part), ph.geometric_model(part)
@@ -157,6 +200,17 @@ def population_values(ph) -> list:
         values += [[r.pi_star, r.degenerate]
                    for r in (ph.equidistance_pi(pois, model, part, h)
                              for model in (geom, pois) for h in H_VALUES)]
+        draws = ph.empirical_frequencies(data["draws.txt"], part)[1]
+        values += row_core_values(ph, part, (ph.mixture_cell_probs(0.5, part), draws))
+    part = ph.default_partition()
+    for observations in data.values():
+        sample = ph.empirical_frequencies(observations, part)[0]
+        for model in (ph.poisson_model(part), ph.geometric_model(part)):
+            try:
+                fit = ph.mle_binned(model, sample)
+                values.append([float(fit.theta_hat[0]), fit.objective, fit.evaluations])
+            except ph.PhdselError as exc:  # a refusal counts as a value too
+                values.append(type(exc).__name__)
     return values
 
 
