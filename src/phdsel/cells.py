@@ -19,13 +19,24 @@ from .errors import InvalidInput
 SIMPLEX_ATOL = 1e-12
 
 
+def _numbers(value, name: str) -> np.ndarray:
+    """``value`` as an array of integers or floats: strings, bools, complex
+    numbers and what numpy holds as objects (None, integers beyond 64 bits)
+    raise InvalidInput naming the input ``name``, rather than being
+    converted."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise InvalidInput(f"{name} must be integers or floats, got dtype {arr.dtype}")
+    return arr
+
+
 def as_prob_vector(p) -> np.ndarray:
     """Validate and return ``p`` as a probability vector.
 
     Entries must be finite and nonnegative and sum to one within
     ``SIMPLEX_ATOL``.
     """
-    arr = np.asarray(p, dtype=float)
+    arr = np.asarray(_numbers(p, "probability vector"), dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise InvalidInput("probability vector must be 1-D with at least 2 cells")
     return _as_prob_rows(arr[None, :])[0]
@@ -142,7 +153,7 @@ class BinnedSample:
     n: int = field(init=False)
 
     def __post_init__(self):
-        counts = np.asarray(self.counts)
+        counts = _numbers(self.counts, "counts")
         # refused before the int64 cast, which truncates 2.7 to 2 and fails on
         # NaN, inf and magnitudes of 2**63 or more
         if counts.dtype.kind == "f" and not np.all((np.abs(counts) < 2.0**63)
@@ -171,7 +182,7 @@ class BinnedSample:
 
 def empirical_frequencies(data, part: CellPartition) -> tuple[BinnedSample, np.ndarray]:
     """Bin raw observations and return (counts, observed cell frequencies)."""
-    values = np.asarray(data, dtype=float)
+    values = np.asarray(_numbers(data, "data"), dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise InvalidInput("data must be a nonempty 1-D sequence")
     if not np.all(np.isfinite(values)):

@@ -4,11 +4,12 @@ Every fit minimizes R independent one-parameter objectives in lockstep,
 row r on its own box:
 
 * a 32-point uniform grid multi-start, its values taken from the model's
-  grid cells, evaluated once per kernel and box (``_start_cells``);
+  grid cells, evaluated once per model (``_start_cells``);
 * golden-section refinement of each row's best bracket, one call on an
-  (R, 1) array per step, until the row's bracket is narrower than 1e-8 of
-  the box width.  Rows whose bracket has closed still ride along in the
-  later calls, but their state is frozen when it closes.
+  (R, 1) array per step, for a step count set once by the row's first
+  bracket: 33 steps, or 32 when the best start is a box end, which take the
+  bracket below 1e-8 of the box width.  Rows that have made their steps
+  still ride along in the later calls, with their state left as it is.
 
 Ties between starts are broken toward the smaller parameter.  The objective
 of row r may depend only on row r's points, so row r of an R-row fit is
@@ -43,7 +44,10 @@ from .models import DiscreteModel, _residual_last
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GRID_POINTS = 32
-MAX_STEPS = 200
+# the golden steps that take a first bracket of two grid spacings, or of one
+# at a box end, below the tolerance of 1e-8 of the box width:
+# ceil(log(31e-8 / 2) / log(GOLDEN)) and ceil(log(31e-8) / log(GOLDEN))
+STEPS, END_STEPS = 33, 32
 _BRACKET = np.array([[-1], [1]])  # grid neighbours of the best start
 
 
@@ -51,9 +55,12 @@ _BRACKET = np.array([[-1], [1]])  # grid neighbours of the best start
 class FitResult:
     """Outcome of a bounded model fit.
 
-    ``at_bound`` is set when the estimate lies within the stopping tolerance
-    (1e-8 of the box width) of a bound of the box: the box, not the data,
-    stopped the search, even when ``converged`` is true.
+    ``evaluations`` counts the objective calls: 66 when the best grid start
+    is a box end, 67 otherwise.  ``converged`` reports whether the final
+    bracket is narrower than the stopping tolerance, 1e-8 of the box width.
+    ``at_bound`` is set when the estimate lies within that tolerance of a
+    bound of the box: the box, not the data, stopped the search, even when
+    ``converged`` is true.
     """
 
     theta_hat: np.ndarray
@@ -87,13 +94,10 @@ def _grid(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _start_cells(kernel: Callable[[np.ndarray, np.ndarray], None], m: int, lo: float,
-                 hi: float) -> np.ndarray:
-    """The read-only (GRID_POINTS, m) cells that ``kernel`` gives at the
-    start grid of the box [lo, hi], evaluated once per kernel and box."""
-    cells = np.empty((GRID_POINTS, m))
-    kernel(_grid(np.array([lo]), np.array([hi])), cells[:, :-1])
-    _residual_last(cells[:, :-1], cells[:, -1])
+def _start_cells(model: DiscreteModel) -> np.ndarray:
+    """The read-only (GRID_POINTS, m) cells of ``model`` at the start grid
+    of its box, evaluated once per model."""
+    cells = model.cell_fn(_grid(*np.array(model.bounds[0])[:, None]))
     cells.flags.writeable = False
     return cells
 
@@ -112,19 +116,17 @@ def _lockstep(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
         raise FitFailed("objective non-finite at every grid start")
     j = np.argmin(fs, axis=1)  # first minimum = smallest x on ties
     each = np.arange(rows)
+    steps = np.where((j == 0) | (j == GRID_POINTS - 1), END_STEPS, STEPS)
 
-    # cand holds (x, f) of the best grid point and of the two interior
-    # points as they were when the row's bracket closed, one entry per row
-    cand = np.empty((3, 2, rows))
-    cand[0, 0], cand[0, 1] = xs[j, each], np.minimum.reduce(fs, axis=1)
-    final = cand[1:]
-    # The state is updated in place, on every row at every step: ab holds
-    # the bracket (a, b); pts holds (x, f) of the lower interior point x1,
-    # the upper one x2 and the newest evaluation.
+    # state holds (x, f) of the best grid point, then of the lower interior
+    # point x1, the upper one x2 and the newest evaluation; all but the
+    # first are updated in place, on every row that has steps left
+    state = np.empty((4, 2, rows))
+    state[0] = xs[j, each], np.minimum.reduce(fs, axis=1)
+    pts = state[1:]
     ab = xs[np.minimum(np.maximum(j + _BRACKET, 0), GRID_POINTS - 1), each]
-    a, b = ab
+    a, b = ab  # the bracket
     w = b - a
-    pts = np.empty((3, 2, rows))
     interior, interior_x = pts[:2], pts[:2, 0]
     x1, f1, x2, f2, x_new, f_new = pts.reshape(6, rows)
     np.subtract(b, w * GOLDEN, out=x1)
@@ -137,40 +139,25 @@ def _lockstep(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
 
     side = np.empty((2, rows), dtype=bool)
     right, left = side  # the minimum lies in [x1, b] / in [a, x2]
-    closed = np.zeros(rows, dtype=bool)
-    shut = np.empty(rows, dtype=bool)
-    steps = np.empty(rows, dtype=int)
-    # the ufunc reductions are ndarray.any and .all without their wrappers
-    any_, all_ = np.logical_or.reduce, np.logical_and.reduce
-    for step in range(MAX_STEPS + 1):
-        if any_(np.less(w, tol, out=shut)):
-            shut &= ~closed
-            if any_(shut):
-                closed |= shut
-                steps[shut] = step
-                np.copyto(final, interior, where=shut)
-                if all_(closed):
-                    break
-        if step == MAX_STEPS:
-            break
+    for step in range(steps.max()):
+        live = step < steps
         np.less_equal(f1, f2, out=left)
         np.logical_not(left, out=right)
+        side &= live  # a row without steps left keeps its bracket
         np.copyto(ab, interior_x, where=side)  # a <- x1 where right, b <- x2 where left
         np.subtract(b, a, out=w)
         gw = w * GOLDEN
         np.subtract(b, gw, out=x_new)
         np.copyto(x_new, a + gw, where=right)
         f_col[...] = f(x_col)
-        interior[:] = np.where(left, after_left, after_right)
-    if not closed.all():  # rows still open after MAX_STEPS steps
-        steps[~closed] = MAX_STEPS
-        np.copyto(final, interior, where=~closed)
+        np.copyto(interior, np.where(left, after_left, after_right), where=live)
 
     # the best candidate: least value, then least x
+    cand = state[:3]
     best_f = np.minimum.reduce(cand[:, 1])
     best_x = np.minimum.reduce(np.where(cand[:, 1] == best_f, cand[:, 0], np.inf))
     at_bound = np.minimum(best_x - lo, hi - best_x) <= tol
-    return FitRows(best_x, best_f, GRID_POINTS + 2 + steps, closed, at_bound)
+    return FitRows(best_x, best_f, GRID_POINTS + 2 + steps, w < tol, at_bound)
 
 
 def _fit_phd_rows(models: tuple[DiscreteModel, ...], phat: np.ndarray,
@@ -181,7 +168,7 @@ def _fit_phd_rows(models: tuple[DiscreteModel, ...], phat: np.ndarray,
 
     The fits are stacked model-major, each model's R rows on its own box.
     All rows of a model share its box and so its start grid, whose cells
-    are evaluated once per kernel and box (``_start_cells``); its R rows of
+    are evaluated once per model (``_start_cells``); its R rows of
     grid values are taken from them.  Later objective calls fill
     one cell workspace per number of points: each model's kernel writes the
     interior cells of its own stacked rows in place, the residual last cell
@@ -199,7 +186,7 @@ def _fit_phd_rows(models: tuple[DiscreteModel, ...], phat: np.ndarray,
     lo, hi = np.array([model.bounds[0] for model in models]).T
     # row i * rows + r of the stack is the fit of models[i] to phat[r]
     fs = np.concatenate([_phd_rows(root_p, occupied,
-                                   _start_cells(model.kernel, m, *model.bounds[0]), weights[i])
+                                   _start_cells(model), weights[i])
                          for i, model in enumerate(models)])
     root_s, occupied_s = np.concatenate((root_p,) * k), np.concatenate((occupied,) * k)
     weight_s = weights.reshape(-1, 1, 1)
@@ -260,6 +247,5 @@ def mle_binned(model: DiscreteModel, sample: BinnedSample) -> FitResult:
         q = model.cell_fn(th.reshape(-1, 1))
         return _kl_modified_rows(phat, occupied, q).reshape(th.shape)
 
-    grid_cells = _start_cells(model.kernel, phat.size, *model.bounds[0])
-    fs = _kl_modified_rows(phat, occupied, grid_cells)[None, :]
+    fs = _kl_modified_rows(phat, occupied, _start_cells(model))[None, :]
     return _lockstep(objective, *np.array(model.bounds[0])[:, None], fs).fit(0)

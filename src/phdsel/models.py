@@ -40,8 +40,8 @@ from typing import Callable
 
 import numpy as np
 
-from .cells import (CellPartition, _as_prob_rows, _is_real, _is_whole, as_prob_vector,
-                    default_partition)
+from .cells import (CellPartition, _as_prob_rows, _is_real, _is_whole, _numbers,
+                    as_prob_vector, default_partition)
 from .errors import InvalidInput, InvalidParameter
 
 POISSON_BOUNDS = (1e-6, 50.0)
@@ -63,7 +63,9 @@ class DiscreteModel:
     module docstring); ``cell_fn`` is its allocating call with the residual
     last cell, and ``cell_prob`` the validated one.  ``bounds`` holds the
     one box (lo, hi) the optimizer searches; a second box is refused at
-    construction.
+    construction.  A box narrower than about 1e-7 of its magnitude is too
+    narrow for its fit's bracket to close: such a fit reports
+    ``converged=False``.
     """
 
     name: str
@@ -84,7 +86,7 @@ class DiscreteModel:
         return len(self.bounds)
 
     def theta_array(self, theta) -> np.ndarray:
-        arr = np.atleast_1d(np.asarray(theta, dtype=float))
+        arr = np.atleast_1d(np.asarray(_numbers(theta, "theta"), dtype=float))
         if arr.shape != (self.k,):
             raise InvalidInput(f"theta must have shape ({self.k},), got {arr.shape}")
         return arr
@@ -102,7 +104,7 @@ class DiscreteModel:
         (k,) or a block of R of them of shape (R, k): one validated kernel
         call, giving a simplex point per parameter vector, shape (m,) or
         (R, m).  Cells that are not one raise InvalidParameter naming theta."""
-        arr = np.asarray(theta, dtype=float)
+        arr = np.asarray(_numbers(theta, "theta"), dtype=float)
         rows = arr if arr.ndim == 2 else self.theta_array(arr)[None, :]
         if rows.shape[1] != self.k:
             raise InvalidInput(f"theta must have shape (R, {self.k}), got {arr.shape}")

@@ -7,6 +7,15 @@ from phdsel import (BinnedSample, CellPartition, InvalidInput, as_prob_vector,
                     default_partition, empirical_frequencies, parse_cuts)
 
 
+def not_numbers(strings, bools, one):
+    """The cases that no numeric-array input accepts, each a pytest param:
+    ``strings`` and ``bools`` as given, and ``one`` with its first entry
+    replaced by an integer beyond 64 bits, by None and by a complex number."""
+    cases = {"strings": strings, "bools": bools, "huge int": [10**400, *one[1:]],
+             "None": [None, *one[1:]], "complex": [complex(one[0]), *one[1:]]}
+    return [pytest.param(value, id=name) for name, value in cases.items()]
+
+
 class TestCellPartition:
     def test_default_partition_shape(self):
         part = default_partition()
@@ -75,6 +84,12 @@ class TestProbVector:
             as_prob_vector([0.5, math.nan])
 
 
+    @pytest.mark.parametrize("p", not_numbers(["0.5", "0.5"], [True, False], [0.5, 0.5]))
+    def test_rejects_entries_that_are_not_numbers(self, p):
+        with pytest.raises(InvalidInput, match="probability vector must be integers or floats"):
+            as_prob_vector(p)
+
+
 class TestEmpiricalFrequencies:
     def test_direct_counting(self):
         part = CellPartition(cuts=(0.0, 1.0, 2.0, 3.0, math.inf))
@@ -104,6 +119,11 @@ class TestEmpiricalFrequencies:
             empirical_frequencies([], part)
         with pytest.raises(InvalidInput):
             empirical_frequencies([1.0, -0.5], part)
+
+    @pytest.mark.parametrize("data", not_numbers(["1", "2", "3"], [True, False, True], [1, 2, 3]))
+    def test_rejects_observations_that_are_not_numbers(self, data):
+        with pytest.raises(InvalidInput, match="data must be integers or floats"):
+            empirical_frequencies(data, default_partition())
 
     def test_poisson_first_cell_frequency(self):
         # oracle: exact pmf of zero counts, e^-4; Monte Carlo within 3 SE
@@ -141,6 +161,12 @@ class TestBinnedSample:
             with pytest.raises(InvalidInput, match="overflows"):
                 BinnedSample(counts=bad)
         assert BinnedSample(counts=[2**62, 2**62 - 1, 0]).n == 2**63 - 1
+
+    @pytest.mark.parametrize("counts", not_numbers(["1", "2", "3"], [True, False, True],
+                                                   [1, 2, 3]))
+    def test_rejects_counts_that_are_not_numbers(self, counts):
+        with pytest.raises(InvalidInput, match="counts must be integers or floats"):
+            BinnedSample(counts=counts)
 
     def test_frequencies(self):
         s = BinnedSample(counts=np.array([1, 3]))

@@ -10,7 +10,10 @@ from phdsel import (BinnedSample, CellPartition, DiscreteModel, FitFailed,
                     empirical_frequencies, fit_phd_to_probs, geometric_model,
                     hellinger, minimize_phd, mle_binned, parse_cuts,
                     penalized_hellinger, poisson_model, sample_mixture)
-from phdsel.fit import _fit_phd_rows, _grid, _lockstep, _start_cells
+import phdsel.fit
+from phdsel.divergence import _phd_rows
+from phdsel.fit import (END_STEPS, GOLDEN, GRID_POINTS, STEPS, FitRows, _fit_phd_rows,
+                        _grid, _lockstep, _start_cells)
 from phdsel.simulate import CHUNK_ROWS
 
 from kernel_helpers import permuted_kernel
@@ -65,6 +68,54 @@ def lockstep(f, lo, hi):
     """The lockstep fit of the vectorized objective ``f`` on the boxes
     [lo[r], hi[r]], with its values at the start grids."""
     return _lockstep(f, lo, hi, f(_grid(lo, hi).T))
+
+
+def closing_lockstep(f, lo, hi, fs, max_steps=200):
+    """Reference: the lockstep minimizer with per-row closing, as it ran
+    before each row's step count was set by its first bracket.  Row r
+    closes at the first step where its bracket is narrower than 1e-8 of its
+    box, or after ``max_steps`` steps, and keeps its interior points as
+    they were then."""
+    rows, tol, xs = lo.size, 1e-8 * (hi - lo), _grid(lo, hi)
+    j = np.argmin(fs, axis=1)
+    each = np.arange(rows)
+    a, b = xs[np.minimum(np.maximum(j + np.array([[-1], [1]]), 0), GRID_POINTS - 1), each]
+    w = b - a
+    x1, x2 = b - w * GOLDEN, a + w * GOLDEN
+    f1, f2 = f(np.stack([x1, x2], axis=1)).T
+    closed, steps = np.zeros(rows, dtype=bool), np.full(rows, max_steps)
+    final = np.empty((4, rows))  # x1, f1, x2, f2 when the row closed
+    for step in range(max_steps + 1):
+        shut = (w < tol) & ~closed
+        steps[shut] = step
+        final[:, shut] = np.array([x1, f1, x2, f2])[:, shut]
+        closed |= shut
+        if closed.all() or step == max_steps:
+            break
+        left = f1 <= f2  # keep [a, x2], else [x1, b]
+        a, b = np.where(left, a, x1), np.where(left, x2, b)
+        w = b - a
+        gw = w * GOLDEN
+        x_new = np.where(left, b - gw, a + gw)
+        f_new = f(x_new[:, None])[:, 0]
+        x1, f1, x2, f2 = (np.where(left, x_new, x2), np.where(left, f_new, f2),
+                          np.where(left, x1, x_new), np.where(left, f1, f_new))
+    final[:, ~closed] = np.array([x1, f1, x2, f2])[:, ~closed]
+    cand_x = np.array([xs[j, each], final[0], final[2]])
+    cand_f = np.array([fs.min(axis=1), final[1], final[3]])
+    best_f = cand_f.min(axis=0)
+    best_x = np.where(cand_f == best_f, cand_x, np.inf).min(axis=0)
+    at_bound = np.minimum(best_x - lo, hi - best_x) <= tol
+    return FitRows(best_x, best_f, GRID_POINTS + 2 + steps, closed, at_bound)
+
+
+def sparse_counts(part, rows, seed):
+    """``rows`` Dirichlet-multinomial count vectors on the cells of
+    ``part``, many with empty cells, of 1 to 400 draws each."""
+    rng = np.random.default_rng(seed)
+    alpha = rng.choice([0.05, 0.3, 1.0, 5.0], size=(rows, 1))
+    probs = rng.gamma(alpha, size=(rows, part.m))
+    return rng.multinomial(rng.integers(1, 401, size=rows), probs / probs.sum(axis=1)[:, None])
 
 
 def minimize(f, lo, hi):
@@ -246,7 +297,7 @@ class TestLockstepRows:
         grids = _grid(lo, hi)
         for r in range(lo.size):
             model = models[r // 3]
-            kept = _start_cells(model.kernel, part.m, *model.bounds[0])
+            kept = _start_cells(model)
             assert kept.tobytes() == model.cell_fn(grids[:, r:r + 1]).tobytes()
             assert not kept.flags.writeable
 
@@ -262,6 +313,74 @@ class TestLockstepRows:
             alone = lockstep(f, lo[r:r + 1], hi[r:r + 1])
             assert tuple(a[r] for a in rows) == tuple(a[0] for a in alone)
         assert rows.at_bound.tolist() == [False, False, False, True]
+
+
+class TestGoldenSteps:
+    """Each row makes the golden steps its first bracket needs, no more."""
+
+    # the four boxes of test_each_row_keeps_its_own_box
+    LO = np.array([0.0, -3.0, 1.0, 1e6])
+    HI = np.array([5.0, 2.0, 1e4, 1e6 + 1.0])
+
+    def test_step_counts_follow_from_the_tolerance(self):
+        # the first bracket is two grid spacings wide, one at a box end; it
+        # shrinks by GOLDEN per step until below 1e-8 of the box width
+        spacing = 1.0 / (GRID_POINTS - 1)
+        steps = [math.ceil(math.log(1e-8 / (width * spacing)) / math.log(GOLDEN))
+                 for width in (2, 1)]
+        assert steps == [STEPS, END_STEPS] == [33, 32]
+
+    def test_multimodal_rows_equal_the_closing_reference(self):
+        rng = np.random.default_rng(5)
+        lo, hi = np.repeat(self.LO, 50), np.repeat(self.HI, 50)
+        u = rng.uniform(size=(4, lo.size, 1))
+        centre, width = (lo + u[0, :, 0] * (hi - lo))[:, None], (hi - lo)[:, None]
+        ends = np.arange(lo.size) % 5 == 0  # every fifth row falls toward its lower end
+
+        def f(x):
+            wave = np.sin((3.0 + 40.0 * u[1]) * (x - lo[:, None]) / width)
+            slope = np.where(ends[:, None], (x - lo[:, None]) / width, 0.0)
+            return 0.5 * u[2] * wave + ((x - centre) / width) ** 2 * (1.0 + u[3]) + slope
+
+        fs = f(_grid(lo, hi).T)
+        ref, fits = closing_lockstep(f, lo, hi, fs), _lockstep(f, lo, hi, fs)
+        for name, expected, got in zip(FitRows._fields, ref, fits):
+            assert np.array_equal(expected, got), name
+        assert set(fits.evaluations) == {66, 67}
+
+    @pytest.mark.parametrize("part", ORACLE_PARTITIONS)
+    def test_sparse_count_fits_equal_the_closing_reference(self, part, monkeypatch):
+        counts = sparse_counts(part, 300, 11)
+        phat = counts / counts.sum(axis=1, keepdims=True)
+        h = np.resize([1e-3, 0.5, 1.0, 50.0], len(counts))
+        models = (poisson_model(part), geometric_model(part))
+        fits = _fit_phd_rows(models, phat, h)
+        monkeypatch.setattr(phdsel.fit, "_lockstep", closing_lockstep)
+        for model, ref, got in zip(models, _fit_phd_rows(models, phat, h), fits, strict=True):
+            for name, expected, value in zip(FitRows._fields, ref, got):
+                assert np.array_equal(expected, value), (model.name, name)
+
+    @pytest.mark.parametrize("part", ORACLE_PARTITIONS)
+    def test_evaluations_are_66_at_a_box_end_and_67_elsewhere(self, part):
+        # on each shipped box: the count is set by where the best start lies
+        counts = np.vstack([sparse_counts(part, 200, 13), np.eye(part.m, dtype=int)])
+        phat = counts / counts.sum(axis=1, keepdims=True)
+        for model in (poisson_model(part), geometric_model(part)):
+            fits, = _fit_phd_rows((model,), phat, 0.5)
+            fs = _phd_rows(np.sqrt(phat)[:, None, :], (phat > 0.0)[:, None, :],
+                           _start_cells(model), 0.5)
+            end = np.isin(np.argmin(fs, axis=1), (0, GRID_POINTS - 1))
+            assert end.any() and not end.all(), model.name
+            assert fits.evaluations.tolist() == np.where(end, 66, 67).tolist()
+            assert fits.converged.all()
+
+    def test_box_too_narrow_to_close_reports_not_converged(self):
+        # 1e-8 of this box is below the spacing of doubles near 1e8, so the
+        # bracket can never drop below it: the fit stops at its step count
+        lo, hi = np.array([1e8]), np.array([1e8 + 1.0])
+        res = lockstep(lambda x: (x - 1e8 - 0.3) ** 2, lo, hi).fit(0)
+        assert res.evaluations == 67
+        assert not res.converged and not res.at_bound
 
 
 class TestAtBound:

@@ -154,6 +154,14 @@ class TestModels:
         with pytest.raises(InvalidInput):
             model.cell_prob([1.0, 2.0])
 
+    @pytest.mark.parametrize("method", ["cell_prob", "theta_array"])
+    @pytest.mark.parametrize("theta", ["3", True, 10**400, None, 3 + 0j],
+                             ids=["string", "bool", "huge int", "None", "complex"])
+    def test_theta_that_is_not_a_number_is_refused(self, method, theta):
+        for model in (poisson_model(), geometric_model()):
+            with pytest.raises(InvalidInput, match="theta must be integers or floats"):
+                getattr(model, method)(theta)
+
     @pytest.mark.parametrize("theta_grid", [np.linspace(0.2, 45.0, 30)])
     def test_poisson_model_outputs_are_simplex_points(self, theta_grid):
         model = poisson_model()

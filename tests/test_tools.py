@@ -21,7 +21,8 @@ def test_equivalence_of_a_tree_with_itself_is_exact():
                                                    "table_differences",
                                                    "cli_differences",
                                                    "population_differences",
-                                                   "scalar_differences")}
+                                                   "scalar_differences",
+                                                   "count_fit_differences")}
     assert all(value == "0" for value in experiment.values()), experiment
     assert set(fields) == {"max_theta_delta_box_widths", "max_distance_delta",
                            "max_hi_rel_delta", "max_gamma_hat_rel_delta",

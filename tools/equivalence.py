@@ -30,11 +30,14 @@ wrappers of the selection-variance row core at fixed inputs
 (``row_core_values``: ``jacobian``, ``m_matrix``, ``omega_sq``, the
 ``lambda_star_hat`` variance and the DegenerateVariance reason of
 identical fits and of a one-cell sample); it also fits ``mle_binned`` to
-each CLI data file on the default cells.  Last, it calls
+each CLI data file on the default cells.  It calls
 the scalar functions ``power_approx``, ``required_sample_size``,
 ``chi2_cdf``, ``chi2_quantile`` and ``normal_quantile`` on a fixed grid
 of valid inputs (``scalar_values``), numpy scalars, the sample sizes 1 and
-300 and power inputs whose products overflow a double among them.
+300 and power inputs whose products overflow a double among them.  It
+also fits both families to COUNT_VECTORS fixed-seed sparse count vectors
+on each cut set of POPULATION_CUTS (``count_fits``), where study draws
+never reach: ``minimize_phd`` at each h in H_VALUES and ``mle_binned``.
 
 Prints the largest differences between the trees, one ``key=value`` line
 each: fitted parameters in box widths, distances, and the relative
@@ -46,11 +49,13 @@ flag, which shows whether the minimizer took the same steps; then, over the
 and the counts of rows whose percentages or ``n_degenerate`` differ, and
 the count of rendered tables and of CLI stdout texts that are not
 byte-identical, and the counts of population values (mixture cell vectors,
-gaps and equidistance weights) and of scalar values (a result, or the name
-of the error raised) that are not bit-identical.  Exits 1 when any
-decision, degenerate flag, fit count or flag, percentage,
-``n_degenerate``, table, CLI text, population or scalar value differs, 2
-on a usage or import error.
+gaps and equidistance weights), of scalar values (a result, or the name
+of the error raised) and of count-vector fits (estimate, objective,
+evaluations, convergence and bound flag, or the name of the error raised)
+that are not bit-identical.  Exits 1 when any decision, degenerate flag,
+fit count or flag, percentage, ``n_degenerate``, table, CLI text,
+population, scalar or count-vector fit value differs, 2 on a usage or
+import error.
 """
 
 from __future__ import annotations
@@ -74,6 +79,7 @@ GAP_PIS = (0.25, 0.5, 0.75)
 WIDE_CUTS = "1,2,5,10,20,50,100,1000,10000"
 # the cut sets of the population values; None is the default cells
 POPULATION_CUTS = (None, WIDE_CUTS, "2,4,6,8,10,15")
+COUNT_VECTORS = 128  # the sparse count vectors fitted on each cut set
 # The data files of the CLI calls, one observation per line: besides
 # draws.txt, POISSON_N Poisson(4) draws, values past the last default cut
 # (the Poisson rate is pinned at its bound) and one value repeated (one
@@ -214,6 +220,36 @@ def population_values(ph) -> list:
     return values
 
 
+def count_fits(ph) -> list:
+    """Worker side: on each cut set of POPULATION_CUTS, COUNT_VECTORS
+    Dirichlet-multinomial count vectors of 1 to 400 draws, many of them with
+    empty cells (seed SEED), and the fits of both families to each:
+    ``minimize_phd`` at each h in H_VALUES and ``mle_binned``, each as its
+    estimate, objective, evaluations, convergence and bound flag, or the
+    name of the error it raised."""
+    import numpy as np
+
+    rng = np.random.default_rng(SEED)
+    values = []
+    for cuts in POPULATION_CUTS:
+        part = ph.default_partition() if cuts is None else ph.parse_cuts(cuts)
+        alpha = rng.choice([0.05, 0.3, 1.0], size=(COUNT_VECTORS, 1))
+        weights = rng.gamma(alpha, size=(COUNT_VECTORS, part.m))
+        counts = rng.multinomial(rng.integers(1, 401, size=COUNT_VECTORS),
+                                 weights / weights.sum(axis=1)[:, None])
+        for sample in map(ph.BinnedSample, counts):
+            for model in (ph.poisson_model(part), ph.geometric_model(part)):
+                calls = [(ph.minimize_phd, model, sample, h) for h in H_VALUES]
+                for fit_fn, *args in calls + [(ph.mle_binned, model, sample)]:
+                    try:
+                        fit = fit_fn(*args)
+                        values.append([float(fit.theta_hat[0]), fit.objective, fit.evaluations,
+                                       fit.converged, fit.at_bound])
+                    except ph.PhdselError as exc:  # a refusal counts as a value too
+                        values.append(type(exc).__name__)
+    return values
+
+
 def replay(src: str, reps: int) -> dict:
     """Worker side: the per-replication selections of the tree ``src``."""
     import phdsel as ph
@@ -245,7 +281,7 @@ def replay(src: str, reps: int) -> dict:
                                        for fit in (r.fit1, r.fit2)])
     return {"bounds": bounds, "rows": rows, "experiment": experiment, "tables": tables,
             "cli": cli_outputs(ph), "population": population_values(ph),
-            "scalars": scalar_values(ph)}
+            "scalars": scalar_values(ph), "count_fits": count_fits(ph)}
 
 
 def _fail(message: str):
@@ -298,6 +334,10 @@ def compare(old: dict, new: dict) -> dict:
     if len(old["scalars"]) != len(new["scalars"]):
         _fail("the trees computed different numbers of scalar values")
     out["scalar_differences"] = sum(a != b for a, b in zip(old["scalars"], new["scalars"]))
+    if len(old["count_fits"]) != len(new["count_fits"]):
+        _fail("the trees made different numbers of count-vector fits")
+    out["count_fit_differences"] = sum(a != b for a, b in zip(old["count_fits"],
+                                                             new["count_fits"]))
     return out
 
 
@@ -335,7 +375,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{key}={value:.3g}" if isinstance(value, float) else f"{key}={value}")
     differing = ("decision_differences", "degenerate_differences", "fit_differences",
                  "row_pct_differences", "row_degenerate_differences", "table_differences",
-                 "cli_differences", "population_differences", "scalar_differences")
+                 "cli_differences", "population_differences", "scalar_differences",
+                 "count_fit_differences")
     return 1 if any(result[key] for key in differing) else 0
 
 
