@@ -21,10 +21,13 @@ SIMPLEX_ATOL = 1e-12
 
 def _numbers(value, name: str) -> np.ndarray:
     """``value`` as an array of integers or floats: strings, bools, complex
-    numbers and what numpy holds as objects (None, integers beyond 64 bits)
-    raise InvalidInput naming the input ``name``, rather than being
-    converted."""
-    arr = np.asarray(value)
+    numbers, ragged sequences and what numpy holds as objects (None,
+    integers beyond 64 bits) raise InvalidInput naming the input ``name``,
+    rather than being converted."""
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:  # numpy refuses a ragged sequence
+        raise InvalidInput(f"{name} must be integers or floats, got a ragged sequence") from exc
     if arr.dtype.kind not in "iuf":
         raise InvalidInput(f"{name} must be integers or floats, got dtype {arr.dtype}")
     return arr
@@ -136,12 +139,16 @@ def parse_cuts(text: str) -> CellPartition:
     Repeated texts return the same immutable partition, so callers that
     build one study config per block from the same cuts hold one partition.
     """
+    tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
     try:
-        interior = [float(tok) for tok in text.split(",") if tok.strip()]
+        interior = [float(tok) for tok in tokens]
     except ValueError as exc:
         raise InvalidInput(f"unparseable cut list {text!r}") from exc
     if not interior:
         raise InvalidInput("cut list is empty")
+    for tok, cut in zip(tokens, interior):
+        if not math.isfinite(cut):
+            raise InvalidInput(f"cut {tok!r} is not finite")
     return CellPartition(cuts=(0.0, *interior, math.inf))
 
 

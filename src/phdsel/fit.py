@@ -5,14 +5,15 @@ row r on its own box:
 
 * a 32-point uniform grid multi-start, its values taken from the model's
   grid cells, evaluated once per model (``_start_cells``);
-* golden-section refinement of each row's best bracket, one call on an
-  (R, 1) array per step, for a step count set once by the row's first
-  bracket: 33 steps, or 32 when the best start is a box end, which take the
-  bracket below 1e-8 of the box width.  Rows that have made their steps
-  still ride along in the later calls, with their state left as it is.
+* golden-section refinement of each row's best bracket: one call for each
+  of the first bracket's two golden points, then one per step, each on an
+  (R,) array of one point per row, for a step count set once by the row's
+  first bracket: 33 steps, or 32 when the best start is a box end, which
+  take the bracket below 1e-8 of the box width.  Rows that have made their
+  steps still ride along in the later calls, with their state left as it is.
 
 Ties between starts are broken toward the smaller parameter.  The objective
-of row r may depend only on row r's points, so row r of an R-row fit is
+of row r may depend only on row r's point, so row r of an R-row fit is
 bit-identical to the fit of that row alone.  The scalar front ends
 (``fit_phd_to_probs``, ``minimize_phd``, ``mle_binned``) are the R = 1 call
 of the same minimizer.
@@ -24,7 +25,7 @@ costs one loop of numpy calls instead of one per model.  Every model fitted
 here has one parameter.
 
 The fit front ends validate their inputs once; the objective they minimize
-calls the models' batched cell kernels directly, into one workspace per
+calls the models' batched cell kernels directly, into one cell array per
 fit.
 """
 
@@ -55,8 +56,10 @@ _BRACKET = np.array([[-1], [1]])  # grid neighbours of the best start
 class FitResult:
     """Outcome of a bounded model fit.
 
-    ``evaluations`` counts the objective calls: 66 when the best grid start
-    is a box end, 67 otherwise.  ``converged`` reports whether the final
+    ``evaluations`` counts the points evaluated for the row: its 32 grid
+    starts, whose values come from the start cells, the first bracket's two
+    golden points, then one per golden step; 66 when the best grid start is
+    a box end, 67 otherwise.  ``converged`` reports whether the final
     bracket is narrower than the stopping tolerance, 1e-8 of the box width.
     ``at_bound`` is set when the estimate lies within that tolerance of a
     bound of the box: the box, not the data, stopped the search, even when
@@ -105,8 +108,8 @@ def _start_cells(model: DiscreteModel) -> np.ndarray:
 def _lockstep(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
               hi: np.ndarray, fs: np.ndarray) -> FitRows:
     """Minimize one objective per row, row r on its own box [lo[r], hi[r]],
-    all at once; ``f`` maps a (rows, k) array of points to their (rows, k)
-    values, whose row i may depend only on row i of the points.  ``fs``
+    all at once; ``f`` maps a (rows,) array of points, one per row, to
+    their (rows,) values, whose entry i may depend only on point i.  ``fs``
     holds the (rows, GRID_POINTS) values at the start grids
     ``_grid(lo, hi)``."""
     rows = lo.size
@@ -131,11 +134,9 @@ def _lockstep(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
     x1, f1, x2, f2, x_new, f_new = pts.reshape(6, rows)
     np.subtract(b, w * GOLDEN, out=x1)
     np.add(a, w * GOLDEN, out=x2)
-    interior[:, 1] = f(interior_x.T).T
+    interior[:, 1] = f(x1), f(x2)
     # the interior points after a step that keeps [a, x2] / [x1, b]
     after_left, after_right = pts[2::-2], pts[1:]
-    # the newest evaluation as the (rows, 1) points and values of f
-    x_col, f_col = x_new[:, None], f_new[:, None]
 
     side = np.empty((2, rows), dtype=bool)
     right, left = side  # the minimum lies in [x1, b] / in [a, x2]
@@ -149,7 +150,7 @@ def _lockstep(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
         gw = w * GOLDEN
         np.subtract(b, gw, out=x_new)
         np.copyto(x_new, a + gw, where=right)
-        f_col[...] = f(x_col)
+        f_new[...] = f(x_new)
         np.copyto(interior, np.where(left, after_left, after_right), where=live)
 
     # the best candidate: least value, then least x
@@ -169,47 +170,33 @@ def _fit_phd_rows(models: tuple[DiscreteModel, ...], phat: np.ndarray,
     The fits are stacked model-major, each model's R rows on its own box.
     All rows of a model share its box and so its start grid, whose cells
     are evaluated once per model (``_start_cells``); its R rows of
-    grid values are taken from them.  Later objective calls fill
-    one cell workspace per number of points: each model's kernel writes the
-    interior cells of its own stacked rows in place, the residual last cell
-    is completed once for all rows, then the distances of all of them are
-    taken at once.
+    grid values are taken from them.  Every later objective call, on one
+    point per stacked row, fills the fit's one (k R, m) cell array: each
+    model's kernel writes the interior cells of its own rows in place, the
+    residual last cell is completed once for all rows, then the distances
+    of all of them are taken at once.
 
     No validation: each row must be a probability vector on the models'
     cells and each weight finite and positive.
     """
     rows, m = phat.shape
     k = len(models)
-    root_p = np.sqrt(phat)[:, None, :]
-    occupied = (phat > 0.0)[:, None, :]
+    root_p, occupied = np.sqrt(phat), phat > 0.0
     weights = np.broadcast_to(h, (k, rows))[:, :, None, None]
     lo, hi = np.array([model.bounds[0] for model in models]).T
     # row i * rows + r of the stack is the fit of models[i] to phat[r]
-    fs = np.concatenate([_phd_rows(root_p, occupied,
+    fs = np.concatenate([_phd_rows(root_p[:, None], occupied[:, None],
                                    _start_cells(model), weights[i])
                          for i, model in enumerate(models)])
     root_s, occupied_s = np.concatenate((root_p,) * k), np.concatenate((occupied,) * k)
-    weight_s = weights.reshape(-1, 1, 1)
-    spaces = {}
-
-    def workspace(c: int):
-        """The workspace of objective calls on c points per stacked row: the
-        (k R, c, m) cells; each model's kernel, the slice of the flattened
-        points it reads and the interior-cell rows it fills; the interior
-        and the last cells of all rows."""
-        flat = np.empty((k * rows * c, m))
-        spans = [slice(i * rows * c, (i + 1) * rows * c) for i in range(k)]
-        fills = [(model.kernel, sl, flat[sl, :-1]) for model, sl in zip(models, spans)]
-        return flat.reshape(k * rows, c, m), fills, flat[:, :-1], flat[:, -1]
+    weight_s = weights.reshape(-1, 1)
+    cells = np.empty((k * rows, m))
+    interior, last = cells[:, :-1], cells[:, -1]
+    spans = [(model.kernel, slice(i * rows, (i + 1) * rows)) for i, model in enumerate(models)]
 
     def objective(th: np.ndarray) -> np.ndarray:
-        c = th.shape[1]
-        if c not in spaces:
-            spaces[c] = workspace(c)
-        cells, fills, interior, last = spaces[c]
-        points = th.reshape(-1, 1)
-        for kernel, sl, out in fills:
-            kernel(points[sl], out)
+        for kernel, sl in spans:
+            kernel(th[sl, None], interior[sl])
         _residual_last(interior, last)
         return _phd_rows(root_s, occupied_s, cells, weight_s)
 
@@ -244,8 +231,7 @@ def mle_binned(model: DiscreteModel, sample: BinnedSample) -> FitResult:
     occupied = phat > 0.0
 
     def objective(th: np.ndarray) -> np.ndarray:
-        q = model.cell_fn(th.reshape(-1, 1))
-        return _kl_modified_rows(phat, occupied, q).reshape(th.shape)
+        return _kl_modified_rows(phat, occupied, model.cell_fn(th[:, None]))
 
     fs = _kl_modified_rows(phat, occupied, _start_cells(model))[None, :]
     return _lockstep(objective, *np.array(model.bounds[0])[:, None], fs).fit(0)

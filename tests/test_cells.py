@@ -10,9 +10,11 @@ from phdsel import (BinnedSample, CellPartition, InvalidInput, as_prob_vector,
 def not_numbers(strings, bools, one):
     """The cases that no numeric-array input accepts, each a pytest param:
     ``strings`` and ``bools`` as given, and ``one`` with its first entry
-    replaced by an integer beyond 64 bits, by None and by a complex number."""
+    replaced by an integer beyond 64 bits, by None, by a complex number and
+    by a one-entry list, which makes the sequence ragged."""
     cases = {"strings": strings, "bools": bools, "huge int": [10**400, *one[1:]],
-             "None": [None, *one[1:]], "complex": [complex(one[0]), *one[1:]]}
+             "None": [None, *one[1:]], "complex": [complex(one[0]), *one[1:]],
+             "ragged": [[one[0]], *one[1:]]}
     return [pytest.param(value, id=name) for name, value in cases.items()]
 
 
@@ -68,6 +70,9 @@ class TestCellPartition:
             parse_cuts("a,b")
         with pytest.raises(InvalidInput):
             parse_cuts("1,nan,3")
+        for text, token in (("1e400", "1e400"), ("5,inf", "inf")):
+            with pytest.raises(InvalidInput, match=f"cut '{token}' is not finite"):
+                parse_cuts(text)
 
 
 class TestProbVector:

@@ -64,10 +64,17 @@ def three_cell_model():
                          partition=part, kernel=kernel)
 
 
+def grid_values(f, lo, hi):
+    """The (rows, GRID_POINTS) values of the objective ``f``, which maps
+    (rows,) points to (rows,) values, at the start grids of the boxes
+    [lo[r], hi[r]], one call per grid point."""
+    return np.stack([f(x) for x in _grid(lo, hi)], axis=1)
+
+
 def lockstep(f, lo, hi):
     """The lockstep fit of the vectorized objective ``f`` on the boxes
     [lo[r], hi[r]], with its values at the start grids."""
-    return _lockstep(f, lo, hi, f(_grid(lo, hi).T))
+    return _lockstep(f, lo, hi, grid_values(f, lo, hi))
 
 
 def closing_lockstep(f, lo, hi, fs, max_steps=200):
@@ -82,7 +89,7 @@ def closing_lockstep(f, lo, hi, fs, max_steps=200):
     a, b = xs[np.minimum(np.maximum(j + np.array([[-1], [1]]), 0), GRID_POINTS - 1), each]
     w = b - a
     x1, x2 = b - w * GOLDEN, a + w * GOLDEN
-    f1, f2 = f(np.stack([x1, x2], axis=1)).T
+    f1, f2 = f(x1), f(x2)
     closed, steps = np.zeros(rows, dtype=bool), np.full(rows, max_steps)
     final = np.empty((4, rows))  # x1, f1, x2, f2 when the row closed
     for step in range(max_steps + 1):
@@ -97,7 +104,7 @@ def closing_lockstep(f, lo, hi, fs, max_steps=200):
         w = b - a
         gw = w * GOLDEN
         x_new = np.where(left, b - gw, a + gw)
-        f_new = f(x_new[:, None])[:, 0]
+        f_new = f(x_new)
         x1, f1, x2, f2 = (np.where(left, x_new, x2), np.where(left, f_new, f2),
                           np.where(left, x1, x_new), np.where(left, f1, f_new))
     final[:, ~closed] = np.array([x1, f1, x2, f2])[:, ~closed]
@@ -330,19 +337,33 @@ class TestGoldenSteps:
                  for width in (2, 1)]
         assert steps == [STEPS, END_STEPS] == [33, 32]
 
+    def test_objective_sees_one_point_per_row(self):
+        # the first bracket's golden pair is two calls, then one per step:
+        # every call is on a (rows,) float array, 2 + 33 calls in all
+        seen = []
+
+        def f(x):
+            seen.append((type(x), x.shape, x.dtype))
+            return (x - 1.5) ** 2
+
+        fs = grid_values(lambda x: (x - 1.5) ** 2, self.LO, self.HI)
+        fits = _lockstep(f, self.LO, self.HI, fs)
+        assert len(seen) == 2 + (fits.evaluations - GRID_POINTS - 2).max() == 2 + STEPS == 35
+        assert set(seen) == {(np.ndarray, (self.LO.size,), np.dtype(float))}
+
     def test_multimodal_rows_equal_the_closing_reference(self):
         rng = np.random.default_rng(5)
         lo, hi = np.repeat(self.LO, 50), np.repeat(self.HI, 50)
-        u = rng.uniform(size=(4, lo.size, 1))
-        centre, width = (lo + u[0, :, 0] * (hi - lo))[:, None], (hi - lo)[:, None]
+        u = rng.uniform(size=(4, lo.size))
+        centre, width = lo + u[0] * (hi - lo), hi - lo
         ends = np.arange(lo.size) % 5 == 0  # every fifth row falls toward its lower end
 
         def f(x):
-            wave = np.sin((3.0 + 40.0 * u[1]) * (x - lo[:, None]) / width)
-            slope = np.where(ends[:, None], (x - lo[:, None]) / width, 0.0)
+            wave = np.sin((3.0 + 40.0 * u[1]) * (x - lo) / width)
+            slope = np.where(ends, (x - lo) / width, 0.0)
             return 0.5 * u[2] * wave + ((x - centre) / width) ** 2 * (1.0 + u[3]) + slope
 
-        fs = f(_grid(lo, hi).T)
+        fs = grid_values(f, lo, hi)
         ref, fits = closing_lockstep(f, lo, hi, fs), _lockstep(f, lo, hi, fs)
         for name, expected, got in zip(FitRows._fields, ref, fits):
             assert np.array_equal(expected, got), name

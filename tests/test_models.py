@@ -155,8 +155,8 @@ class TestModels:
             model.cell_prob([1.0, 2.0])
 
     @pytest.mark.parametrize("method", ["cell_prob", "theta_array"])
-    @pytest.mark.parametrize("theta", ["3", True, 10**400, None, 3 + 0j],
-                             ids=["string", "bool", "huge int", "None", "complex"])
+    @pytest.mark.parametrize("theta", ["3", True, 10**400, None, 3 + 0j, [[1.0], 2.0]],
+                             ids=["string", "bool", "huge int", "None", "complex", "ragged"])
     def test_theta_that_is_not_a_number_is_refused(self, method, theta):
         for model in (poisson_model(), geometric_model()):
             with pytest.raises(InvalidInput, match="theta must be integers or floats"):
