@@ -13,7 +13,8 @@ each family at (R,) estimates, with one validated cell call per family on
 the 3R points theta, theta + s and theta - s, the last two for J.  Every sum
 runs along the cell axis with ``np.add.reduce``, so row r is bit-identical
 to the core's call on that row alone.  The public functions are its R = 1
-call; ``run_experiment`` studentizes a chunk of replications in one call.
+call; ``inference._select_rows`` fits and studentizes each chunk of
+``run_experiment`` rows, with one call of the core per chunk.
 
 q is floored wherever a formula divides by it or takes sqrt(phat/q); the
 distances never floor.  A structural zero cell (constant zero probability

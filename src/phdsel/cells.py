@@ -61,8 +61,9 @@ def _as_prob_rows(arr: np.ndarray) -> np.ndarray:
 
 
 def _is_real(value) -> bool:
-    """Whether ``value`` is a real number other than a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """Whether ``value`` is a real number other than a bool; float and int skip the ABC check."""
+    return type(value) in (float, int) or (
+        isinstance(value, numbers.Real) and not isinstance(value, bool))
 
 
 def _is_finite_real(value) -> bool:
@@ -75,12 +76,18 @@ def _is_finite_real(value) -> bool:
 
 def _is_whole(value, minimum: int) -> bool:
     """Whether ``value`` is an integer, not a bool, finite as a double, >= ``minimum``."""
-    return isinstance(value, numbers.Integral) and _is_finite_real(value) and value >= minimum
+    return ((type(value) is int or isinstance(value, numbers.Integral))
+            and _is_finite_real(value) and value >= minimum)
 
 
 def _is_open_unit(value) -> bool:
     """Whether ``value`` is a real number, not a bool, strictly inside (0, 1)."""
     return _is_real(value) and 0.0 < value < 1.0
+
+
+def _is_test_level(value) -> bool:
+    """Whether ``value`` is in (0, 1) and above 2**-53, so that 1 - value / 2 < 1."""
+    return _is_open_unit(value) and 1.0 - value / 2.0 < 1.0
 
 
 @dataclass(frozen=True, slots=True)

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .cells import (BinnedSample, CellPartition, _is_open_unit, default_partition,
+from .cells import (BinnedSample, CellPartition, _is_test_level, default_partition,
                     empirical_frequencies, parse_cuts)
 from .divergence import MAX_PENALTY_WEIGHT, is_penalty_weight
 from .errors import InvalidInput, InvalidParameter, PhdselError
@@ -68,8 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default=0.5, help="empty-cell penalty weight (default 0.5)")
     cells.add_argument("--cuts", help="comma-separated finite cuts, e.g. 1,2,3,4,5,6,7")
     level = argparse.ArgumentParser(add_help=False)
-    level.add_argument("--alpha", type=_number(_is_open_unit, "in (0,1)"), default=0.05,
-                       help="test level (default 0.05)")
+    level.add_argument("--alpha", type=_number(_is_test_level, "in (0,1) above 2**-53"),
+                       default=0.05, help="test level (default 0.05)")
 
     p = sub.add_parser("estimate", parents=[data, cells],
                        help="fit one model by minimum penalized Hellinger distance")

@@ -17,12 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import _interior, _selection_rows, lambda_star_hat
-from .cells import BinnedSample, CellPartition, _is_finite_real, as_prob_vector
+from .cells import BinnedSample, CellPartition, _is_finite_real, _is_test_level, as_prob_vector
 from .divergence import check_penalty_weight
 from .errors import DegenerateVariance, InvalidInput
-from .fit import FitResult, minimize_phd
+from .fit import FitResult, FitRows, _fit_phd_rows, minimize_phd
 from .models import DiscreteModel
-from .quantiles import _check_level, _gamma_tails, chi2_quantile, normal_cdf, normal_quantile
+from .quantiles import _gamma_tails, chi2_quantile, normal_cdf, normal_quantile
 
 FAVOR_FIRST = "favor_first"
 FAVOR_SECOND = "favor_second"
@@ -53,6 +53,12 @@ class SelectionReport:
     fit2: FitResult
 
 
+def _check_test_level(value, name: str) -> float:
+    if not _is_test_level(value):
+        raise InvalidInput(f"{name} must be a number in (0,1) above 2**-53, got {value!r}")
+    return float(value)
+
+
 def _critical_z(alpha: float) -> float:
     """The two-sided normal critical value z of the test level ``alpha``."""
     return normal_quantile(1.0 - alpha / 2.0)
@@ -68,7 +74,7 @@ def _check_shared_partition(*parts: CellPartition) -> None:
 def gof_test(sample: BinnedSample, model: DiscreteModel, h: float,
              alpha: float = 0.05) -> GofReport:
     """Goodness-of-fit test of ``model`` against the binned sample."""
-    alpha = _check_level(alpha, "alpha")
+    alpha = _check_test_level(alpha, "alpha")
     df = model.partition.m - model.k - 1  # >= 1: a model has k = 1 and m >= 3
     fit = minimize_phd(model, sample, h)
     statistic = 2.0 * sample.n * fit.objective
@@ -92,7 +98,7 @@ def power_approx(D: float, omega_sq: float, n: int, alpha: float, df: int) -> fl
     ``D``, ``omega_sq`` and ``n >= 1`` must be finite numbers, else
     InvalidInput, and ``omega_sq <= 0`` raises DegenerateVariance.
     """
-    alpha = _check_level(alpha, "alpha")
+    alpha = _check_test_level(alpha, "alpha")
     if not _is_finite_real(D):
         raise InvalidInput(f"D must be a finite number, got {D!r}")
     _check_omega_sq(omega_sq)
@@ -117,8 +123,8 @@ def required_sample_size(D: float, omega_sq: float, alpha: float,
     so small, or an ``omega_sq`` so large, that the size is not a finite
     double raises InvalidInput.
     """
-    alpha = _check_level(alpha, "alpha")
-    beta_star = _check_level(beta_star, "beta_star")
+    alpha = _check_test_level(alpha, "alpha")
+    beta_star = _check_test_level(beta_star, "beta_star")
     if not (_is_finite_real(D) and D > 0.0):
         raise InvalidInput(f"D must be a finite number > 0, got {D!r}")
     _check_omega_sq(omega_sq)
@@ -155,7 +161,7 @@ def model_select(sample: BinnedSample, model1: DiscreteModel,
     ``"zero_variance"`` when they differ but the plug-in variance vanishes,
     as on a sample with one occupied cell.
     """
-    alpha = _check_level(alpha, "alpha")
+    alpha = _check_test_level(alpha, "alpha")
     h = check_penalty_weight(h)
     _check_shared_partition(model1.partition, model2.partition)
     fit1 = minimize_phd(model1, sample, h)
@@ -185,15 +191,14 @@ def _statistic(n, d1, d2, gamma_sq, degenerate) -> tuple[np.ndarray, np.ndarray]
     return hi, gamma
 
 
-def _studentize_rows(phat: np.ndarray, n: np.ndarray, model1: DiscreteModel,
-                     theta1: np.ndarray, d1: np.ndarray, model2: DiscreteModel,
-                     theta2: np.ndarray, d2: np.ndarray,
-                     h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """HI and the degenerate flag of each row of the (R, m) frequencies
-    ``phat`` of samples of sizes ``n``, fitted by ``model1`` at ``theta1``
-    with distances ``d1`` and by ``model2`` at ``theta2`` with ``d2``, row r
-    with penalty weight ``h[r]``: one call of the row core, and row r equal
-    to the ``model_select`` report of that row.  No validation."""
-    sel = _selection_rows(phat, model1, _interior(model1, theta1),
-                          model2, _interior(model2, theta2), h[:, None])
-    return _statistic(n, d1, d2, sel.gamma_sq, sel.degenerate)[0], sel.degenerate
+def _select_rows(phat: np.ndarray, n: np.ndarray, model1: DiscreteModel, model2: DiscreteModel,
+                 h: np.ndarray) -> tuple[FitRows, FitRows, np.ndarray, np.ndarray]:
+    """Both fits, HI and the degenerate flag of each row of the (R, m)
+    frequencies ``phat`` of samples of sizes ``n``, row r with weight ``h[r]``:
+    one lockstep fit of both families, then one row-core call at their
+    interior estimates.  Row r equals its ``model_select`` report; no validation."""
+    fits1, fits2 = _fit_phd_rows((model1, model2), phat, h)
+    sel = _selection_rows(phat, model1, _interior(model1, fits1.x),
+                          model2, _interior(model2, fits2.x), h[:, None])
+    hi = _statistic(n, fits1.fun, fits2.fun, sel.gamma_sq, sel.degenerate)[0]
+    return fits1, fits2, hi, sel.degenerate

@@ -7,9 +7,9 @@ keyed by (seed, n, h, replication index), so results do not depend on
 execution order.
 
 ``run_experiment`` takes all replications of a config one chunk of rows at
-a time: one binning call for the chunk's samples, one lockstep minimizer
-call that fits both families (see ``phdsel.fit``), then one studentization
-call (see ``phdsel.asymptotics``).
+a time: one binning call for the chunk's samples, then one selection call
+that fits both families in lockstep (see ``phdsel.fit``) and studentizes
+every row (see ``phdsel.asymptotics``).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .cells import CellPartition, _is_open_unit, _is_real, _is_whole, default_partition
+from .cells import CellPartition, _is_real, _is_test_level, _is_whole, default_partition
 from .divergence import (MAX_PENALTY_WEIGHT, check_penalty_weight,
                          is_penalty_weight)
 from .errors import InvalidInput, NoEquidistance
@@ -30,7 +30,7 @@ from .fit import _fit_phd_rows
 # bench/tests/test_bench.py::TestSelfTime::test_recorder_patches_every_binding_and_restores
 # requires this module to bind it
 from .inference import model_select  # noqa: F401
-from .inference import _check_shared_partition, _critical_z, _studentize_rows
+from .inference import _check_shared_partition, _critical_z, _select_rows
 from .models import (DiscreteModel, MixtureDGP, _is_mixing_weight, _mixture_rows,
                      geometric_model, poisson_model, sample_mixture)
 
@@ -39,11 +39,10 @@ DEFAULT_H_VALUES = (1.0, 0.5)
 DEFAULT_REPS = 1000
 DEFAULT_ALPHA = 0.05
 DEFAULT_SEED = 20260809
-# Rows per fit and studentization call in run_experiment.  A chunk's grid
-# call holds (CHUNK_ROWS * 32, m) cells and, at the Poisson rate bound, about
-# 176 cumulative terms per point, so one call over a 10,000-row study would
-# build about 450 MB; on 10,000 wide-cuts rows one studentization call over
-# all rows ran no faster and lifted peak RSS from 56 MB to 87 MB.
+# Rows per selection call in run_experiment: a call's start-grid distances
+# take (rows, 32, m) arrays per family.  The 10,000-row wide-cuts config (pi=0,
+# seed 1003) peaks at 38.7 MB RSS in 1.20 s in chunks of 128 rows, and at
+# 123.7 MB in 1.06 s in one chunk of all rows.
 CHUNK_ROWS = 128
 # The equidistance solve's bisection levels per fit call and its tolerance
 EQUI_LEVELS, EQUI_TOL = 5, 1e-10
@@ -81,7 +80,7 @@ _RULES = {
     "reps": (lambda v: _is_whole(v, 1), "an integer >= 1", int),
     "h_values": (_is_weight_list, f"a nonempty list of numbers in (0, {MAX_PENALTY_WEIGHT:g}], "
                  "no two equal when rounded to millionths", lambda v: tuple(map(float, v))),
-    "alpha": (_is_open_unit, "a number in (0,1)", float),
+    "alpha": (_is_test_level, "a number in (0,1) above 2**-53", float),
     "seed": (lambda v: _is_whole(v, 0), "an integer >= 0", int),
     "cuts": (_nonempty_list_of(_is_real), "a nonempty list of numbers", _as_partition),
     "partition": (lambda v: isinstance(v, CellPartition), "a CellPartition", None),
@@ -142,7 +141,11 @@ class ExperimentRow:
 
 
 def substream(seed: int, n: int, h: float, rep: int) -> np.random.Generator:
-    """Deterministic per-replication generator keyed by (seed, n, h, rep)."""
+    """Deterministic per-replication generator keyed by (seed, n, h, rep),
+    checked by the config's rules."""
+    if not (_is_whole(seed, 0) and _is_whole(n, 1) and is_penalty_weight(h) and _is_whole(rep, 0)):
+        raise InvalidInput("substream key must be seed and rep integers >= 0, n an integer >= 1 "
+                           f"and h a penalty weight, got {(seed, n, h, rep)!r}")
     return np.random.default_rng(np.random.SeedSequence((seed, n, _h_key(h), rep)))
 
 
@@ -159,15 +162,15 @@ def run_experiment(config: ExperimentConfig,
     """Run the full grid of (n, h) blocks.
 
     The R = len(sizes) * len(h_values) * reps replications go
-    ``CHUNK_ROWS`` at a time through one binning call (``_binned_rows``),
-    one lockstep call that fits both families and the row core of
-    ``phdsel.asymptotics``; each replication draws its sample from its own
-    substream keyed by (seed, n, h, rep).  Row r of a lockstep fit and of a
-    chunk's studentization is bit-identical to that replication alone, so
-    every block row equals the aggregate of per-replication
-    ``model_select`` calls.  The means and SDs of the estimates and
-    distances of all blocks come from one call each, and the decision and
-    degenerate counts of all blocks from one count.
+    ``CHUNK_ROWS`` at a time through one binning call (``_binned_rows``)
+    and one selection call (``inference._select_rows``: both fits, HI and
+    the degenerate flags); each replication draws its sample from its own
+    substream keyed by (seed, n, h, rep).  Row r of a selection call is
+    bit-identical to that replication alone, so every block row equals the
+    aggregate of per-replication ``model_select`` calls.  The means and
+    SDs of the estimates and distances of all blocks come from one call
+    each, and the decision and degenerate counts of all blocks from one
+    count.
 
     ``max_workers`` is accepted and ignored: the rows never depended on it,
     and splitting the fits or the studentization across two threads
@@ -182,67 +185,44 @@ def run_experiment(config: ExperimentConfig,
     keys = [(n, h, rep) for n, h in blocks for rep in range(reps)]
     sizes = np.repeat([n for n, _ in blocks], reps)
     weights = np.repeat([h for _, h in blocks], reps)
-    # the estimates and distances (lam, p, d1, d2) of every row, then HI
-    estimates = np.empty((4, len(keys)))
-    hi = np.empty(len(keys))
+    # the estimates and distances (lam, p, d1, d2) and HI of every row
+    values = np.empty((5, len(keys)))
     degenerate = np.empty(len(keys), dtype=bool)
     for start in range(0, len(keys), CHUNK_ROWS):
         sl = slice(start, start + CHUNK_ROWS)
         draws = [sample_mixture(dgp, n, substream(config.seed, n, h, rep))
                  for n, h, rep in keys[sl]]
         phat = _binned_rows(part, draws) / sizes[sl, None]
-        fits1, fits2 = _fit_phd_rows((pois, geom), phat, weights[sl])
-        estimates[:, sl] = fits1.x, fits2.x, fits1.fun, fits2.fun
-        hi[sl], degenerate[sl] = _studentize_rows(phat, sizes[sl], pois, fits1.x, fits1.fun,
-                                                  geom, fits2.x, fits2.fun, weights[sl])
+        fits1, fits2, values[4, sl], degenerate[sl] = _select_rows(phat, sizes[sl], pois, geom,
+                                                                   weights[sl])
+        values[:4, sl] = fits1.x, fits2.x, fits1.fun, fits2.fun
     # every column as (blocks, reps): row i holds block i's replications
-    estimates = estimates.reshape(4, len(blocks), reps)
+    values = values.reshape(5, len(blocks), reps)
+    estimates, hi = values[:4], values[4]
     means = estimates.mean(axis=2).T.tolist()
     # one replication has no spread: every such row shares one 0.0
     sds = estimates.std(axis=2, ddof=1).T.tolist() if reps > 1 else [[0.0] * 4] * len(blocks)
-    hi = hi.reshape(len(blocks), reps)
     z = _critical_z(config.alpha)
     # per block, the replications favoring the first family (hi < -z) and the
     # second (hi > z), as ``decide`` rules, and the degenerate ones; a NaN HI
     # (degenerate) is neither decision, so it counts as indecisive
-    counts = np.count_nonzero([hi < -z, hi > z, degenerate.reshape(len(blocks), reps)],
-                              axis=2).T.tolist()
-    return [_row(config, n, h, means[i], sds[i], hi[i], *counts[i])
-            for i, (n, h) in enumerate(blocks)]
-
-
-def _row(config: ExperimentConfig, n: int, h: float, means: list[float], sds: list[float],
-         hi: np.ndarray, n_fav1: int, n_fav2: int, n_deg: int) -> ExperimentRow:
-    """The row of one block from the means and SDs of its replications'
-    (lam, p, d1, d2), their HI and their decision and degenerate counts;
-    HI's mean and SD skip the NaN HI of degenerate replications."""
-    reps = hi.size
-    ok = hi[~np.isnan(hi)]
-    hi_mean = hi_sd = math.nan
-    if ok.size:
-        hi_mean, hi_sd = float(ok.mean()), float(np.std(ok, ddof=1)) if ok.size > 1 else 0.0
-    pct = lambda c: 100.0 * c / reps
-    fav1, fav2 = pct(n_fav1), pct(n_fav2)
-    if config.pi == 1.0:
-        correct, incorrect = fav1, fav2
-    elif config.pi == 0.0:
-        correct, incorrect = fav2, fav1
-    else:
-        correct = incorrect = None
-    lam_mean, p_mean, d1_mean, d2_mean = means
-    lam_sd, p_sd, d1_sd, d2_sd = sds
-    return ExperimentRow(
-        pi=config.pi, n=n, h=h,
-        lambda_mean=lam_mean, lambda_sd=lam_sd, p_mean=p_mean, p_sd=p_sd,
-        dhp_poisson_mean=d1_mean, dhp_poisson_sd=d1_sd,
-        dhp_geometric_mean=d2_mean, dhp_geometric_sd=d2_sd,
-        hi_mean=hi_mean, hi_sd=hi_sd,
-        pct_favor_poisson=fav1, pct_favor_geometric=fav2,
-        # degenerate replications are indecisive already
-        pct_indecisive=pct(reps - n_fav1 - n_fav2),
-        pct_correct=correct, pct_incorrect=incorrect,
-        n_degenerate=n_deg,
-    )
+    n_fav1, n_fav2, n_deg = np.count_nonzero(
+        [hi < -z, hi > z, degenerate.reshape(len(blocks), reps)], axis=2)
+    pcts = (100.0 * np.array([n_fav1, n_fav2, reps - n_fav1 - n_fav2]) / reps).T.tolist()
+    rows = []
+    for i, (n, h) in enumerate(blocks):
+        # HI's mean and SD skip the NaN HI of degenerate replications
+        ok = hi[i][~np.isnan(hi[i])]
+        hi_mean = hi_sd = math.nan
+        if ok.size:
+            hi_mean, hi_sd = float(ok.mean()), float(np.std(ok, ddof=1)) if ok.size > 1 else 0.0
+        fav1, fav2, indecisive = pcts[i]
+        correct = {1.0: (fav1, fav2), 0.0: (fav2, fav1)}.get(config.pi, (None, None))
+        # the fields in order: the (mean, SD) of lam, p, d1, d2 and HI, then the shares
+        stats = (v for pair in zip([*means[i], hi_mean], [*sds[i], hi_sd]) for v in pair)
+        rows.append(ExperimentRow(config.pi, n, h, *stats, fav1, fav2, indecisive, *correct,
+                                  int(n_deg[i])))
+    return rows
 
 
 @dataclass(frozen=True)

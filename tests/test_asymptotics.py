@@ -15,7 +15,7 @@ from phdsel import (BinnedSample, BoundaryParameter, CellPartition,
                     mixture_cell_probs, model_select, omega_sq, parse_cuts,
                     penalized_hellinger, poisson_model, sample_mixture, sigma)
 from phdsel.asymptotics import PROB_FLOOR, _interior, _one, _selection_rows
-from phdsel.inference import _studentize_rows
+from phdsel.inference import _select_rows
 
 from kernel_helpers import permuted_kernel
 
@@ -437,19 +437,19 @@ def row_batches(draw):
 
 def core_outcome(samples, models, weights):
     """("value", (HI, degenerate flag, selection)) or ("raises", type) of
-    the row core on the rows ``samples``."""
+    the selection rows ``_select_rows`` and the row core at their fits on
+    the rows ``samples``."""
     phat = np.array([s.frequencies() for s in samples])
     n = np.array([s.n for s in samples])
-    fits = [[minimize_phd(m, s, h) for s, h in zip(samples, weights)] for m in models]
-    thetas = [np.array([f.theta_hat[0] for f in fs]) for fs in fits]
-    dists = [np.array([f.objective for f in fs]) for fs in fits]
     try:
-        sel = _selection_rows(phat, models[0], _interior(models[0], thetas[0]),
-                              models[1], _interior(models[1], thetas[1]), weights[:, None])
-        hi, degenerate = _studentize_rows(phat, n, models[0], thetas[0], dists[0],
-                                          models[1], thetas[1], dists[1], weights)
+        fits1, fits2, hi, degenerate = _select_rows(phat, n, *models, weights)
+        sel = _selection_rows(phat, models[0], _interior(models[0], fits1.x),
+                              models[1], _interior(models[1], fits2.x), weights[:, None])
     except Exception as exc:  # the type is compared, so catch every error
         return "raises", type(exc)
+    for r, (sample, h) in enumerate(zip(samples, weights)):
+        assert [fits.fit(r) for fits in (fits1, fits2)] == [minimize_phd(m, sample, h)
+                                                             for m in models]
     return "value", (hi, degenerate, sel)
 
 

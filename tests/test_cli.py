@@ -183,7 +183,8 @@ class TestSelect:
         assert fields["degenerate"] == "true"
         assert fields["degenerate_reason"] == "zero_variance"
 
-    @pytest.mark.parametrize("alpha", ["nan", "inf", "1e400", "0", "1", "True"])
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "1e400", "0", "1", "True",
+                                       "1e-17", "1e-16", "1.1102230246251565e-16"])
     def test_alpha_outside_the_open_unit_interval_exits_2(self, capsys, poisson_file, alpha):
         with pytest.raises(SystemExit) as exc:
             main(["select", "--data", poisson_file, "--model1", "poisson",

@@ -106,6 +106,21 @@ def test_scalar_input_is_refused_naming_it(entry, value):
     call(good)  # numpy scalars are numbers
 
 
+TEST_LEVELS = sorted(entry for entry, (_, name, _, _) in SCALAR_INPUTS.items()
+                     if name in ("alpha", "beta_star"))
+
+
+@pytest.mark.parametrize("value", [1e-17, 1e-16, 2**-53])
+@pytest.mark.parametrize("entry", TEST_LEVELS)
+def test_test_level_whose_critical_level_rounds_to_one_is_refused(entry, value):
+    # 1 - value / 2 rounds to 1 at or below 2**-53: the level is refused by
+    # name at the entry point, not as a quantile level q deeper down
+    call, name, _, error = SCALAR_INPUTS[entry]
+    with pytest.raises(error, match=rf"\b{name} must be a number in \(0,1\) above 2\*\*-53"):
+        call(value)
+    call(1e-15)
+
+
 CLI_SCRIPT = """
 import contextlib, io, sys
 import phdsel.cli

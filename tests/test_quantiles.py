@@ -16,7 +16,7 @@ class TestChiSquare:
     # relative only: the default absolute 1e-12 of approx hides lower-tail
     # errors; above 1/2 the reference is the upper tail at the exact 1 - q
     @pytest.mark.parametrize("df", [1, 2, 5, 6, 10, 30])
-    @pytest.mark.parametrize("q", [1e-10, 1e-6, 0.01, 0.1, 0.5, 0.9, 0.95, 0.99, 0.999,
+    @pytest.mark.parametrize("q", [1e-17, 1e-10, 1e-6, 0.01, 0.1, 0.5, 0.9, 0.95, 0.99, 0.999,
                                    1 - 1e-8, 1 - 1e-10, 1 - 2**-53])
     def test_quantile_matches_scipy(self, df, q):
         expected = stats.chi2.ppf(q, df) if q <= 0.5 else stats.chi2.isf(1 - q, df)
@@ -82,7 +82,7 @@ class TestNormal:
 
     # the inverse takes the upper tail from the exact 1 - q, where the cdf
     # would round to 1
-    @pytest.mark.parametrize("q", [0.001, 0.05, 0.2, 0.5, 0.8, 0.975, 0.999,
+    @pytest.mark.parametrize("q", [1e-17, 0.001, 0.05, 0.2, 0.5, 0.8, 0.975, 0.999,
                                    1 - 1e-6, 1 - 1e-10, 1 - 2**-53])
     def test_quantile_matches_scipy(self, q):
         assert normal_quantile(q) == pytest.approx(stats.norm.ppf(q), abs=1e-12)

@@ -14,6 +14,7 @@ from phdsel import (FAVOR_FIRST, FAVOR_SECOND, INDECISIVE, CellPartition,
                     equidistance_pi, geometric_model, load_config,
                     model_select, parse_cuts, poisson_model, run_experiment,
                     sample_mixture, substream)
+from phdsel.inference import _critical_z
 
 
 def small_config(**overrides):
@@ -93,7 +94,8 @@ class TestConfig:
             ExperimentConfig(pi=0.5, h_values=(0.5, 0.0))
         for bad in (dict(seed=-1), dict(seed=1.5), dict(reps=2.7), dict(sizes=(20, 30.5)),
                     dict(reps=True), dict(pi="0.5"), dict(pi=True), dict(alpha="0.1"),
-                    dict(alpha=True), dict(partition="x"), dict(h_values=(10**400,))):
+                    dict(alpha=True), dict(alpha=1e-16), dict(partition="x"),
+                    dict(h_values=(10**400,))):
             with pytest.raises(InvalidInput, match=next(iter(bad))):
                 ExperimentConfig(**{"pi": 0.5, **bad})
 
@@ -157,6 +159,7 @@ class TestConfig:
                            ("reps", 2.7), ("reps", 0), ("reps", True),
                            ("sizes", [20, 2.5]), ("sizes", [0]),
                            ("pi", True), ("pi", "0.5"), ("alpha", True), ("alpha", "0.1"),
+                           ("alpha", 1e-17),
                            ("cuts", [True, "2", "3"]), ("cuts", ["1"]), ("cuts", [10**400]),
                            ("sizes", 20), ("h_values", 0.5), ("h_values", [10**400])):
             with pytest.raises(InvalidInput, match=f"config key '{key}' is invalid"):
@@ -180,6 +183,20 @@ class TestSubstream:
         np.testing.assert_array_equal(a, b)
         c = substream(1, 50, 0.5, 4).random(4)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("key", [(-1, 20, 0.5, 0), (1.5, 20, 0.5, 0), (1, 0, 0.5, 0),
+                                     (1, True, 0.5, 0), (1, 20, math.nan, 0), (1, 20, 0.0, 0),
+                                     (1, 20, 0.5, -1), (1, 20, 0.5, "0")])
+    def test_bad_key_is_refused_naming_it(self, key):
+        with pytest.raises(InvalidInput, match=r"substream key must be .*, got "
+                           + re.escape(repr(key))):
+            substream(*key)
+
+    def test_valid_keys_draw_as_the_seed_sequence_of_the_key(self):
+        for seed, n, h, rep in ((0, 1, 1e-6, 0), (2**70, np.int64(300), np.float64(10.0), 999)):
+            expected = np.random.default_rng(
+                np.random.SeedSequence((seed, n, round(h * 10**6), rep))).random(3)
+            np.testing.assert_array_equal(substream(seed, n, h, rep).random(3), expected)
 
 
 class TestRunExperiment:
@@ -213,6 +230,25 @@ class TestRunExperiment:
             assert list(map(nan_as_none, rows)) == list(map(nan_as_none, expected)), overrides
         assert {row.n_degenerate for row in rows if row.n == 1} == {config.reps}
         assert any(0 < row.n_degenerate < config.reps for row in rows if row.n == 2)
+
+    def test_one_selection_call_per_chunk(self, monkeypatch):
+        select_rows = phdsel.simulate._select_rows
+        calls = []
+
+        def counted(phat, *args):
+            calls.append(len(phat))
+            return select_rows(phat, *args)
+
+        monkeypatch.setattr(phdsel.simulate, "CHUNK_ROWS", 7)
+        monkeypatch.setattr(phdsel.simulate, "_select_rows", counted)
+        # 2 sizes x 2 weights x 5 replications = 20 rows
+        run_experiment(small_config(pi=0.5, sizes=(20, 30), h_values=(1.0, 0.5), reps=5))
+        assert calls == [7, 7, 6]
+
+    def test_alpha_just_above_two_to_minus_53_runs(self):
+        config = small_config(pi=1.0, sizes=(20,), reps=3, alpha=1e-15)
+        assert run_experiment(config)[0].pct_favor_geometric == 0.0
+        assert _critical_z(1e-15) == pytest.approx(8.014015948775544, rel=1e-12)
 
     def test_row_grid_shape(self):
         config = small_config(sizes=(20, 30), h_values=(1.0, 0.5), reps=3)

@@ -15,7 +15,8 @@ def test_equivalence_of_a_tree_with_itself_is_exact():
     assert proc.returncode == 0, proc.stderr
     fields = dict(line.split("=", 1) for line in proc.stdout.strip().split("\n"))
     assert fields.pop("replications") == "48"
-    assert fields.pop("experiment_rows") == "24"
+    # 3 weights x 2 sizes and 3 degenerate sizes x 2 penalty weights, on 2 cut sets
+    assert fields.pop("experiment_rows") == "36"
     experiment = {key: fields.pop(key) for key in ("max_row_rel_delta", "row_pct_differences",
                                                    "row_degenerate_differences",
                                                    "table_differences",

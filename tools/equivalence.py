@@ -12,12 +12,15 @@ sample from ``substream(SEED, n, h, r)``, as ``run_experiment`` does.
 
 Each worker also runs ``run_experiment`` on the same design, one config
 per cut set and weight (seed SEED, sizes SIZES, weights H_VALUES,
-``--reps`` replications), which studentizes its replications in batches
-rather than one ``model_select`` call at a time, and renders each
-config's rows with ``emit_table`` in the ``csv`` and the ``text``
-format, and runs ``phdsel.cli.main`` on CLI_CALLS, over data files that
-it writes: fits in the box and at its bound, goodness-of-fit tests (one
-far in the upper tail, on a single occupied cell), a decisive selection,
+``--reps`` replications), plus one config per cut set at pi = 1/2 on the
+DEGENERATE_SIZES, whose samples of one to three observations make many
+replications degenerate (NaN HI, skipped by HI's mean and SD); it
+studentizes its replications in batches rather than one ``model_select``
+call at a time.  The worker renders each config's rows with
+``emit_table`` in the ``csv`` and the ``text`` format, and runs
+``phdsel.cli.main`` on CLI_CALLS, over data files that it writes: fits
+in the box and at its bound, goodness-of-fit tests (one far in the upper
+tail, on a single occupied cell), a decisive selection,
 selections with identical fits and with zero variance, and the
 equidistance solve on the default and the wide cuts.  On each cut set of
 POPULATION_CUTS (the default, the wide and the cuts 2,4,6,8,10,15) it
@@ -73,6 +76,7 @@ import tempfile
 
 SEED = 1001
 SIZES = (20, 300)
+DEGENERATE_SIZES = (1, 2, 3)
 H_VALUES = (0.5, 1.0)
 PIS = (0.0, 0.5, 1.0)
 GAP_PIS = (0.25, 0.5, 0.75)
@@ -261,12 +265,13 @@ def replay(src: str, reps: int) -> dict:
         pois, geom = ph.poisson_model(part), ph.geometric_model(part)
         bounds = {"theta1": pois.bounds[0], "theta2": geom.bounds[0]}
         # floats survive the JSON round trip exactly, so == compares bits
-        for pi in PIS:
-            config = ph.ExperimentConfig(pi=pi, sizes=SIZES, reps=reps, h_values=H_VALUES,
+        for pi, sizes in [(pi, SIZES) for pi in PIS] + [(0.5, DEGENERATE_SIZES)]:
+            config = ph.ExperimentConfig(pi=pi, sizes=sizes, reps=reps, h_values=H_VALUES,
                                          seed=SEED, partition=part)
             block = ph.run_experiment(config)
             experiment += [dataclasses.asdict(row) for row in block]
             tables += [ph.emit_table(block, "csv"), ph.emit_table(block, "text")]
+        for pi in PIS:
             dgp = ph.MixtureDGP(pi=pi)
             for n in SIZES:
                 for h in H_VALUES:
