@@ -25,7 +25,7 @@ from .inference import (FAVOR_FIRST, FAVOR_SECOND, INDECISIVE, GofReport,
 from .models import (MODEL_BUILDERS, DiscreteModel, MixtureDGP, geometric_model,
                      mixture_cell_probs, model_by_name, poisson_model,
                      sample_mixture)
-from .quantiles import chi2_cdf, chi2_quantile, normal_cdf, normal_quantile
+from .quantiles import chi2_quantile, normal_cdf, normal_quantile
 from .simulate import (EquidistanceResult, ExperimentConfig, ExperimentRow,
                        config_from_dict, emit_table, equidistance_gap,
                        equidistance_pi, load_config, run_experiment, substream)
@@ -39,7 +39,7 @@ __all__ = [
     "FAVOR_SECOND", "FitFailed", "FitResult", "GofReport", "INDECISIVE",
     "InvalidInput", "InvalidParameter", "MODEL_BUILDERS", "MixtureDGP",
     "NoEquidistance", "PhdselError", "SelectionReport", "SelectionVariance",
-    "SingularInformation", "as_prob_vector", "chi2_cdf", "chi2_quantile",
+    "SingularInformation", "as_prob_vector", "chi2_quantile",
     "config_from_dict", "decide", "default_partition", "emit_table",
     "empirical_frequencies", "equidistance_gap", "equidistance_pi",
     "fit_phd_to_probs", "geometric_model", "gof_test",

@@ -45,10 +45,6 @@ _INTERIOR_MARGIN = 1e-9  # in box widths
 class SelectionVariance:
     """Plug-in ingredients of the selection-statistic variance."""
 
-    K1: np.ndarray
-    Q1: np.ndarray
-    K2: np.ndarray
-    Q2: np.ndarray
     LambdaStar: np.ndarray  # 2m x 2m block covariance
     GammaSq: float
 
@@ -56,9 +52,9 @@ class SelectionVariance:
 # A model at R parameters: the (R, m) cells q, floored cells q_f, derivative
 # J and g = J / q_f, and the (R,) information I.
 _Rows = namedtuple("_Rows", "q qf J g info")
-# The selection variance of R rows: each model's rows and distance gradients
-# K and Q, gamma^2, and the flags gamma^2 < 1e-10 and equal fitted cells.
-_Selection = namedtuple("_Selection", "rows1 K1 Q1 rows2 K2 Q2 gamma_sq degenerate identical")
+# The selection variance of R rows: each model's rows, gamma^2, and the flags
+# gamma^2 < 1e-10 and equal fitted cells.
+_Selection = namedtuple("_Selection", "rows1 rows2 gamma_sq degenerate identical")
 
 
 def _interior(model: DiscreteModel, theta) -> np.ndarray:
@@ -127,10 +123,10 @@ def _selection_rows(P: np.ndarray, model1: DiscreteModel, theta1: np.ndarray,
     ``identical`` those whose two fitted cell vectors are equal.
     """
     occupied = P > 0.0
-    rows1, K1, Q1, MQ1 = _gradient_rows(P, occupied, model1, theta1, h)
-    rows2, K2, Q2, MQ2 = _gradient_rows(P, occupied, model2, theta2, h)
+    rows1, K1, _, MQ1 = _gradient_rows(P, occupied, model1, theta1, h)
+    rows2, K2, _, MQ2 = _gradient_rows(P, occupied, model2, theta2, h)
     gamma_sq = np.maximum(_sigma_form(P, (K1 - K2) + MQ1 - MQ2), 0.0)
-    return _Selection(rows1, K1, Q1, rows2, K2, Q2, gamma_sq, gamma_sq < _GAMMA_SQ_FLOOR,
+    return _Selection(rows1, rows2, gamma_sq, gamma_sq < _GAMMA_SQ_FLOOR,
                       (rows1.q == rows2.q).all(axis=-1))
 
 
@@ -210,5 +206,4 @@ def lambda_star_hat(phat, model1: DiscreteModel, theta1,
             reason="identical_fits" if sel.identical[0] else "zero_variance")
     SM, MSM = _sandwich(P, sel.rows1 if d1 <= d2 else sel.rows2)
     star = np.block([[_sigma(P), SM], [SM.T, MSM]])
-    return SelectionVariance(K1=sel.K1[0], Q1=sel.Q1[0], K2=sel.K2[0], Q2=sel.Q2[0],
-                             LambdaStar=star, GammaSq=gamma_sq)
+    return SelectionVariance(LambdaStar=star, GammaSq=gamma_sq)

@@ -186,10 +186,6 @@ class BinnedSample:
             raise InvalidInput("sample size must be >= 1")
         object.__setattr__(self, "n", n)
 
-    @property
-    def m(self) -> int:
-        return self.counts.size
-
     def frequencies(self) -> np.ndarray:
         return self.counts / self.n
 

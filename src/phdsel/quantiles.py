@@ -1,4 +1,4 @@
-"""Normal and chi-square distribution functions and quantiles.
+"""The normal distribution function and the normal and chi-square quantiles.
 
 Self-contained so test thresholds are bit-reproducible across platforms:
 the incomplete gamma tails use the classical series/continued-fraction
@@ -79,12 +79,6 @@ def _check_x(x) -> None:
     # +-inf passes: power_approx can pass normal_cdf an infinite argument
     if not (_is_finite_real(x) or (_is_real(x) and abs(x) == math.inf)):
         raise InvalidInput(f"x must be a real number or +-inf, got {x!r}")
-
-
-def chi2_cdf(x: float, df: int) -> float:
-    _check_x(x)
-    _check_df(df)
-    return _gamma_tails(0.5 * df, 0.5 * x)[0] if x > 0.0 else 0.0
 
 
 def chi2_quantile(q: float, df: int) -> float:

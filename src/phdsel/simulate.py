@@ -107,6 +107,8 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if not test(value):
                 raise InvalidInput(f"{f.name} must be {wanted}, got {value!r}")
+            if isinstance(value, list):  # sizes and h_values: stored hashable
+                object.__setattr__(self, f.name, tuple(value))
 
 
 @dataclass(frozen=True, slots=True)
@@ -256,33 +258,29 @@ def equidistance_pi(model1: DiscreteModel, model2: DiscreteModel,
 
     Each fit call takes j = min(``EQUI_LEVELS``, the levels still needed)
     levels at once: both families are fitted to the 2**j + 1 evenly spaced
-    weights of the bracket, whose ends keep their gaps after the first call,
-    and the first interval whose gap changes sign is kept, bisection's own
-    for a gap that crosses zero once.  A weight whose gap is exactly 0 is
-    returned.  Identical families, whose first gaps are all below
-    ``EQUI_TOL``, give 0.5 with the ``degenerate`` flag.
+    weights of the bracket, and the first interval whose gap changes sign
+    is kept, bisection's own for a gap that crosses zero once.  A weight
+    whose gap is exactly 0 is returned.  Identical families, whose first
+    gaps are all below ``EQUI_TOL``, give 0.5 with the ``degenerate`` flag.
     A gap of one nonzero sign at 0 and at 1 raises NoEquidistance.
     """
     h = check_penalty_weight(h)
     _check_shared_partition(model1.partition, model2.partition, partition)
-    lo, width, ends = 0.0, 1.0, None
+    lo, width = 0.0, 1.0
     while width >= EQUI_TOL:
         # no more levels than bring the bracket below EQUI_TOL
         j = min(EQUI_LEVELS, math.floor(math.log2(width / EQUI_TOL)) + 1)
-        pis = lo + width / 2**j * np.arange(2**j + 1)  # dyadic: the ends recur exactly
-        if ends is None:
-            gaps = _distance_gaps(pis, model1, model2, partition, h)
-            if np.all(np.abs(gaps) < EQUI_TOL):
-                return EquidistanceResult(pi_star=0.5, degenerate=True)
-        else:
-            gaps = np.insert(ends, 1, _distance_gaps(pis[1:-1], model1, model2, partition, h))
+        pis = lo + width / 2**j * np.arange(2**j + 1)
+        gaps = _distance_gaps(pis, model1, model2, partition, h)
+        if width == 1.0 and np.all(np.abs(gaps) < EQUI_TOL):  # the first call
+            return EquidistanceResult(pi_star=0.5, degenerate=True)
         if not gaps.all():  # the first weight whose gap is exactly 0
             return EquidistanceResult(float(pis[np.argmax(gaps == 0.0)]), degenerate=False)
         positive = gaps > 0.0
         if positive[0] == positive[-1]:  # at 0 and 1; every kept bracket changes sign
             raise NoEquidistance("distance gap has no sign change on [0, 1]")
         k = int(np.argmax(positive[1:] != positive[:-1]))
-        lo, width, ends = float(pis[k]), width / 2**j, gaps[k:k + 2]
+        lo, width = float(pis[k]), width / 2**j
     return EquidistanceResult(pi_star=lo + 0.5 * width, degenerate=False)
 
 
@@ -330,7 +328,7 @@ def emit_table(rows: list[ExperimentRow], format: str = "csv") -> str:
                           f"{r.p_mean:.3f}({r.p_sd:.3f})",
                           f"{r.dhp_poisson_mean:.3f}({r.dhp_poisson_sd:.3f})",
                           f"{r.dhp_geometric_mean:.3f}({r.dhp_geometric_sd:.3f})",
-                          _round3(r.hi_mean) + "(" + _round3(r.hi_sd) + ")",
+                          "" if math.isnan(r.hi_mean) else f"{r.hi_mean:.3f}({r.hi_sd:.3f})",
                           _pct(r.pct_favor_poisson), _pct(r.pct_favor_geometric),
                           _pct(r.pct_correct), _pct(r.pct_indecisive),
                           _pct(r.pct_incorrect)))

@@ -14,7 +14,8 @@ from phdsel import (BinnedSample, BoundaryParameter, CellPartition,
                     minimize_phd,
                     mixture_cell_probs, model_select, omega_sq, parse_cuts,
                     penalized_hellinger, poisson_model, sample_mixture, sigma)
-from phdsel.asymptotics import PROB_FLOOR, _interior, _one, _selection_rows
+from phdsel.asymptotics import (PROB_FLOOR, _gradient_rows, _interior, _one,
+                                _selection_rows)
 from phdsel.inference import _select_rows
 
 from kernel_helpers import permuted_kernel
@@ -299,11 +300,15 @@ class TestLambdaStarHat:
         # reduces to the first-argument gradient difference
         phat, pois, f1, geom, f2 = self._fitted_pair()
         sv = lambda_star_hat(phat, pois, f1.theta_hat, geom, f2.theta_hat, 0.5)
-        M1 = m_matrix(pois, f1.theta_hat)
-        M2 = m_matrix(geom, f2.theta_hat)
-        assert np.max(np.abs(M1.T @ sv.Q1)) < 1e-4
-        assert np.max(np.abs(M2.T @ sv.Q2)) < 1e-4
-        v = sv.K1 - sv.K2
+        P = phat[None, :]
+        K = []
+        for model, fit in ((pois, f1), (geom, f2)):
+            _, K_j, Q, MQ = _gradient_rows(P, P > 0.0, model, fit.theta_hat, 0.5)
+            np.testing.assert_allclose(MQ[0], m_matrix(model, fit.theta_hat).T @ Q[0],
+                                       rtol=1e-12, atol=1e-15)
+            assert np.max(np.abs(MQ)) < 1e-4
+            K.append(K_j[0])
+        v = K[0] - K[1]
         assert sv.GammaSq == pytest.approx(float(v @ sigma(phat) @ v), rel=1e-3)
 
     def test_structural_zero_cell_does_not_blow_up(self):
@@ -386,8 +391,9 @@ class TestAgainstMatrixReference:
         part = default_partition()
         phat = np.array([0.0, 0.1, 0.2, 0.3, 0.2, 0.1, 0.1, 0.0])
         pois, geom = poisson_model(part), geometric_model(part)
-        sv = lambda_star_hat(phat, pois, [3.0], geom, [0.3], 0.5)
-        for model, theta, K, Q in ((pois, [3.0], sv.K1, sv.Q1), (geom, [0.3], sv.K2, sv.Q2)):
+        P = phat[None, :]
+        for model, theta in ((pois, [3.0]), (geom, [0.3])):
+            _, (K,), (Q,), _ = _gradient_rows(P, P > 0.0, model, np.array(theta), 0.5)
             q = model.cell_prob(theta)
             np.testing.assert_array_equal(K, grad_phd_first(phat, q, 0.5))
             np.testing.assert_array_equal(Q, floored_grad_second(phat, q, 0.5))
@@ -455,8 +461,7 @@ def core_outcome(samples, models, weights):
 
 def selection_arrays(sel):
     """Every array of a row-core result, the models' rows included."""
-    return [*sel.rows1, sel.K1, sel.Q1, *sel.rows2, sel.K2, sel.Q2, sel.gamma_sq,
-            sel.degenerate, sel.identical]
+    return [*sel.rows1, *sel.rows2, sel.gamma_sq, sel.degenerate, sel.identical]
 
 
 def reasons(sel) -> list[str]:

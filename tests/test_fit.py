@@ -196,6 +196,18 @@ class TestMinimizePhd:
             assert fit.objective <= penalized_hellinger(
                 phat, model.cell_prob([t]), 0.5) + 1e-15
 
+    @pytest.mark.parametrize("cuts", [None, "1,2,5,10,20,50,100,1000,10000", "2,4,6,8,10,15"])
+    def test_objective_is_the_distance_at_the_estimate(self, cuts):
+        # bit for bit: the lockstep objective computes the public distance
+        part = default_partition() if cuts is None else parse_cuts(cuts)
+        for counts in sparse_counts(part, 75, 17):
+            sample = BinnedSample(counts=counts)
+            for model in (poisson_model(part), geometric_model(part)):
+                for h in (1e-3, 0.5, 1.0, 50.0):
+                    fit = minimize_phd(model, sample, h)
+                    assert fit.objective == penalized_hellinger(
+                        sample.frequencies(), model.cell_prob(fit.theta_hat), h)
+
     def test_cell_permutation_equivariance(self):
         base = poisson_model()
         rng = np.random.default_rng(47)

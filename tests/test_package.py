@@ -11,7 +11,7 @@ import pytest
 
 import phdsel
 from phdsel import (CellPartition, DiscreteModel, ExperimentConfig, InvalidInput,
-                    InvalidParameter, MixtureDGP, chi2_cdf, chi2_quantile, default_partition,
+                    InvalidParameter, MixtureDGP, chi2_quantile, default_partition,
                     empirical_frequencies, geometric_model, gof_test, model_select,
                     normal_cdf, normal_quantile, penalized_hellinger, poisson_model,
                     power_approx, required_sample_size, sample_mixture)
@@ -73,8 +73,6 @@ SCALAR_INPUTS = {
                                        "beta_star", np.float64(0.8), InvalidInput),
     "required_sample_size.df": (lambda v: required_sample_size(0.1, 0.2, 0.05, 0.8, v),
                                 "df", np.int64(5), InvalidInput),
-    "chi2_cdf.x": (lambda v: chi2_cdf(v, 6), "x", np.float64(3.0), InvalidInput),
-    "chi2_cdf.df": (lambda v: chi2_cdf(3.0, v), "df", np.int64(6), InvalidInput),
     "chi2_quantile.q": (lambda v: chi2_quantile(v, 6), "q", np.float64(0.95), InvalidInput),
     "chi2_quantile.df": (lambda v: chi2_quantile(0.95, v), "df", np.int64(6), InvalidInput),
     "normal_cdf.x": (lambda v: normal_cdf(v), "x", np.float64(0.5), InvalidInput),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from phdsel import InvalidInput, chi2_cdf, chi2_quantile, normal_cdf, normal_quantile
+from phdsel import InvalidInput, chi2_quantile, normal_cdf, normal_quantile
 from phdsel.quantiles import _gamma_tails
 
 
@@ -29,19 +29,6 @@ class TestChiSquare:
         expected = stats.chi2.ppf(q, df) if q <= 0.5 else stats.chi2.isf(1 - q, df)
         assert chi2_quantile(q, df) == pytest.approx(expected, rel=1e-11, abs=0)
 
-    @pytest.mark.parametrize("df", [10**4, 10**5, 10**6])
-    def test_cdf_at_the_median_at_large_df(self, df):
-        assert chi2_cdf(stats.chi2.median(df), df) == pytest.approx(0.5, abs=1e-9)
-
-    @pytest.mark.parametrize("df", [1, 4, 6, 17])
-    def test_cdf_matches_scipy(self, df):
-        for x in np.linspace(0.01, 60.0, 40):
-            assert chi2_cdf(x, df) == pytest.approx(stats.chi2.cdf(x, df), abs=1e-12)
-
-    def test_cdf_quantile_round_trip(self):
-        for q in (0.05, 0.5, 0.95):
-            assert chi2_cdf(chi2_quantile(q, 6), 6) == pytest.approx(q, abs=1e-10)
-
     def test_rejects_bad_arguments(self):
         with pytest.raises(InvalidInput):
             chi2_quantile(0.0, 6)
@@ -49,8 +36,6 @@ class TestChiSquare:
         for df in (0, 2.5, True):
             with pytest.raises(InvalidInput, match=f"df must be an integer >= 1, got {df!r}"):
                 chi2_quantile(0.5, df)
-            with pytest.raises(InvalidInput, match=f"df must be an integer >= 1, got {df!r}"):
-                chi2_cdf(1.0, df)
 
 
 class TestRegularizedGamma:
@@ -69,6 +54,12 @@ class TestRegularizedGamma:
                                                             rel=1e-13, abs=0)
         assert _gamma_tails(3.0, 1e-6)[0] == pytest.approx(gammainc(3.0, 1e-6),
                                                            rel=1e-13, abs=0)
+
+    # the chi-square median at large df, where the loops need about sqrt(a) terms
+    @pytest.mark.parametrize("df", [10**4, 10**5, 10**6])
+    def test_half_at_the_chi_square_median_at_large_shape(self, df):
+        p, q = _gamma_tails(0.5 * df, 0.5 * stats.chi2.median(df))
+        assert p == pytest.approx(0.5, abs=1e-9) and q == pytest.approx(0.5, abs=1e-9)
 
     def test_edges(self):
         assert _gamma_tails(2.0, 0.0) == (0.0, 1.0)
@@ -99,7 +90,6 @@ class TestNormal:
             assert normal_cdf(normal_quantile(q)) == pytest.approx(q, abs=1e-12)
 
 
-def test_cdfs_at_infinity_are_their_limits():
+def test_cdf_at_infinity_is_its_limit():
     # power_approx can hand normal_cdf an infinite argument
-    assert chi2_cdf(math.inf, 6) == 1.0 and chi2_cdf(-math.inf, 6) == 0.0
     assert normal_cdf(math.inf) == 1.0 and normal_cdf(-math.inf) == 0.0

@@ -83,6 +83,13 @@ class TestConfig:
         assert config.alpha == 0.05
         assert config.partition.m == 8
 
+    def test_list_valued_fields_are_stored_as_tuples(self):
+        config = ExperimentConfig(pi=0.5, sizes=[20], reps=2, h_values=[0.5])
+        assert (config.sizes, config.h_values) == ((20,), (0.5,))
+        assert config == ExperimentConfig(pi=0.5, sizes=(20,), reps=2, h_values=(0.5,))
+        assert hash(config) == hash(ExperimentConfig(pi=0.5, sizes=(20,), reps=2,
+                                                     h_values=(0.5,)))
+
     def test_validation(self):
         with pytest.raises(InvalidInput):
             ExperimentConfig(pi=1.5)
@@ -326,6 +333,8 @@ def count_fit_calls(monkeypatch) -> list:
 
 
 EQUIDISTANCE_CUTS = [None, "1,2,5,10,20,50,100,1000,10000", "2,4,6,8,10,15"]
+# the equidistance weights at h in {1/2, 1} on the default and the wide cuts
+PI_STAR = {None: 0.48899522502324544, EQUIDISTANCE_CUTS[1]: 0.5886196446081158}
 
 
 class TestEquidistance:
@@ -351,12 +360,13 @@ class TestEquidistance:
     @pytest.mark.parametrize("h", [0.5, 1.0])
     @pytest.mark.parametrize("cuts", EQUIDISTANCE_CUTS[:2])
     def test_solve_takes_seven_batched_fits(self, monkeypatch, cuts, h):
-        # five bisection levels per call, 34 in all: 33 weights in the first
-        # call, then the 31 inside the kept bracket, 15 in the last
+        # five bisection levels per call, 34 in all: each call fits the
+        # 2**j + 1 weights of its bracket, its ends included, 17 in the last
         part = default_partition() if cuts is None else parse_cuts(cuts)
         calls = count_fit_calls(monkeypatch)
-        equidistance_pi(poisson_model(part), geometric_model(part), part, h)
-        assert calls == [33] + [31] * 5 + [15]
+        result = equidistance_pi(poisson_model(part), geometric_model(part), part, h)
+        assert calls == [33] * 6 + [17]
+        assert result.pi_star == PI_STAR[cuts]
 
     @pytest.mark.parametrize("root", [0.3, 0.375, 1 / 3, 1e-9, 1.0 - 2**-30, 0.0, 1.0])
     def test_loop_keeps_the_bisection_bracket(self, monkeypatch, root):
@@ -451,6 +461,15 @@ class TestEmitTable:
         for col in ("n", "lambda_hat", "p_hat", "DHP(Pois)", "DHP(Geom)", "HI",
                     "%correct", "%indecisive", "%incorrect"):
             assert col in text
+
+    def test_text_hi_of_an_all_degenerate_block_is_empty(self):
+        # every replication of one observation is degenerate, so HI has no
+        # mean or SD: an empty cell, as for the other missing values
+        rows = run_experiment(small_config(pi=0.5, sizes=(1,), reps=2))
+        assert math.isnan(rows[0].hi_mean)
+        header, line = emit_table(rows, "text").splitlines()
+        hi = header.index("HI")  # the column is as wide as its header
+        assert line[hi:hi + 2] == "  " and "()" not in line
 
     def test_unknown_format_rejected(self):
         rows = run_experiment(small_config(reps=3))

@@ -35,7 +35,7 @@ wrappers of the selection-variance row core at fixed inputs
 identical fits and of a one-cell sample); it also fits ``mle_binned`` to
 each CLI data file on the default cells.  It calls
 the scalar functions ``power_approx``, ``required_sample_size``,
-``chi2_cdf``, ``chi2_quantile`` and ``normal_quantile`` on a fixed grid
+``chi2_quantile`` and ``normal_quantile`` on a fixed grid
 of valid inputs (``scalar_values``), numpy scalars, the sample sizes 1 and
 300 and power inputs whose products overflow a double among them.  It
 also fits both families to COUNT_VECTORS fixed-seed sparse count vectors
@@ -139,7 +139,6 @@ def scalar_values(ph) -> list:
     dfs = (1, np.int64(6), 30)
     calls = [(ph.normal_quantile, q) for q in levels]
     calls += [(ph.chi2_quantile, q, df) for q in levels for df in dfs]
-    calls += [(ph.chi2_cdf, x, df) for x in (0.0, 0.5, np.float64(6.3), 40.0) for df in dfs]
     calls += [(ph.power_approx, D, om, n, alpha, df)
               for D in (0.0, 1e-3, np.float64(0.02)) for om in (0.05, np.float64(0.3))
               for n in (1, np.int64(20), 300) for alpha in (0.01, np.float64(0.05))
