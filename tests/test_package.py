@@ -46,6 +46,8 @@ UNIFORM = np.full(8, 0.125)
 SCALAR_INPUTS = {
     "gof_test.alpha": (lambda v: gof_test(SAMPLE, poisson_model(), 0.5, alpha=v),
                        "alpha", np.float64(0.05), InvalidInput),
+    "gof_test.h": (lambda v: gof_test(SAMPLE, poisson_model(), v),
+                   "h", np.float64(0.5), InvalidParameter),
     "model_select.alpha": (lambda v: model_select(SAMPLE, poisson_model(), geometric_model(),
                                                   0.5, alpha=v), "alpha", np.float64(0.05),
                            InvalidInput),
@@ -80,6 +82,8 @@ SCALAR_INPUTS = {
     "sample_mixture.n": (lambda v: sample_mixture(MixtureDGP(pi=0.5), v,
                                                   np.random.default_rng(1)),
                          "n", np.int64(20), InvalidInput),
+    "ExperimentConfig.pi": (lambda v: ExperimentConfig(pi=v), "pi", np.float64(0.5),
+                            InvalidInput),
     "ExperimentConfig.alpha": (lambda v: ExperimentConfig(pi=0.5, alpha=v),
                                "alpha", np.float64(0.05), InvalidInput),
     "ExperimentConfig.sizes": (lambda v: ExperimentConfig(pi=0.5, sizes=(20, v)),

@@ -29,6 +29,20 @@ class TestChiSquare:
         expected = stats.chi2.ppf(q, df) if q <= 0.5 else stats.chi2.isf(1 - q, df)
         assert chi2_quantile(q, df) == pytest.approx(expected, rel=1e-11, abs=0)
 
+    # the chi-square tails are the gamma tails at (df/2, x/2): gof_test's
+    # p-value is the upper one
+    @pytest.mark.parametrize("df", [1, 4, 6, 17])
+    def test_cdf_matches_scipy(self, df):
+        for x in np.linspace(0.01, 60.0, 40):
+            p, q = _gamma_tails(0.5 * df, 0.5 * x)
+            assert p == pytest.approx(stats.chi2.cdf(x, df), abs=1e-12)
+            assert q == pytest.approx(stats.chi2.sf(x, df), abs=1e-12)
+
+    def test_cdf_quantile_round_trip(self):
+        for q in (0.05, 0.5, 0.95):
+            p, _ = _gamma_tails(3.0, 0.5 * chi2_quantile(q, 6))
+            assert p == pytest.approx(q, abs=1e-10)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(InvalidInput):
             chi2_quantile(0.0, 6)
