@@ -1,7 +1,7 @@
 """Large-sample covariance machinery for the fitted cell probabilities.
 
 Every family has one parameter, so each limit law is closed form in the
-model's cells q, their central-difference derivative J and g = J / q_f,
+model's cells q, their finite-difference derivative J and g = J / q_f,
 where q_f = max(q, PROB_FLOOR).  The information is I = sum J^2 / q_f, a
 scalar, singular below the smallest normal double; the projection
 M = J g^T / I has rank one and M^T Q = g (J . Q) / I; and under the
@@ -10,7 +10,8 @@ w^T Sigma(p) w = sum p w^2 - (sum p w)^2.  Nothing is factored or solved.
 
 One row core computes these for R rows at once: (R, m) frequencies against
 each family at (R,) estimates, with one validated cell call per family on
-the 3R points theta, theta + s and theta - s, the last two for J.  Every sum
+the 3R points theta, theta + s and theta - s, the last two for J, clipped
+to the closed box, so J is one-sided at an estimate on a bound.  Every sum
 runs along the cell axis with ``np.add.reduce``, so row r is bit-identical
 to the core's call on that row alone.  The public functions are its R = 1
 call; ``inference._select_rows`` fits and studentizes each chunk of
@@ -38,7 +39,6 @@ from .models import DiscreteModel
 
 PROB_FLOOR = 1e-12
 _GAMMA_SQ_FLOOR = 1e-10
-_INTERIOR_MARGIN = 1e-9  # in box widths
 
 
 @dataclass(frozen=True)
@@ -57,28 +57,19 @@ _Rows = namedtuple("_Rows", "q qf J g info")
 _Selection = namedtuple("_Selection", "rows1 rows2 gamma_sq degenerate identical")
 
 
-def _interior(model: DiscreteModel, theta) -> np.ndarray:
-    """``theta`` moved to at least 1e-9 of the box width inside the box of
-    the one-parameter ``model``, as the selection test moves its estimates
-    to keep the finite differences off the boundary."""
-    lo, hi = model.bounds[0]
-    margin = _INTERIOR_MARGIN * (hi - lo)
-    return np.clip(theta, lo + margin, hi - margin)
-
-
 def _model_rows(model: DiscreteModel, t: np.ndarray) -> _Rows:
     """``model`` at the (R,) parameters ``t``.
 
-    A parameter on or outside the box boundary is rejected.  One validated
+    Only a parameter outside the box [lo, hi] is rejected.  One validated
     call on the stacked points t, t + s and t - s gives the cells and the
     two sides of J, with s = 1e-6 max(1, |t|) and the points clipped to the
-    box; each row's cells depend on its point alone.
+    box (one-sided on a bound); each row's cells depend on its point alone.
     """
     lo, hi = model.bounds[0]
-    outside = (t <= lo) | (t >= hi)
+    outside = (t < lo) | (t > hi)
     if outside.any():
         raise BoundaryParameter(
-            f"theta[0]={float(t[outside][0])!r} is on the boundary of [{lo}, {hi}]")
+            f"theta[0]={float(t[outside][0])!r} is outside the box [{lo}, {hi}]")
     step = 1e-6 * np.maximum(1.0, np.abs(t))
     points = np.array((t, np.minimum(t + step, hi), np.maximum(t - step, lo)))
     q, at_up, at_dn = model.cell_prob(points.reshape(-1, 1)).reshape(3, t.size, -1)
@@ -150,7 +141,7 @@ def _sandwich(p: np.ndarray, rows: _Rows) -> tuple[np.ndarray, np.ndarray]:
 
 
 def jacobian(model: DiscreteModel, theta) -> np.ndarray:
-    """m x 1 central-difference derivative of the cell probabilities."""
+    """m x 1 derivative of the cell probabilities, one-sided on a box bound."""
     return _one(model, theta).J.T
 
 
@@ -188,7 +179,7 @@ def lambda_star_hat(phat, model1: DiscreteModel, theta1,
     [[S, S Mc^T], [Mc S, Mc S Mc^T]], S = Sigma(phat), with the projection Mc
     of the better-fitting model.
 
-    A parameter on or outside its box boundary raises BoundaryParameter.  A
+    A parameter outside its box raises BoundaryParameter.  A
     variance below 1e-10 raises DegenerateVariance with ``reason``
     ``"identical_fits"`` when the fitted cells are equal, else
     ``"zero_variance"``.  This is the R = 1 call of the row core.

@@ -18,7 +18,7 @@ class FitFailed(PhdselError, RuntimeError):
 
 
 class BoundaryParameter(PhdselError, ValueError):
-    """Derivative requested at a parameter sitting on its box boundary."""
+    """Limit law requested at a parameter outside its closed box."""
 
 
 class SingularInformation(PhdselError, RuntimeError):

@@ -7,10 +7,9 @@ row r on its own box:
   grid cells, evaluated once per model (``_start_cells``);
 * golden-section refinement of each row's best bracket: one call for each
   of the first bracket's two golden points, then one per step, each on an
-  (R,) array of one point per row, for a step count set once by the row's
-  first bracket: 33 steps, or 32 when the best start is a box end, which
-  take the bracket below 1e-8 of the box width.  Rows that have made their
-  steps still ride along in the later calls, with their state left as it is.
+  (R,) array of one point per row, for 33 steps on every row, which take a
+  first bracket of two grid spacings, or of one at a box end, below 1e-8 of
+  the box width.
 
 Ties between starts are broken toward the smaller parameter.  The objective
 of row r may depend only on row r's point, so row r of an R-row fit is
@@ -45,10 +44,9 @@ from .models import DiscreteModel, _residual_last
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GRID_POINTS = 32
-# the golden steps that take a first bracket of two grid spacings, or of one
-# at a box end, below the tolerance of 1e-8 of the box width:
-# ceil(log(31e-8 / 2) / log(GOLDEN)) and ceil(log(31e-8) / log(GOLDEN))
-STEPS, END_STEPS = 33, 32
+# the golden steps that take a first bracket of two grid spacings below the
+# tolerance of 1e-8 of the box width: ceil(log(31e-8 / 2) / log(GOLDEN))
+STEPS = 33
 _BRACKET = np.array([[-1], [1]])  # grid neighbours of the best start
 
 
@@ -58,9 +56,9 @@ class FitResult:
 
     ``evaluations`` counts the points evaluated for the row: its 32 grid
     starts, whose values come from the start cells, the first bracket's two
-    golden points, then one per golden step; 66 when the best grid start is
-    a box end, 67 otherwise.  ``converged`` reports whether the final
-    bracket is narrower than the stopping tolerance, 1e-8 of the box width.
+    golden points, then one per golden step, 67 on every row.  ``converged``
+    reports whether the final bracket is narrower than the stopping
+    tolerance, 1e-8 of the box width.
     ``at_bound`` is set when the estimate lies within that tolerance of a
     bound of the box: the box, not the data, stopped the search, even when
     ``converged`` is true.
@@ -119,11 +117,9 @@ def _lockstep(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
         raise FitFailed("objective non-finite at every grid start")
     j = np.argmin(fs, axis=1)  # first minimum = smallest x on ties
     each = np.arange(rows)
-    steps = np.where((j == 0) | (j == GRID_POINTS - 1), END_STEPS, STEPS)
 
     # state holds (x, f) of the best grid point, then of the lower interior
-    # point x1, the upper one x2 and the newest evaluation; all but the
-    # first are updated in place, on every row that has steps left
+    # point x1, the upper one x2 and the newest evaluation, updated in place
     state = np.empty((4, 2, rows))
     state[0] = xs[j, each], np.minimum.reduce(fs, axis=1)
     pts = state[1:]
@@ -140,25 +136,23 @@ def _lockstep(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
 
     side = np.empty((2, rows), dtype=bool)
     right, left = side  # the minimum lies in [x1, b] / in [a, x2]
-    for step in range(steps.max()):
-        live = step < steps
+    for _ in range(STEPS):
         np.less_equal(f1, f2, out=left)
         np.logical_not(left, out=right)
-        side &= live  # a row without steps left keeps its bracket
         np.copyto(ab, interior_x, where=side)  # a <- x1 where right, b <- x2 where left
         np.subtract(b, a, out=w)
         gw = w * GOLDEN
         np.subtract(b, gw, out=x_new)
         np.copyto(x_new, a + gw, where=right)
         f_new[...] = f(x_new)
-        np.copyto(interior, np.where(left, after_left, after_right), where=live)
+        interior[...] = np.where(left, after_left, after_right)
 
     # the best candidate: least value, then least x
     cand = state[:3]
     best_f = np.minimum.reduce(cand[:, 1])
     best_x = np.minimum.reduce(np.where(cand[:, 1] == best_f, cand[:, 0], np.inf))
     at_bound = np.minimum(best_x - lo, hi - best_x) <= tol
-    return FitRows(best_x, best_f, GRID_POINTS + 2 + steps, w < tol, at_bound)
+    return FitRows(best_x, best_f, np.full(rows, GRID_POINTS + 2 + STEPS), w < tol, at_bound)
 
 
 def _fit_phd_rows(models: tuple[DiscreteModel, ...], phat: np.ndarray,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import _interior, _selection_rows, lambda_star_hat
+from .asymptotics import _selection_rows, lambda_star_hat
 from .cells import BinnedSample, CellPartition, _is_finite_real, _is_test_level, as_prob_vector
 from .divergence import check_penalty_weight
 from .errors import DegenerateVariance, InvalidInput
@@ -170,8 +170,7 @@ def model_select(sample: BinnedSample, model1: DiscreteModel,
     z = _critical_z(alpha)
     d1, d2 = fit1.objective, fit2.objective
     try:
-        gamma_sq = lambda_star_hat(phat, model1, _interior(model1, fit1.theta_hat),
-                                   model2, _interior(model2, fit2.theta_hat), h).GammaSq
+        gamma_sq = lambda_star_hat(phat, model1, fit1.theta_hat, model2, fit2.theta_hat, h).GammaSq
         degenerate, reason = False, ""
     except DegenerateVariance as exc:
         gamma_sq, degenerate, reason = 0.0, True, exc.reason
@@ -196,9 +195,8 @@ def _select_rows(phat: np.ndarray, n: np.ndarray, model1: DiscreteModel, model2:
     """Both fits, HI and the degenerate flag of each row of the (R, m)
     frequencies ``phat`` of samples of sizes ``n``, row r with weight ``h[r]``:
     one lockstep fit of both families, then one row-core call at their
-    interior estimates.  Row r equals its ``model_select`` report; no validation."""
+    estimates.  Row r equals its ``model_select`` report; no validation."""
     fits1, fits2 = _fit_phd_rows((model1, model2), phat, h)
-    sel = _selection_rows(phat, model1, _interior(model1, fits1.x),
-                          model2, _interior(model2, fits2.x), h[:, None])
+    sel = _selection_rows(phat, model1, fits1.x, model2, fits2.x, h[:, None])
     hi = _statistic(n, fits1.fun, fits2.fun, sel.gamma_sq, sel.degenerate)[0]
     return fits1, fits2, hi, sel.degenerate

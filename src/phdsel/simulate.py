@@ -59,10 +59,10 @@ def _h_key(h) -> int:
     return int(round(h * 10**6))
 
 
-def _is_weight_list(v) -> bool:
-    """Whether ``v`` is a nonempty list of penalty weights with distinct
-    substream keys: two weights with one key would draw the same samples."""
-    return _nonempty_list_of(is_penalty_weight)(v) and len(set(map(_h_key, v))) == len(v)
+def _distinct_list_of(test, key):
+    """Rule for a nonempty list of items that pass ``test`` with distinct
+    substream keys ``key(item)``: two items with one key draw the same samples."""
+    return lambda v: _nonempty_list_of(test)(v) and len(set(map(key, v))) == len(v)
 
 
 def _as_partition(cuts) -> CellPartition:
@@ -75,11 +75,12 @@ def _as_partition(cuts) -> CellPartition:
 # the field.  JSON names the partition by its finite cuts.
 _RULES = {
     "pi": (_is_mixing_weight, "a number in [0,1]", float),
-    "sizes": (_nonempty_list_of(lambda n: _is_whole(n, 1)),
-              "a nonempty list of integers >= 1", tuple),
+    "sizes": (_distinct_list_of(lambda n: _is_whole(n, 1), int),
+              "a nonempty list of distinct integers >= 1", tuple),
     "reps": (lambda v: _is_whole(v, 1), "an integer >= 1", int),
-    "h_values": (_is_weight_list, f"a nonempty list of numbers in (0, {MAX_PENALTY_WEIGHT:g}], "
-                 "no two equal when rounded to millionths", lambda v: tuple(map(float, v))),
+    "h_values": (_distinct_list_of(is_penalty_weight, _h_key),
+                 f"a nonempty list of numbers in (0, {MAX_PENALTY_WEIGHT:g}], no two equal when "
+                 "rounded to millionths", lambda v: tuple(map(float, v))),
     "alpha": (_is_test_level, "a number in (0,1) above 2**-53", float),
     "seed": (lambda v: _is_whole(v, 0), "an integer >= 0", int),
     "cuts": (_nonempty_list_of(_is_real), "a nonempty list of numbers", _as_partition),
@@ -292,7 +293,7 @@ _TEXT_HEADERS = ("pi", "n", "h", "lambda_hat", "p_hat", "DHP(Pois)",
 
 
 def _round3(x: float) -> str:
-    return "" if x is None or (isinstance(x, float) and math.isnan(x)) else f"{x:.3f}"
+    return "" if math.isnan(x) else f"{x:.3f}"
 
 
 def _pct(x: float | None) -> str:

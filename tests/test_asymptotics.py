@@ -14,8 +14,7 @@ from phdsel import (BinnedSample, BoundaryParameter, CellPartition,
                     minimize_phd,
                     mixture_cell_probs, model_select, omega_sq, parse_cuts,
                     penalized_hellinger, poisson_model, sample_mixture, sigma)
-from phdsel.asymptotics import (PROB_FLOOR, _gradient_rows, _interior, _one,
-                                _selection_rows)
+from phdsel.asymptotics import PROB_FLOOR, _gradient_rows, _one, _selection_rows
 from phdsel.inference import _select_rows
 
 from kernel_helpers import permuted_kernel
@@ -38,8 +37,8 @@ def ref_jacobian(model, theta):
     th = model.theta_array(theta)
     J = np.empty((model.partition.m, model.k))
     for j, (lo, hi) in enumerate(model.bounds):
-        if th[j] <= lo or th[j] >= hi:
-            raise BoundaryParameter(f"theta[{j}] on the boundary")
+        if th[j] < lo or th[j] > hi:
+            raise BoundaryParameter(f"theta[{j}] outside the box")
         step = 1e-6 * max(1.0, abs(th[j]))
         up, dn = th.copy(), th.copy()
         up[j] = min(th[j] + step, hi)
@@ -152,11 +151,12 @@ class TestJacobian:
                 rtol=1e-5, atol=1e-10)
 
     def test_boundary_parameter_rejected(self):
+        # on a bound the derivative is the one-sided difference into the box
         model = poisson_model()
-        with pytest.raises(BoundaryParameter):
-            jacobian(model, [model.bounds[0][0]])
-        with pytest.raises(BoundaryParameter):
-            jacobian(model, [model.bounds[0][1]])
+        lo, hi = model.bounds[0]
+        for theta, inner in ((lo, lo + 1e-6), (hi, hi - 1e-6 * hi)):
+            one_sided = (model.cell_prob([inner]) - model.cell_prob([theta])) / (inner - theta)
+            np.testing.assert_array_equal(jacobian(model, [theta])[:, 0], one_sided)
         with pytest.raises(BoundaryParameter):
             jacobian(model, [-1.0])
         with pytest.raises(BoundaryParameter):
@@ -339,9 +339,9 @@ class TestLambdaStarHat:
 @st.composite
 def fitted_pairs(draw):
     """Frequencies on the default or wide cuts (arbitrary counts 0-3 per
-    cell, or one occupied cell), both families fitted to them and kept off
-    the box boundary as ``model_select`` keeps them, in either order, and a
-    penalty weight."""
+    cell, or one occupied cell), both families fitted to them, at the
+    estimates as ``model_select`` takes them (on a bound where the fit ends
+    there), in either order, and a penalty weight."""
     part = draw(st.sampled_from(
         (default_partition(), parse_cuts("1,2,5,10,20,50,100,1000,10000"))))
     if draw(st.booleans()):
@@ -356,7 +356,7 @@ def fitted_pairs(draw):
     models = [poisson_model(part), geometric_model(part)]
     if draw(st.booleans()):
         models.reverse()
-    thetas = [_interior(m, minimize_phd(m, sample, h).theta_hat) for m in models]
+    thetas = [minimize_phd(m, sample, h).theta_hat for m in models]
     return sample.frequencies(), models, thetas, h
 
 
@@ -449,8 +449,7 @@ def core_outcome(samples, models, weights):
     n = np.array([s.n for s in samples])
     try:
         fits1, fits2, hi, degenerate = _select_rows(phat, n, *models, weights)
-        sel = _selection_rows(phat, models[0], _interior(models[0], fits1.x),
-                              models[1], _interior(models[1], fits2.x), weights[:, None])
+        sel = _selection_rows(phat, models[0], fits1.x, models[1], fits2.x, weights[:, None])
     except Exception as exc:  # the type is compared, so catch every error
         return "raises", type(exc)
     for r, (sample, h) in enumerate(zip(samples, weights)):
@@ -502,6 +501,37 @@ class TestRowCore:
             np.testing.assert_array_equal(rest[1][0], hi[kept])
             for a, b in zip(selection_arrays(rest[1][2]), selection_arrays(sel)):
                 np.testing.assert_array_equal(a, b[kept])
+
+    @pytest.mark.parametrize("cuts,counts,h,pinned", [
+        (None, [41, 0, 0, 0, 15, 1, 7, 2], 0.5, (0, 0)),  # Poisson rate at its lower bound
+        (None, [0, 80, 0, 3, 0, 57, 3, 1], 1.0, (1, 1)),  # geometric p at its upper bound
+        (WIDE_CUTS, [4, 7, 4, 16, 11, 16, 3, 24, 12, 72], 0.5, (1, 0))])
+    def test_estimate_on_a_bound_gives_one_answer_by_every_route(self, cuts, counts, h, pinned):
+        # the fit leaves one estimate on a bound of its box (model, end),
+        # and the variance is not degenerate: model_select, lambda_star_hat
+        # at the unmoved estimates and row r of a chunk all agree
+        part = default_partition() if cuts is None else cuts
+        models = (poisson_model(part), geometric_model(part))
+        sample = BinnedSample(counts=np.array(counts))
+        report = model_select(sample, *models, h)
+        fits = (report.fit1, report.fit2)
+        model, end = pinned
+        assert fits[model].theta_hat[0] == models[model].bounds[0][end]
+        assert fits[model].at_bound and not report.degenerate
+        gamma_sq = lambda_star_hat(sample.frequencies(), models[0], fits[0].theta_hat,
+                                   models[1], fits[1].theta_hat, h).GammaSq
+        assert math.sqrt(gamma_sq) == report.gamma_hat
+        assert math.sqrt(sample.n) * (report.d1 - report.d2) / math.sqrt(gamma_sq) == report.hi
+        data = sample_mixture(MixtureDGP(pi=0.5), 40, np.random.default_rng(7))
+        mixed = np.bincount(part.bin_indices(data), minlength=part.m)
+        chunk = [mixed, counts, mixed[::-1]]
+        phat = np.array(chunk) / np.sum(chunk, axis=1, keepdims=True)
+        n, weights = np.sum(chunk, axis=1), np.array([1.0, h, 0.5])
+        fits1, fits2, hi, degenerate = _select_rows(phat, n, *models, weights)
+        sel = _selection_rows(phat, models[0], fits1.x, models[1], fits2.x, weights[:, None])
+        assert [fits1.fit(1), fits2.fit(1)] == list(fits)
+        assert (hi[1], math.sqrt(sel.gamma_sq[1]), degenerate[1]) == (report.hi,
+                                                                       report.gamma_hat, False)
 
     def test_batches_cover_both_degenerate_reasons(self):
         part = default_partition()

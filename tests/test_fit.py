@@ -12,7 +12,7 @@ from phdsel import (BinnedSample, CellPartition, DiscreteModel, FitFailed,
                     penalized_hellinger, poisson_model, sample_mixture)
 import phdsel.fit
 from phdsel.divergence import _phd_rows
-from phdsel.fit import (END_STEPS, GOLDEN, GRID_POINTS, STEPS, FitRows, _fit_phd_rows,
+from phdsel.fit import (GOLDEN, GRID_POINTS, STEPS, FitRows, _fit_phd_rows,
                         _grid, _lockstep, _start_cells)
 from phdsel.simulate import CHUNK_ROWS
 
@@ -79,21 +79,24 @@ def lockstep(f, lo, hi):
 
 def closing_lockstep(f, lo, hi, fs, max_steps=200):
     """Reference: the lockstep minimizer with per-row closing, as it ran
-    before each row's step count was set by its first bracket.  Row r
-    closes at the first step where its bracket is narrower than 1e-8 of its
-    box, or after ``max_steps`` steps, and keeps its interior points as
-    they were then."""
+    before the step count was fixed.  Row r closes at the first step where
+    its bracket, scaled as if its first bracket had been two grid spacings
+    wide, is narrower than 1e-8 of its box, or after ``max_steps`` steps,
+    and keeps its interior points as they were then.  A first bracket at a
+    box end is one spacing wide, so its bracket must close to half the
+    tolerance, and every row closes after 33 steps."""
     rows, tol, xs = lo.size, 1e-8 * (hi - lo), _grid(lo, hi)
     j = np.argmin(fs, axis=1)
     each = np.arange(rows)
     a, b = xs[np.minimum(np.maximum(j + np.array([[-1], [1]]), 0), GRID_POINTS - 1), each]
     w = b - a
+    scale = 2.0 * (xs[1] - xs[0]) / w  # 2 at a box end, 1 elsewhere
     x1, x2 = b - w * GOLDEN, a + w * GOLDEN
     f1, f2 = f(x1), f(x2)
     closed, steps = np.zeros(rows, dtype=bool), np.full(rows, max_steps)
     final = np.empty((4, rows))  # x1, f1, x2, f2 when the row closed
     for step in range(max_steps + 1):
-        shut = (w < tol) & ~closed
+        shut = (w * scale < tol) & ~closed
         steps[shut] = step
         final[:, shut] = np.array([x1, f1, x2, f2])[:, shut]
         closed |= shut
@@ -343,11 +346,12 @@ class TestGoldenSteps:
 
     def test_step_counts_follow_from_the_tolerance(self):
         # the first bracket is two grid spacings wide, one at a box end; it
-        # shrinks by GOLDEN per step until below 1e-8 of the box width
+        # shrinks by GOLDEN per step until below 1e-8 of the box width.
+        # Every row makes the steps of the wider bracket.
         spacing = 1.0 / (GRID_POINTS - 1)
         steps = [math.ceil(math.log(1e-8 / (width * spacing)) / math.log(GOLDEN))
                  for width in (2, 1)]
-        assert steps == [STEPS, END_STEPS] == [33, 32]
+        assert steps == [STEPS, STEPS - 1] == [33, 32]
 
     def test_objective_sees_one_point_per_row(self):
         # the first bracket's golden pair is two calls, then one per step:
@@ -379,7 +383,10 @@ class TestGoldenSteps:
         ref, fits = closing_lockstep(f, lo, hi, fs), _lockstep(f, lo, hi, fs)
         for name, expected, got in zip(FitRows._fields, ref, fits):
             assert np.array_equal(expected, got), name
-        assert set(fits.evaluations) == {66, 67}
+        assert set(fits.evaluations) == {67}
+        # the reference closes rows at both box ends and inside the box
+        starts = np.argmin(fs, axis=1)
+        assert {0, GRID_POINTS - 1} <= set(starts) and (starts % (GRID_POINTS - 1)).any()
 
     @pytest.mark.parametrize("part", ORACLE_PARTITIONS)
     def test_sparse_count_fits_equal_the_closing_reference(self, part, monkeypatch):
@@ -394,8 +401,9 @@ class TestGoldenSteps:
                 assert np.array_equal(expected, value), (model.name, name)
 
     @pytest.mark.parametrize("part", ORACLE_PARTITIONS)
-    def test_evaluations_are_66_at_a_box_end_and_67_elsewhere(self, part):
-        # on each shipped box: the count is set by where the best start lies
+    def test_evaluations_are_67_at_a_box_end_and_elsewhere(self, part):
+        # on each shipped box: the count does not depend on where the best
+        # start lies
         counts = np.vstack([sparse_counts(part, 200, 13), np.eye(part.m, dtype=int)])
         phat = counts / counts.sum(axis=1, keepdims=True)
         for model in (poisson_model(part), geometric_model(part)):
@@ -404,7 +412,7 @@ class TestGoldenSteps:
                            _start_cells(model), 0.5)
             end = np.isin(np.argmin(fs, axis=1), (0, GRID_POINTS - 1))
             assert end.any() and not end.all(), model.name
-            assert fits.evaluations.tolist() == np.where(end, 66, 67).tolist()
+            assert fits.evaluations.tolist() == [67] * len(phat)
             assert fits.converged.all()
 
     def test_box_too_narrow_to_close_reports_not_converged(self):

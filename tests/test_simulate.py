@@ -105,6 +105,11 @@ class TestConfig:
                     dict(h_values=(10**400,))):
             with pytest.raises(InvalidInput, match=next(iter(bad))):
                 ExperimentConfig(**{"pi": 0.5, **bad})
+        # repeated sizes share their substream keys, so their blocks would
+        # draw the same samples and return equal rows
+        for sizes in ((20, 20), [20, 30, np.int64(20)]):
+            with pytest.raises(InvalidInput, match="sizes must be a nonempty list of distinct"):
+                ExperimentConfig(pi=0.5, sizes=sizes)
 
     def test_h_values_must_be_nonempty_numeric_weights(self):
         # an empty grid has no blocks to run, and true is not the weight 1
@@ -164,7 +169,7 @@ class TestConfig:
         # and accept "3", float() would read true as 1.0 and "2" as 2.0
         for key, value in (("seed", -1), ("seed", 1.5), ("seed", "3"),
                            ("reps", 2.7), ("reps", 0), ("reps", True),
-                           ("sizes", [20, 2.5]), ("sizes", [0]),
+                           ("sizes", [20, 2.5]), ("sizes", [0]), ("sizes", [20, 20]),
                            ("pi", True), ("pi", "0.5"), ("alpha", True), ("alpha", "0.1"),
                            ("alpha", 1e-17),
                            ("cuts", [True, "2", "3"]), ("cuts", ["1"]), ("cuts", [10**400]),

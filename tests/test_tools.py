@@ -28,7 +28,8 @@ def test_equivalence_of_a_tree_with_itself_is_exact():
     assert set(fields) == {"max_theta_delta_box_widths", "max_distance_delta",
                            "max_hi_rel_delta", "max_gamma_hat_rel_delta",
                            "decision_differences", "degenerate_differences",
-                           "fit_differences"}
+                           "fit_differences", "max_count_fit_theta_delta_box_widths",
+                           "count_fit_objective_increases"}
     assert all(value == "0" for value in fields.values()), fields
 
 

@@ -55,10 +55,12 @@ byte-identical, and the counts of population values (mixture cell vectors,
 gaps and equidistance weights), of scalar values (a result, or the name
 of the error raised) and of count-vector fits (estimate, objective,
 evaluations, convergence and bound flag, or the name of the error raised)
-that are not bit-identical.  Exits 1 when any decision, degenerate flag,
-fit count or flag, percentage, ``n_degenerate``, table, CLI text,
-population, scalar or count-vector fit value differs, 2 on a usage or
-import error.
+that are not bit-identical, and over the count-vector fits that both trees
+completed, the largest move of an estimate in its model's box widths and
+the count of fits whose objective rose.  Exits 1 when any decision,
+degenerate flag, fit count or flag, percentage, ``n_degenerate``, table,
+CLI text, population, scalar or count-vector fit value differs, 2 on a
+usage or import error.
 """
 
 from __future__ import annotations
@@ -223,17 +225,17 @@ def population_values(ph) -> list:
     return values
 
 
-def count_fits(ph) -> list:
+def count_fits(ph) -> tuple[list, list[float]]:
     """Worker side: on each cut set of POPULATION_CUTS, COUNT_VECTORS
     Dirichlet-multinomial count vectors of 1 to 400 draws, many of them with
     empty cells (seed SEED), and the fits of both families to each:
     ``minimize_phd`` at each h in H_VALUES and ``mle_binned``, each as its
     estimate, objective, evaluations, convergence and bound flag, or the
-    name of the error it raised."""
+    name of the error it raised; and the box width of each fit's model."""
     import numpy as np
 
     rng = np.random.default_rng(SEED)
-    values = []
+    values, widths = [], []
     for cuts in POPULATION_CUTS:
         part = ph.default_partition() if cuts is None else ph.parse_cuts(cuts)
         alpha = rng.choice([0.05, 0.3, 1.0], size=(COUNT_VECTORS, 1))
@@ -244,13 +246,14 @@ def count_fits(ph) -> list:
             for model in (ph.poisson_model(part), ph.geometric_model(part)):
                 calls = [(ph.minimize_phd, model, sample, h) for h in H_VALUES]
                 for fit_fn, *args in calls + [(ph.mle_binned, model, sample)]:
+                    widths.append(model.bounds[0][1] - model.bounds[0][0])
                     try:
                         fit = fit_fn(*args)
                         values.append([float(fit.theta_hat[0]), fit.objective, fit.evaluations,
                                        fit.converged, fit.at_bound])
                     except ph.PhdselError as exc:  # a refusal counts as a value too
                         values.append(type(exc).__name__)
-    return values
+    return values, widths
 
 
 def replay(src: str, reps: int) -> dict:
@@ -283,9 +286,10 @@ def replay(src: str, reps: int) -> dict:
                                      r.degenerate]
                                     + [[fit.evaluations, fit.converged, fit.at_bound]
                                        for fit in (r.fit1, r.fit2)])
+    fits, widths = count_fits(ph)
     return {"bounds": bounds, "rows": rows, "experiment": experiment, "tables": tables,
             "cli": cli_outputs(ph), "population": population_values(ph),
-            "scalars": scalar_values(ph), "count_fits": count_fits(ph)}
+            "scalars": scalar_values(ph), "count_fits": fits, "count_fit_widths": widths}
 
 
 def _fail(message: str):
@@ -342,6 +346,20 @@ def compare(old: dict, new: dict) -> dict:
         _fail("the trees made different numbers of count-vector fits")
     out["count_fit_differences"] = sum(a != b for a, b in zip(old["count_fits"],
                                                              new["count_fits"]))
+    out.update(compare_count_fits(old["count_fits"], new["count_fits"], new["count_fit_widths"]))
+    return out
+
+
+def compare_count_fits(old: list, new: list, widths: list[float]) -> dict:
+    """The largest move of a count-vector fit's estimate, in its model's box
+    widths, and the count of fits whose objective rose, over the fits that
+    both trees completed."""
+    out = {"max_count_fit_theta_delta_box_widths": 0.0, "count_fit_objective_increases": 0}
+    for a, b, width in zip(old, new, widths):
+        if isinstance(a, list) and isinstance(b, list):
+            out["max_count_fit_theta_delta_box_widths"] = max(
+                out["max_count_fit_theta_delta_box_widths"], abs(a[0] - b[0]) / width)
+            out["count_fit_objective_increases"] += b[1] > a[1]
     return out
 
 
