@@ -1,4 +1,5 @@
-"""Large-sample covariance machinery for the fitted cell probabilities.
+"""Large-sample variances of the fitted penalized Hellinger distances; the
+distances themselves are computed in ``inference``, at the fits.
 
 Every family has one parameter, so each limit law is closed form in the
 model's cells q, their finite-difference derivative J and g = J / q_f,
@@ -13,14 +14,14 @@ each family at (R,) estimates, with one validated cell call per family on
 the 3R points theta, theta + s and theta - s, the last two for J, clipped
 to the closed box, so J is one-sided at an estimate on a bound.  Every sum
 runs along the cell axis with ``np.add.reduce``, so row r is bit-identical
-to the core's call on that row alone.  The public functions are its R = 1
-call; ``inference._select_rows`` fits and studentizes each chunk of
-``run_experiment`` rows, with one call of the core per chunk.
+to the core's call on that row alone.  The public functions other than
+``sigma`` are its R = 1 call; ``inference._select_rows`` fits and
+studentizes each chunk of ``run_experiment`` rows, with one call of the
+core per chunk.
 
-q is floored wherever a formula divides by it or takes sqrt(phat/q); the
-distances never floor.  A structural zero cell (constant zero probability
-along the family) has J = 0, which removes the floored entries from every
-projected quantity exactly.
+q is floored wherever a formula divides by it or takes sqrt(phat/q).  A
+structural zero cell (constant zero probability along the family) has J = 0,
+which removes the floored entries from every projected quantity exactly.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cells import as_prob_vector
-from .divergence import (_grad_first, _grad_second, check_penalty_weight,
-                         penalized_hellinger)
+from .divergence import _grad_first, _grad_second, check_penalty_weight
 from .errors import (BoundaryParameter, DegenerateVariance, InvalidInput,
                      SingularInformation)
 from .models import DiscreteModel
@@ -43,9 +43,8 @@ _GAMMA_SQ_FLOOR = 1e-10
 
 @dataclass(frozen=True)
 class SelectionVariance:
-    """Plug-in ingredients of the selection-statistic variance."""
+    """Plug-in variance gamma^2 of the selection statistic."""
 
-    LambdaStar: np.ndarray  # 2m x 2m block covariance
     GammaSq: float
 
 
@@ -126,20 +125,6 @@ def _one(model: DiscreteModel, theta) -> _Rows:
     return _model_rows(model, model.theta_array(theta))
 
 
-def _sigma(p: np.ndarray) -> np.ndarray:
-    return np.diag(p) - np.outer(p, p)
-
-
-def _sandwich(p: np.ndarray, rows: _Rows) -> tuple[np.ndarray, np.ndarray]:
-    """S M^T and M S M^T for S = Sigma(p) and the projection M of the
-    one-row ``rows``: outer products of J and S g."""
-    J, g, info = rows.J[0], rows.g[0], rows.info[0]
-    Sg = p * (g - np.add.reduce(p * g))
-    SM = np.outer(Sg, J / info)
-    MSM = np.outer(J, J) * (np.add.reduce(g * Sg) / info**2)
-    return SM, MSM
-
-
 def jacobian(model: DiscreteModel, theta) -> np.ndarray:
     """m x 1 derivative of the cell probabilities, one-sided on a box bound."""
     return _one(model, theta).J.T
@@ -148,7 +133,8 @@ def jacobian(model: DiscreteModel, theta) -> np.ndarray:
 def sigma(p) -> np.ndarray:
     """Multinomial covariance diag(p) - p p^T of one observation's cell
     indicator; rows sum to zero and the matrix is PSD."""
-    return _sigma(as_prob_vector(p))
+    p = as_prob_vector(p)
+    return np.diag(p) - np.outer(p, p)
 
 
 def m_matrix(model: DiscreteModel, theta) -> np.ndarray:
@@ -175,9 +161,7 @@ def lambda_star_hat(phat, model1: DiscreteModel, theta1,
     fitted distances, with v = (K1 - K2) + M1^T Q1 - M2^T Q2: each estimate
     is linearized against the shared innovation phat - p, and K_j, Q_j are
     the distance gradients in the first and second argument at fit j.  M^T Q
-    vanishes at an interior fit.  ``LambdaStar`` is
-    [[S, S Mc^T], [Mc S, Mc S Mc^T]], S = Sigma(phat), with the projection Mc
-    of the better-fitting model.
+    vanishes at an interior fit.
 
     A parameter outside its box raises BoundaryParameter.  A
     variance below 1e-10 raises DegenerateVariance with ``reason``
@@ -189,12 +173,8 @@ def lambda_star_hat(phat, model1: DiscreteModel, theta1,
     sel = _selection_rows(P[None, :], model1, model1.theta_array(theta1),
                           model2, model2.theta_array(theta2), h)
     gamma_sq = float(sel.gamma_sq[0])
-    d1 = penalized_hellinger(P, sel.rows1.q[0], h)
-    d2 = penalized_hellinger(P, sel.rows2.q[0], h)
     if sel.degenerate[0]:
         raise DegenerateVariance(
             f"selection variance {gamma_sq:.3e} below {_GAMMA_SQ_FLOOR:.0e}",
             reason="identical_fits" if sel.identical[0] else "zero_variance")
-    SM, MSM = _sandwich(P, sel.rows1 if d1 <= d2 else sel.rows2)
-    star = np.block([[_sigma(P), SM], [SM.T, MSM]])
-    return SelectionVariance(LambdaStar=star, GammaSq=gamma_sq)
+    return SelectionVariance(GammaSq=gamma_sq)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import _selection_rows, lambda_star_hat
-from .cells import BinnedSample, CellPartition, _is_finite_real, _is_test_level, as_prob_vector
-from .divergence import check_penalty_weight
+from .cells import BinnedSample, CellPartition, _is_finite_real, _is_test_level
+from .divergence import check_penalty_weight, penalized_hellinger
 from .errors import DegenerateVariance, InvalidInput
 from .fit import FitResult, FitRows, _fit_phd_rows, minimize_phd
 from .models import DiscreteModel
@@ -160,15 +160,20 @@ def model_select(sample: BinnedSample, model1: DiscreteModel,
     ``"identical_fits"`` when the two fitted cell vectors are equal and
     ``"zero_variance"`` when they differ but the plug-in variance vanishes,
     as on a sample with one occupied cell.
+
+    Each d_j is ``penalized_hellinger`` at fit j's cells, equal to
+    ``fit_j.objective`` bit for bit; it is recomputed only for the
+    benchmark's ``divergence.phd`` span, which ROADMAP item 1b removes.
     """
     alpha = _check_test_level(alpha, "alpha")
     h = check_penalty_weight(h)
     _check_shared_partition(model1.partition, model2.partition)
     fit1 = minimize_phd(model1, sample, h)
     fit2 = minimize_phd(model2, sample, h)
-    phat = as_prob_vector(sample.frequencies())
+    phat = sample.frequencies()
     z = _critical_z(alpha)
-    d1, d2 = fit1.objective, fit2.objective
+    d1, d2 = (penalized_hellinger(phat, model.cell_prob(fit.theta_hat), h)
+              for model, fit in ((model1, fit1), (model2, fit2)))
     try:
         gamma_sq = lambda_star_hat(phat, model1, fit1.theta_hat, model2, fit2.theta_hat, h).GammaSq
         degenerate, reason = False, ""

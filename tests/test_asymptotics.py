@@ -285,16 +285,6 @@ class TestLambdaStarHat:
             lambda_star_hat(phat, poisson_model(part), [3.0], geometric_model(part), [0.3], 0.5)
         assert exc.value.reason == "zero_variance"
 
-    def test_block_matrix_symmetric_psd(self):
-        phat, pois, f1, geom, f2 = self._fitted_pair()
-        sv = lambda_star_hat(phat, pois, f1.theta_hat, geom, f2.theta_hat, 0.5)
-        star = sv.LambdaStar
-        assert star.shape == (16, 16)
-        np.testing.assert_allclose(star, star.T, atol=1e-12)
-        eig = np.linalg.eigvalsh(star)
-        assert eig.min() >= -1e-8 * max(eig.max(), 1.0)
-        np.testing.assert_allclose(star[:8, :8], sigma(phat), atol=1e-15)
-
     def test_projected_gradients_vanish_at_interior_fit(self):
         # stationarity of the fit makes M^T Q negligible, so the variance
         # reduces to the first-argument gradient difference
@@ -494,6 +484,7 @@ class TestRowCore:
             assert report.degenerate == bool(degenerate[r])
             assert report.degenerate_reason == reasons(sel)[r]
             np.testing.assert_array_equal(report.hi, hi[r])
+            assert (report.d1, report.d2) == (report.fit1.objective, report.fit2.objective)
         # dropping the degenerate rows leaves every other row as it was
         kept = np.flatnonzero(~degenerate)
         if 0 < kept.size < len(samples):
@@ -518,6 +509,7 @@ class TestRowCore:
         model, end = pinned
         assert fits[model].theta_hat[0] == models[model].bounds[0][end]
         assert fits[model].at_bound and not report.degenerate
+        assert (report.d1, report.d2) == (report.fit1.objective, report.fit2.objective)
         gamma_sq = lambda_star_hat(sample.frequencies(), models[0], fits[0].theta_hat,
                                    models[1], fits[1].theta_hat, h).GammaSq
         assert math.sqrt(gamma_sq) == report.gamma_hat

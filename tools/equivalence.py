@@ -46,8 +46,10 @@ Prints the largest differences between the trees, one ``key=value`` line
 each: fitted parameters in box widths, distances, and the relative
 differences of HI and gamma_hat (two NaNs count as equal), then the counts
 of replications whose decision or degenerate flag differs and of those
-whose two fits differ in their evaluation count, convergence or bound
-flag, which shows whether the minimizer took the same steps; then, over the
+whose two fits differ in their objective, evaluation count, convergence or
+bound flag, which shows whether the minimizer took the same steps and
+reached the same minimum (the reported distances are recomputed at the
+estimates, so they need not be the objectives); then, over the
 ``run_experiment`` rows, the largest relative difference of a mean or SD
 and the counts of rows whose percentages or ``n_degenerate`` differ, and
 the count of rendered tables and of CLI stdout texts that are not
@@ -58,9 +60,9 @@ evaluations, convergence and bound flag, or the name of the error raised)
 that are not bit-identical, and over the count-vector fits that both trees
 completed, the largest move of an estimate in its model's box widths and
 the count of fits whose objective rose.  Exits 1 when any decision,
-degenerate flag, fit count or flag, percentage, ``n_degenerate``, table,
-CLI text, population, scalar or count-vector fit value differs, 2 on a
-usage or import error.
+degenerate flag, fit objective, count or flag, percentage,
+``n_degenerate``, table, CLI text, population, scalar or count-vector fit
+value differs, 2 on a usage or import error.
 """
 
 from __future__ import annotations
@@ -284,8 +286,8 @@ def replay(src: str, reps: int) -> dict:
                         rows.append([float(r.fit1.theta_hat[0]), float(r.fit2.theta_hat[0]),
                                      r.d1, r.d2, r.hi, r.gamma_hat, r.decision,
                                      r.degenerate]
-                                    + [[fit.evaluations, fit.converged, fit.at_bound]
-                                       for fit in (r.fit1, r.fit2)])
+                                    + [[fit.objective, fit.evaluations, fit.converged,
+                                        fit.at_bound] for fit in (r.fit1, r.fit2)])
     fits, widths = count_fits(ph)
     return {"bounds": bounds, "rows": rows, "experiment": experiment, "tables": tables,
             "cli": cli_outputs(ph), "population": population_values(ph),
