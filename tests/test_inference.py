@@ -10,7 +10,7 @@ from phdsel import (FAVOR_FIRST, FAVOR_SECOND, INDECISIVE, BinnedSample,
                     CellPartition, DegenerateVariance, DiscreteModel,
                     InvalidInput, InvalidParameter, chi2_quantile, decide, default_partition,
                     geometric_model, gof_test, model_select, normal_quantile,
-                    parse_cuts, poisson_model, power_approx,
+                    parse_cuts, penalized_hellinger, poisson_model, power_approx,
                     required_sample_size)
 
 from kernel_helpers import permuted_kernel
@@ -287,6 +287,20 @@ class TestModelSelect:
         report = model_select(sample, poisson_model(), geometric_model(), 0.5)
         assert report.d1 == report.fit1.objective
         assert report.d2 == report.fit2.objective
+
+    def test_distances_are_the_penalized_hellinger_at_each_estimate(self):
+        # d_j is the definition evaluated at fit j's cells, at the weight h
+        rng = np.random.default_rng(43)
+        one_cell = BinnedSample(counts=np.eye(8, dtype=int)[5] * 20)
+        pois, geom = poisson_model(), geometric_model()
+        for sample in (binned(rng, 40), binned(rng, 200, pi=0.0), one_cell):
+            phat = sample.frequencies()
+            for h in (1e-3, 0.5, 1.0, 50.0):
+                report = model_select(sample, pois, geom, h)
+                assert report.d1 == penalized_hellinger(
+                    phat, pois.cell_prob(report.fit1.theta_hat), h)
+                assert report.d2 == penalized_hellinger(
+                    phat, geom.cell_prob(report.fit2.theta_hat), h)
 
     def test_models_on_different_partitions_are_refused(self):
         # both partitions have 8 cells; only their last finite cut differs
