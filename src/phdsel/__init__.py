@@ -8,8 +8,7 @@ between two competing families with an asymptotically standard-normal
 studentized statistic, and reproduces replicated mixture experiments.
 """
 
-from .asymptotics import (SelectionVariance, jacobian, lambda_star_hat,
-                          m_matrix, omega_sq, sigma)
+from .asymptotics import jacobian, lambda_star_hat, m_matrix, omega_sq, sigma
 from .cells import (BinnedSample, CellPartition, as_prob_vector,
                     default_partition, empirical_frequencies, parse_cuts)
 from .divergence import (grad_phd_first, grad_phd_second, hellinger,
@@ -38,7 +37,7 @@ __all__ = [
     "EquidistanceResult", "ExperimentConfig", "ExperimentRow", "FAVOR_FIRST",
     "FAVOR_SECOND", "FitFailed", "FitResult", "GofReport", "INDECISIVE",
     "InvalidInput", "InvalidParameter", "MODEL_BUILDERS", "MixtureDGP",
-    "NoEquidistance", "PhdselError", "SelectionReport", "SelectionVariance",
+    "NoEquidistance", "PhdselError", "SelectionReport",
     "SingularInformation", "as_prob_vector", "chi2_quantile",
     "config_from_dict", "decide", "default_partition", "emit_table",
     "empirical_frequencies", "equidistance_gap", "equidistance_pi",

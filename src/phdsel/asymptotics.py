@@ -2,22 +2,22 @@
 distances themselves are computed in ``inference``, at the fits.
 
 Every family has one parameter, so each limit law is closed form in the
-model's cells q, their finite-difference derivative J and g = J / q_f,
-where q_f = max(q, PROB_FLOOR).  The information is I = sum J^2 / q_f, a
-scalar, singular below the smallest normal double; the projection
-M = J g^T / I has rank one and M^T Q = g (J . Q) / I; and under the
-multinomial covariance Sigma(p) = diag(p) - p p^T,
-w^T Sigma(p) w = sum p w^2 - (sum p w)^2.  Nothing is factored or solved.
+model's cells q, their exact derivative J (the kernel's derivative rule,
+see ``models``) and g = J / q_f, where q_f = max(q, PROB_FLOOR).  The
+information is I = sum J^2 / q_f, a scalar, singular below the smallest
+normal double; the projection M = J g^T / I has rank one and
+M^T Q = g (J . Q) / I; and under the multinomial covariance
+Sigma(p) = diag(p) - p p^T, w^T Sigma(p) w = sum p w^2 - (sum p w)^2.
+Nothing is factored or solved.
 
 One row core computes these for R rows at once: (R, m) frequencies against
-each family at (R,) estimates, with one validated cell call per family on
-the 3R points theta, theta + s and theta - s, the last two for J, clipped
-to the closed box, so J is one-sided at an estimate on a bound.  Every sum
-runs along the cell axis with ``np.add.reduce``, so row r is bit-identical
-to the core's call on that row alone.  The public functions other than
-``sigma`` are its R = 1 call; ``inference._select_rows`` fits and
-studentizes each chunk of ``run_experiment`` rows, with one call of the
-core per chunk.
+each family at (R,) estimates, with one validated cell call and one
+derivative call per family on the R estimates; at an estimate on a bound J
+is the family's one-sided derivative there.  Every sum runs along the cell
+axis with ``np.add.reduce``, so row r is bit-identical to the core's call
+on that row alone.  The public functions other than ``sigma`` are its
+R = 1 call; ``inference._select_rows`` fits and studentizes each chunk of
+``run_experiment`` rows, with one call of the core per chunk.
 
 q is floored wherever a formula divides by it or takes sqrt(phat/q).  A
 structural zero cell (constant zero probability along the family) has J = 0,
@@ -27,7 +27,6 @@ which removes the floored entries from every projected quantity exactly.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,13 +40,6 @@ PROB_FLOOR = 1e-12
 _GAMMA_SQ_FLOOR = 1e-10
 
 
-@dataclass(frozen=True)
-class SelectionVariance:
-    """Plug-in variance gamma^2 of the selection statistic."""
-
-    GammaSq: float
-
-
 # A model at R parameters: the (R, m) cells q, floored cells q_f, derivative
 # J and g = J / q_f, and the (R,) information I.
 _Rows = namedtuple("_Rows", "q qf J g info")
@@ -57,22 +49,18 @@ _Selection = namedtuple("_Selection", "rows1 rows2 gamma_sq degenerate identical
 
 
 def _model_rows(model: DiscreteModel, t: np.ndarray) -> _Rows:
-    """``model`` at the (R,) parameters ``t``.
+    """``model`` at the (R,) parameters ``t``: one validated cell call and
+    one derivative call, each row depending on its parameter alone.
 
-    Only a parameter outside the box [lo, hi] is rejected.  One validated
-    call on the stacked points t, t + s and t - s gives the cells and the
-    two sides of J, with s = 1e-6 max(1, |t|) and the points clipped to the
-    box (one-sided on a bound); each row's cells depend on its point alone.
+    Only a parameter outside the box [lo, hi] is rejected.
     """
     lo, hi = model.bounds[0]
     outside = (t < lo) | (t > hi)
     if outside.any():
         raise BoundaryParameter(
             f"theta[0]={float(t[outside][0])!r} is outside the box [{lo}, {hi}]")
-    step = 1e-6 * np.maximum(1.0, np.abs(t))
-    points = np.array((t, np.minimum(t + step, hi), np.maximum(t - step, lo)))
-    q, at_up, at_dn = model.cell_prob(points.reshape(-1, 1)).reshape(3, t.size, -1)
-    J = (at_up - at_dn) / (points[1] - points[2])[:, None]
+    q = model.cell_prob(t[:, None])
+    J = model.dcell_fn(t[:, None])
     qf = np.maximum(q, PROB_FLOOR)
     g = J / qf
     info = np.add.reduce(J * g, axis=-1)
@@ -156,12 +144,13 @@ def omega_sq(p, model: DiscreteModel, theta1, h: float) -> float:
 
 
 def lambda_star_hat(phat, model1: DiscreteModel, theta1,
-                    model2: DiscreteModel, theta2, h: float) -> SelectionVariance:
-    """Plug-in variance v^T Sigma(phat) v of the difference of the two
-    fitted distances, with v = (K1 - K2) + M1^T Q1 - M2^T Q2: each estimate
-    is linearized against the shared innovation phat - p, and K_j, Q_j are
-    the distance gradients in the first and second argument at fit j.  M^T Q
-    vanishes at an interior fit.
+                    model2: DiscreteModel, theta2, h: float) -> float:
+    """Plug-in variance gamma^2 = v^T Sigma(phat) v, a float, of the
+    difference of the two fitted distances, with
+    v = (K1 - K2) + M1^T Q1 - M2^T Q2: each estimate is linearized against
+    the shared innovation phat - p, and K_j, Q_j are the distance gradients
+    in the first and second argument at fit j.  M^T Q vanishes at an
+    interior fit.
 
     A parameter outside its box raises BoundaryParameter.  A
     variance below 1e-10 raises DegenerateVariance with ``reason``
@@ -177,4 +166,4 @@ def lambda_star_hat(phat, model1: DiscreteModel, theta1,
         raise DegenerateVariance(
             f"selection variance {gamma_sq:.3e} below {_GAMMA_SQ_FLOOR:.0e}",
             reason="identical_fits" if sel.identical[0] else "zero_variance")
-    return SelectionVariance(GammaSq=gamma_sq)
+    return gamma_sq

@@ -138,14 +138,21 @@ def default_partition() -> CellPartition:
 _DEFAULT_PARTITION = CellPartition(cuts=(0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, math.inf))
 
 
-@functools.lru_cache(maxsize=32)
 def parse_cuts(text: str) -> CellPartition:
     """Build a partition from comma-separated finite cuts, e.g. ``"1,2,3"``
     means cuts (0, 1, 2, 3, +inf).
 
     Repeated texts return the same immutable partition, so callers that
     build one study config per block from the same cuts hold one partition.
+    A ``text`` that is not a string raises InvalidInput naming ``cuts``.
     """
+    if not isinstance(text, str):
+        raise InvalidInput(f"cuts must be a comma-separated string, got {text!r}")
+    return _parse_cuts(text)
+
+
+@functools.lru_cache(maxsize=32)
+def _parse_cuts(text: str) -> CellPartition:
     tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
     try:
         interior = [float(tok) for tok in tokens]

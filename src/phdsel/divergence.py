@@ -3,8 +3,7 @@
 The penalized Hellinger distance keeps the squared-root-difference terms on
 occupied cells and charges ``h * q_i`` on cells with zero observed
 frequency; with ``h = 1`` it coincides with the ordinary Hellinger distance
-because (0 - sqrt(q))^2 = q.  Gradients are analytic; finite differences are
-used only as a test oracle.
+because (0 - sqrt(q))^2 = q.  Gradients are analytic.
 """
 
 from __future__ import annotations

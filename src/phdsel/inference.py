@@ -175,7 +175,7 @@ def model_select(sample: BinnedSample, model1: DiscreteModel,
     d1, d2 = (penalized_hellinger(phat, model.cell_prob(fit.theta_hat), h)
               for model, fit in ((model1, fit1), (model2, fit2)))
     try:
-        gamma_sq = lambda_star_hat(phat, model1, fit1.theta_hat, model2, fit2.theta_hat, h).GammaSq
+        gamma_sq = lambda_star_hat(phat, model1, fit1.theta_hat, model2, fit2.theta_hat, h)
         degenerate, reason = False, ""
     except DegenerateVariance as exc:
         gamma_sq, degenerate, reason = 0.0, True, exc.reason

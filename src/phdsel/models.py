@@ -11,8 +11,13 @@ validation.  They may depend on ``theta`` alone, since fits keep a
 kernel's cells at its start grid.  The last cell absorbs the residual
 1 - sum(interior), which the caller completes (``_residual_last``), so
 each row is normalized exactly rather than by truncated summation; a fit
-completes it once for the rows of all its models.
-``DiscreteModel.cell_fn`` is the allocating (B, m) call.
+completes it once for the rows of all its models.  The derivative rule
+``dkernel(theta, out)`` writes the exact dC/dtheta of all m cells into the
+(B, m) array ``out``, each row from its own parameter alone: with D(e) the
+derivative of the tail P(X >= e), cell [a, b) gets D(a) - D(b) and the
+last cell D(e_{m-1}) (``_tail_differences``), which keeps digits that
+minus the sum of the others would round away.  ``DiscreteModel.cell_fn``
+and ``dcell_fn`` are the allocating (B, m) calls.
 
 * Poisson: the cumulative pmf, pmf(0) = exp(-lam) and
   pmf(x) = pmf(x-1) * lam / x by cumulative product, differenced at the
@@ -24,17 +29,19 @@ completes it once for the rows of all its models.
   up to 1e4, far below half an ulp of the running cdf, which is within
   rounding of 1 there; adding those terms would not change one bit of the
   sums, so the truncation is exact, and the cost no longer grows with the
-  largest cut.
+  largest cut.  D(e) = pmf(e-1) from the same terms, read as zero beyond
+  the rate's own truncation point, not the batch's: unlike the cdf, a term
+  is not absorbed near 1, yet the dropped terms are below 3e-34.
 * Geometric on {1, 2, ...}: cell [a, b) in closed form,
   (1-p)^(a-1) (1 - (1-p)^(b-a)) evaluated as
   exp((a-1) log1p(-p)) * -expm1((b-a) log1p(-p)), which keeps full relative
-  accuracy where (1-p)**k would amplify the rounding of 1-p.
+  accuracy where (1-p)**k would amplify the rounding of 1-p.  The tail is
+  S(e) = (1-p)^(e-1), so D(e) = -(e-1) exp((e-2) log1p(-p)).
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -51,6 +58,8 @@ GEOMETRIC_P = 0.2
 # 0-d arrays: as ufunc operands they skip the conversion a Python float
 # needs, which is a measurable share of a kernel call on a few rows
 _ZERO, _ONE = np.zeros(()), np.ones(())
+# kernel(theta, out) and dkernel(theta, out), see the module docstring
+Kernel = Callable[[np.ndarray, np.ndarray], None]
 
 
 @dataclass(frozen=True)
@@ -59,19 +68,21 @@ class DiscreteModel:
     partition of at least 3 cells.
 
     ``kernel(theta, out)`` writes the interior cell probabilities of the
-    (B, 1) parameters ``theta`` into the (B, m - 1) array ``out`` (see the
-    module docstring); ``cell_fn`` is its allocating call with the residual
-    last cell, and ``cell_prob`` the validated one.  ``bounds`` holds the
-    one box (lo, hi) the optimizer searches; a second box is refused at
-    construction.  A box narrower than about 1e-7 of its magnitude is too
-    narrow for its fit's bracket to close: such a fit reports
-    ``converged=False``.
+    (B, 1) parameters ``theta`` into the (B, m - 1) array ``out``, and
+    ``dkernel(theta, out)`` the derivatives of all m cells into a (B, m)
+    one (see the module docstring); ``cell_fn`` and ``dcell_fn`` are their
+    allocating calls, and ``cell_prob`` the validated cell call.
+    ``bounds`` holds the one box (lo, hi) the optimizer searches; a second
+    box is refused at construction.  A box narrower than about 1e-7 of its
+    magnitude is too narrow for its fit's bracket to close: such a fit
+    reports ``converged=False``.
     """
 
     name: str
     bounds: tuple[tuple[float, float], ...]
     partition: CellPartition
-    kernel: Callable[[np.ndarray, np.ndarray], None]
+    kernel: Kernel
+    dkernel: Kernel
 
     def __post_init__(self):
         if len(self.bounds) != 1 or self.partition.m < 3:
@@ -99,6 +110,13 @@ class DiscreteModel:
         _residual_last(probs[:, :-1], probs[:, -1])
         return probs
 
+    def dcell_fn(self, theta: np.ndarray) -> np.ndarray:
+        """(B, 1) parameters -> the (B, m) derivatives of their cells, without
+        validation."""
+        slopes = np.empty((theta.shape[0], self.partition.m))
+        self.dkernel(theta, slopes)
+        return slopes
+
     def cell_prob(self, theta) -> np.ndarray:
         """Cell probabilities at ``theta``, one parameter vector of shape
         (k,) or a block of R of them of shape (R, k): one validated kernel
@@ -123,18 +141,31 @@ def _integer_edges(part: CellPartition, support_start: int) -> np.ndarray:
     return np.maximum(np.ceil(np.asarray(part.cuts[:-1])), float(support_start))
 
 
+def _tail_differences(tails: np.ndarray, out: np.ndarray) -> None:
+    """Write the (B, m) cell derivatives D(e_i) - D(e_{i+1}), with D(e_m) = 0
+    for the last cell, of the (B, m) tail derivatives D at the edges."""
+    np.subtract(tails[:, :-1], tails[:, 1:], out=out[:, :-1])
+    out[:, -1] = tails[:, -1]
+
+
+def _poisson_reach(lam):
+    """floor(lam + 12 sqrt(lam) + 40), the support point where a rate's pmf
+    terms stop (see the module docstring), elementwise."""
+    return np.floor(lam + 12.0 * np.sqrt(lam) + 40.0)
+
+
 def _residual_last(interior: np.ndarray, last: np.ndarray) -> None:
     """Write 1 - sum(interior) of each row, floored at 0, into ``last``: the
     (B, m - 1) interior cells and the (B,) last cell of (B, m) rows."""
     np.maximum(_ONE - np.add.reduce(interior, axis=1), _ZERO, out=last)
 
 
-# One kernel per partition and family, so that the models a study builds per
-# config are equal and share their kernel's terms and their start cells.
+# One kernel pair per partition and family, so that the models a study builds
+# per config are equal and share their kernel's terms and their start cells.
 @functools.lru_cache(maxsize=32)
-def _poisson_kernel(part: CellPartition) -> Callable[[np.ndarray, np.ndarray], None]:
-    """Batched Poisson kernel on {0, 1, 2, ...}: (B, 1) rates -> the
-    (B, m - 1) interior cells."""
+def _poisson_kernels(part: CellPartition) -> tuple[Kernel, Kernel]:
+    """Batched Poisson kernel and derivative rule on {0, 1, 2, ...}: (B, 1)
+    rates -> the (B, m - 1) interior cells and their d/dlam."""
     edges = _integer_edges(part, 0)
     top = edges[-1]
 
@@ -152,52 +183,70 @@ def _poisson_kernel(part: CellPartition) -> Callable[[np.ndarray, np.ndarray], N
     # is at most 40 the sum always stops there
     fixed = terms(int(top)) if top <= 40.0 else None
 
-    def kernel(lam: np.ndarray, out: np.ndarray) -> None:
+    def pmf_terms(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """The (B, n + 1) array whose column x + 1 holds pmf(x), column 0
+        zero, and the edge indices of ``terms``."""
         if fixed is None:
-            lam_max = float(np.maximum.reduce(lam, axis=None))
             n, divisors, at_edges = terms(
-                int(min(top, math.floor(lam_max + 12.0 * math.sqrt(lam_max) + 40.0))))
+                int(min(top, _poisson_reach(float(np.maximum.reduce(lam, axis=None))))))
         else:
             n, divisors, at_edges = fixed
-        # csum[:, x] = cdf(x - 1): pmf terms in columns 1..n, summed in place
-        csum = np.zeros((lam.shape[0], n + 1))
+        pmf = np.zeros((lam.shape[0], n + 1))
         base = np.exp(-lam)
-        csum[:, 1:2] = base
+        pmf[:, 1:2] = base
         # the ufunc methods are np.cumprod and np.cumsum without their wrappers
-        np.multiply(base, np.multiply.accumulate(lam / divisors, axis=1), out=csum[:, 2:])
+        np.multiply(base, np.multiply.accumulate(lam / divisors, axis=1), out=pmf[:, 2:])
+        return pmf, at_edges
+
+    def kernel(lam: np.ndarray, out: np.ndarray) -> None:
+        # csum[:, x] = cdf(x - 1): the pmf terms summed in place
+        csum, at_edges = pmf_terms(lam)
         np.add.accumulate(csum[:, 1:], axis=1, out=csum[:, 1:])
         at = csum if at_edges is None else csum.take(at_edges, axis=1)
         np.subtract(at[:, 1:], at[:, :-1], out=out)
 
-    return kernel
+    def dkernel(lam: np.ndarray, out: np.ndarray) -> None:
+        # D(e) = pmf(e - 1), zero beyond the rate's own truncation point
+        pmf, at_edges = pmf_terms(lam)
+        at = pmf if at_edges is None else pmf.take(at_edges, axis=1)
+        _tail_differences(np.where(edges <= _poisson_reach(lam), at, _ZERO), out)
+
+    return kernel, dkernel
 
 
 @functools.lru_cache(maxsize=32)
-def _geometric_kernel(part: CellPartition) -> Callable[[np.ndarray, np.ndarray], None]:
-    """Batched geometric kernel on {1, 2, ...}: (B, 1) success
-    probabilities -> the (B, m - 1) interior cells; the cell [0, 1) carries
-    no mass."""
+def _geometric_kernels(part: CellPartition) -> tuple[Kernel, Kernel]:
+    """Batched geometric kernel and derivative rule on {1, 2, ...}: (B, 1)
+    success probabilities -> the (B, m - 1) interior cells and their d/dp;
+    the cell [0, 1) carries no mass."""
     edges = _integer_edges(part, 1)
     start, width = edges[:-1] - 1.0, np.diff(edges)
+    # D(e) = -(e - 1) exp((e - 2) log1p(-p)); 0 at e = 1, where S(e) = 1
+    tail_factor, tail_power = 1.0 - edges, edges - 2.0
 
     def kernel(theta: np.ndarray, out: np.ndarray) -> None:
         log_q = np.log1p(-theta)
         # 0 - expm1 keeps empty cells at +0.0
         np.multiply(np.exp(start * log_q), _ZERO - np.expm1(width * log_q), out=out)
 
-    return kernel
+    def dkernel(theta: np.ndarray, out: np.ndarray) -> None:
+        _tail_differences(tail_factor * np.exp(tail_power * np.log1p(-theta)), out)
+
+    return kernel, dkernel
 
 
 def poisson_model(part: CellPartition | None = None) -> DiscreteModel:
     part = part or default_partition()
+    kernel, dkernel = _poisson_kernels(part)
     return DiscreteModel(name="poisson", bounds=(POISSON_BOUNDS,),
-                         partition=part, kernel=_poisson_kernel(part))
+                         partition=part, kernel=kernel, dkernel=dkernel)
 
 
 def geometric_model(part: CellPartition | None = None) -> DiscreteModel:
     part = part or default_partition()
+    kernel, dkernel = _geometric_kernels(part)
     return DiscreteModel(name="geometric", bounds=(GEOMETRIC_BOUNDS,),
-                         partition=part, kernel=_geometric_kernel(part))
+                         partition=part, kernel=kernel, dkernel=dkernel)
 
 
 MODEL_BUILDERS: dict[str, Callable[[CellPartition | None], DiscreteModel]] = {

@@ -175,10 +175,13 @@ def run_experiment(config: ExperimentConfig,
     each, and the decision and degenerate counts of all blocks from one
     count.
 
-    ``max_workers`` is accepted and ignored: the rows never depended on it,
-    and splitting the fits or the studentization across two threads
-    measured no faster than one thread.
+    ``max_workers``, None or an integer >= 1 (else InvalidInput), is
+    accepted and ignored: the rows never depended on it, and splitting the
+    fits or the studentization across two threads measured no faster than
+    one thread.
     """
+    if max_workers is not None and not _is_whole(max_workers, 1):
+        raise InvalidInput(f"max_workers must be None or an integer >= 1, got {max_workers!r}")
     part = config.partition
     dgp = MixtureDGP(pi=config.pi)
     pois = poisson_model(part)

@@ -1,9 +1,11 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 from scipy import stats as sps
 
 from phdsel import (BinnedSample, BoundaryParameter, CellPartition,
@@ -14,10 +16,12 @@ from phdsel import (BinnedSample, BoundaryParameter, CellPartition,
                     minimize_phd,
                     mixture_cell_probs, model_select, omega_sq, parse_cuts,
                     penalized_hellinger, poisson_model, sample_mixture, sigma)
-from phdsel.asymptotics import PROB_FLOOR, _gradient_rows, _one, _selection_rows
+from phdsel.asymptotics import PROB_FLOOR, _gradient_rows, _model_rows, _one, _selection_rows
 from phdsel.inference import _select_rows
 
-from kernel_helpers import permuted_kernel
+from kernel_helpers import permuted_model
+
+WIDE_CUTS = parse_cuts("1,2,5,10,20,50,100,1000,10000")
 
 
 def analytic_poisson_jacobian(lam, part):
@@ -29,22 +33,48 @@ def analytic_poisson_jacobian(lam, part):
     return out[:, None]
 
 
+@functools.lru_cache(maxsize=4096)
+def mp_cell_derivatives(name, part, theta):
+    """The (m,) cell derivatives of the family ``name`` on ``part`` at the
+    float ``theta``, from its closed form at 40 digits, rounded once.
+
+    With D(e) the derivative of the tail P(X >= e), cell [a, b) has the
+    derivative D(a) - D(b) and the last cell D(e_{m-1}): for the Poisson
+    D(e) = pmf(e - 1), for the geometric on {1, 2, ...}
+    D(e) = -(e - 1) (1 - p)^(e - 2).
+    """
+    start = 1 if name == "geometric" else 0
+    edges = [max(math.ceil(c), start) for c in part.cuts[:-1]]
+    with mp.workdps(40):
+        t = mp.mpf(theta)
+
+        def tail(e):
+            if name == "poisson":
+                return mp.exp(-t) * t ** (e - 1) / mp.factorial(e - 1) if e >= 1 else mp.zero
+            return -(e - 1) * (1 - t) ** (e - 2) if e > 1 else mp.zero
+
+        D = [tail(e) for e in edges]
+        return np.array([float(a - b) for a, b in zip(D, D[1:])] + [float(D[-1])])
+
+
+def assert_exact_jacobian(J, model, theta):
+    """J is the m x 1 exact derivative within 1e-13 of its largest entry."""
+    ref = mp_cell_derivatives(model.name, model.partition, float(theta))
+    assert J.shape == (model.partition.m, 1)
+    np.testing.assert_allclose(J[:, 0], ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+
+
 # Reference: the k x k formulas that the closed one-parameter forms replaced,
-# with two validated cell_prob calls per Jacobian column, a linear solve for
-# the projection and quadratic forms under the full covariance matrix.
+# with the Jacobian from a direct call of the model's derivative rule, a
+# linear solve for the projection and quadratic forms under the full
+# covariance matrix.
 
 def ref_jacobian(model, theta):
     th = model.theta_array(theta)
-    J = np.empty((model.partition.m, model.k))
     for j, (lo, hi) in enumerate(model.bounds):
         if th[j] < lo or th[j] > hi:
             raise BoundaryParameter(f"theta[{j}] outside the box")
-        step = 1e-6 * max(1.0, abs(th[j]))
-        up, dn = th.copy(), th.copy()
-        up[j] = min(th[j] + step, hi)
-        dn[j] = max(th[j] - step, lo)
-        J[:, j] = (model.cell_prob(up) - model.cell_prob(dn)) / (up[j] - dn[j])
-    return J
+    return model.dcell_fn(th[None, :]).T
 
 
 def ref_local(model, theta):
@@ -148,19 +178,48 @@ class TestJacobian:
             J = jacobian(poisson_model(), [lam])
             np.testing.assert_allclose(
                 J, analytic_poisson_jacobian(lam, default_partition()),
-                rtol=1e-5, atol=1e-10)
+                rtol=1e-12, atol=1e-15)
 
     def test_boundary_parameter_rejected(self):
-        # on a bound the derivative is the one-sided difference into the box
-        model = poisson_model()
-        lo, hi = model.bounds[0]
-        for theta, inner in ((lo, lo + 1e-6), (hi, hi - 1e-6 * hi)):
-            one_sided = (model.cell_prob([inner]) - model.cell_prob([theta])) / (inner - theta)
-            np.testing.assert_array_equal(jacobian(model, [theta])[:, 0], one_sided)
+        # on a bound the derivative is the family's exact one-sided derivative
+        for model in (poisson_model(), geometric_model(), poisson_model(WIDE_CUTS),
+                      geometric_model(WIDE_CUTS)):
+            for theta in model.bounds[0]:
+                assert_exact_jacobian(jacobian(model, [theta]), model, theta)
         with pytest.raises(BoundaryParameter):
-            jacobian(model, [-1.0])
+            jacobian(poisson_model(), [-1.0])
         with pytest.raises(BoundaryParameter):
             jacobian(geometric_model(), [1.5])
+
+    @pytest.mark.parametrize("part", [default_partition(), WIDE_CUTS], ids=["default", "wide"])
+    @pytest.mark.parametrize("name", ["poisson", "geometric"])
+    def test_matches_40_digit_reference_across_the_box(self, part, name):
+        # the bounds, 41 points between them and, for the Poisson, the rates
+        # where the default cells' last cell nears 1 (the cell sits above the
+        # other cells' mass, so a difference of its probabilities cancels)
+        model = poisson_model(part) if name == "poisson" else geometric_model(part)
+        lo, hi = model.bounds[0]
+        thetas = [lo, *np.linspace(lo, hi, 43)[1:-1], hi]
+        if name == "poisson":
+            thetas += [40.0, 45.0, 49.0, 50.0]
+        for theta in thetas:
+            assert_exact_jacobian(jacobian(model, [theta]), model, theta)
+
+    @pytest.mark.parametrize("name", ["poisson", "geometric"])
+    def test_rows_equal_single_row_calls_at_mixed_parameters(self, name):
+        # rates 1 and 49 give the Poisson truncation points 53 and 173, on
+        # both sides of the wide cuts' edge at 100
+        model = poisson_model(WIDE_CUTS) if name == "poisson" else geometric_model(WIDE_CUTS)
+        lo, hi = model.bounds[0]
+        t = (np.array([1.0, 49.0, 4.0, lo, hi, 25.0, 1.0]) if name == "poisson"
+             else np.array([0.2, lo, 0.9, hi, 0.01, 0.5]))
+        rows = _model_rows(model, t)
+        for r, theta in enumerate(t):
+            one = _one(model, [theta])
+            np.testing.assert_array_equal(rows.J[r], one.J[0])
+            np.testing.assert_array_equal(rows.q[r], one.q[0])
+            np.testing.assert_array_equal(jacobian(model, [theta])[:, 0], rows.J[r])
+            assert_exact_jacobian(rows.J[r][:, None], model, theta)
 
 
 def fisher_info(model, theta):
@@ -219,16 +278,13 @@ class TestOmegaSq:
         assert omega_sq(P, model, [4.0], 0.5) == 0.0
 
     def test_invariant_under_cell_permutation(self):
-        from phdsel import DiscreteModel
         base = poisson_model()
         P = mixture_cell_probs(0.75, base.partition)
         theta1 = fit_phd_to_probs(base, P, 0.5).theta_hat
         om = omega_sq(P, base, theta1, 0.5)
         rng = np.random.default_rng(73)
         perm = rng.permutation(8)
-        permuted = DiscreteModel(name="perm", bounds=base.bounds,
-                                 partition=base.partition,
-                                 kernel=permuted_kernel(base, perm))
+        permuted = permuted_model(base, perm, "perm")
         om_perm = omega_sq(P[perm], permuted, theta1, 0.5)
         assert om_perm == pytest.approx(om, rel=1e-6)
 
@@ -299,7 +355,7 @@ class TestLambdaStarHat:
             assert np.max(np.abs(MQ)) < 1e-4
             K.append(K_j[0])
         v = K[0] - K[1]
-        assert sv.GammaSq == pytest.approx(float(v @ sigma(phat) @ v), rel=1e-3)
+        assert sv == pytest.approx(float(v @ sigma(phat) @ v), rel=1e-3)
 
     def test_structural_zero_cell_does_not_blow_up(self):
         # Poisson data put mass on the cell where the geometric has none;
@@ -307,7 +363,7 @@ class TestLambdaStarHat:
         phat, pois, f1, geom, f2 = self._fitted_pair(seed=89, n=300, pi=1.0)
         assert phat[0] > 0.0
         sv = lambda_star_hat(phat, pois, f1.theta_hat, geom, f2.theta_hat, 0.5)
-        assert 0.0 < sv.GammaSq < 10.0
+        assert type(sv) is float and 0.0 < sv < 10.0
 
     def test_studentized_statistic_sd_near_equidistance(self):
         # replicated selection statistic at the near-equidistant mixture
@@ -366,11 +422,11 @@ class TestAgainstMatrixReference:
     def test_limit_laws_match_reference(self, drawn):
         phat, (model1, model2), (theta1, theta2), h = drawn
         self.assert_same(
-            outcome(lambda *a: lambda_star_hat(*a).GammaSq, phat, model1, theta1,
-                    model2, theta2, h),
+            outcome(lambda_star_hat, phat, model1, theta1, model2, theta2, h),
             outcome(ref_gamma_sq, phat, model1, theta1, model2, theta2, h))
         for model, theta in ((model1, theta1), (model2, theta2)):
             np.testing.assert_array_equal(jacobian(model, theta), ref_jacobian(model, theta))
+            assert_exact_jacobian(jacobian(model, theta), model, theta[0])
             for new, ref in ((fisher_info, lambda *a: ref_local(*a)[2]),
                              (m_matrix, ref_m_matrix)):
                 self.assert_same(outcome(new, model, theta), outcome(ref, model, theta))
@@ -395,15 +451,13 @@ class TestSingularInformation:
     def test_flat_family_has_singular_information(self):
         part = default_partition()
         flat = DiscreteModel(name="flat", bounds=((0.1, 0.9),), partition=part,
-                             kernel=lambda th, out: out.fill(1.0 / part.m))
+                             kernel=lambda th, out: out.fill(1.0 / part.m),
+                             dkernel=lambda th, out: out.fill(0.0))
         for fn in (jacobian, m_matrix):
             with pytest.raises(SingularInformation):
                 fn(flat, [0.5])
         with pytest.raises(SingularInformation):
             ref_local(flat, [0.5])
-
-
-WIDE_CUTS = parse_cuts("1,2,5,10,20,50,100,1000,10000")
 
 
 @st.composite
@@ -511,7 +565,7 @@ class TestRowCore:
         assert fits[model].at_bound and not report.degenerate
         assert (report.d1, report.d2) == (report.fit1.objective, report.fit2.objective)
         gamma_sq = lambda_star_hat(sample.frequencies(), models[0], fits[0].theta_hat,
-                                   models[1], fits[1].theta_hat, h).GammaSq
+                                   models[1], fits[1].theta_hat, h)
         assert math.sqrt(gamma_sq) == report.gamma_hat
         assert math.sqrt(sample.n) * (report.d1 - report.d2) / math.sqrt(gamma_sq) == report.hi
         data = sample_mixture(MixtureDGP(pi=0.5), 40, np.random.default_rng(7))
@@ -548,13 +602,15 @@ class TestRowCore:
         data = sample_mixture(MixtureDGP(pi=0.5), 300, np.random.default_rng(5))
         phat = np.tile(np.bincount(part.bin_indices(data), minlength=part.m) / 300.0, (4, 1))
         calls = []
-        cell_fn = DiscreteModel.cell_fn
 
-        def counted(model, theta):
-            calls.append(theta.shape[0])
-            return cell_fn(model, theta)
+        def counted(method):
+            def call(model, theta):
+                calls.append((method.__name__, theta.shape[0]))
+                return method(model, theta)
+            return call
 
-        monkeypatch.setattr(DiscreteModel, "cell_fn", counted)
+        for method in (DiscreteModel.cell_fn, DiscreteModel.dcell_fn):
+            monkeypatch.setattr(DiscreteModel, method.__name__, counted(method))
         _selection_rows(phat, pois, np.full(4, 4.0), geom, np.full(4, 0.2), 0.5)
-        # the estimates, then the points t + s and t - s, in one call
-        assert calls == [12, 12]
+        # the cells and the derivatives of the 4 estimates, one call each
+        assert calls == [("cell_fn", 4), ("dcell_fn", 4)] * 2

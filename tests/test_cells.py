@@ -64,6 +64,7 @@ class TestCellPartition:
     def test_parse_cuts(self):
         part = parse_cuts("1,2,3")
         assert part.cuts == (0.0, 1.0, 2.0, 3.0, math.inf)
+        assert parse_cuts("1,2,3") is part
         with pytest.raises(InvalidInput):
             parse_cuts("")
         with pytest.raises(InvalidInput):
@@ -73,6 +74,12 @@ class TestCellPartition:
         for text, token in (("1e400", "1e400"), ("5,inf", "inf")):
             with pytest.raises(InvalidInput, match=f"cut '{token}' is not finite"):
                 parse_cuts(text)
+
+    @pytest.mark.parametrize("value", [5, None, [1, 2], (1.0, 2.0), b"1,2", 1.5],
+                             ids=["int", "None", "list", "tuple", "bytes", "float"])
+    def test_parse_cuts_refuses_a_non_string(self, value):
+        with pytest.raises(InvalidInput, match="cuts must be a comma-separated string"):
+            parse_cuts(value)
 
 
 class TestProbVector:

@@ -16,7 +16,7 @@ from phdsel.fit import (GOLDEN, GRID_POINTS, STEPS, FitRows, _fit_phd_rows,
                         _grid, _lockstep, _start_cells)
 from phdsel.simulate import CHUNK_ROWS
 
-from kernel_helpers import permuted_kernel
+from kernel_helpers import permuted_model
 
 ORACLE_PARTITIONS = (default_partition(), parse_cuts("1,2,5,10,20,50,100,1000,10000"))
 FIT_TOL = 1e-8  # the minimizer's bracket at exit, as a share of the box width
@@ -60,8 +60,11 @@ def three_cell_model():
     def kernel(theta, out):
         out[:] = np.hstack([theta, 0.5 * (1.0 - theta)])
 
+    def dkernel(theta, out):
+        out[:] = [1.0, -0.5, -0.5]
+
     return DiscreteModel(name="wedge", bounds=((0.05, 0.9),),
-                         partition=part, kernel=kernel)
+                         partition=part, kernel=kernel, dkernel=dkernel)
 
 
 def grid_values(f, lo, hi):
@@ -217,9 +220,7 @@ class TestMinimizePhd:
         counts = np.bincount(base.partition.bin_indices(rng.poisson(4.0, 150)),
                              minlength=8)
         perm = rng.permutation(8)
-        permuted = DiscreteModel(name="poisson-permuted", bounds=base.bounds,
-                                 partition=base.partition,
-                                 kernel=permuted_kernel(base, perm))
+        permuted = permuted_model(base, perm, "poisson-permuted")
         fit = minimize_phd(base, BinnedSample(counts=counts), 0.5)
         fit_perm = minimize_phd(permuted, BinnedSample(counts=counts[perm]), 0.5)
         assert abs(fit.theta_hat[0] - fit_perm.theta_hat[0]) <= 1e-6

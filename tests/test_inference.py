@@ -13,7 +13,7 @@ from phdsel import (FAVOR_FIRST, FAVOR_SECOND, INDECISIVE, BinnedSample,
                     parse_cuts, penalized_hellinger, poisson_model, power_approx,
                     required_sample_size)
 
-from kernel_helpers import permuted_kernel
+from kernel_helpers import permuted_model
 
 
 @st.composite
@@ -52,8 +52,11 @@ class TestGofTest:
         def kernel(theta, out):
             out[:] = np.hstack([theta, 0.5 * (1.0 - theta)])
 
+        def dkernel(theta, out):
+            out[:] = [1.0, -0.5, -0.5]
+
         model = DiscreteModel(name="wedge", bounds=((0.05, 0.9),),
-                              partition=part, kernel=kernel)
+                              partition=part, kernel=kernel, dkernel=dkernel)
         sample = BinnedSample(counts=np.array([2, 4, 4]))
         for alpha in (0.01, 0.05, 0.5, 0.99):
             report = gof_test(sample, model, 0.5, alpha)
@@ -90,9 +93,7 @@ class TestGofTest:
         rng = np.random.default_rng(11)
         sample = binned(rng, 150)
         perm = rng.permutation(8)
-        permuted = DiscreteModel(name="perm", bounds=base.bounds,
-                                 partition=base.partition,
-                                 kernel=permuted_kernel(base, perm))
+        permuted = permuted_model(base, perm, "perm")
         r1 = gof_test(sample, base, 0.5)
         r2 = gof_test(BinnedSample(counts=sample.counts[perm]), permuted, 0.5)
         assert r1.statistic == pytest.approx(r2.statistic, abs=1e-8)

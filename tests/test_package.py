@@ -32,11 +32,16 @@ def test_two_parameter_model_is_rejected_at_construction():
         a, b = theta[:, :1], theta[:, 1:2]
         out[:] = np.hstack([a * b, a * (1.0 - b), (1.0 - a) * b])
 
+    def dkernel(theta, out):
+        # the derivatives in the first parameter; a second has no place
+        b = theta[:, 1:2]
+        out[:] = np.hstack([b, 1.0 - b, -b, b - 1.0])
+
     bounds = ((0.1, 0.9), (0.1, 0.9))
     with pytest.raises(InvalidInput, match=re.escape(repr(bounds))):
         DiscreteModel(name="product", bounds=bounds,
                       partition=CellPartition(cuts=(0.0, 1.0, 2.0, 3.0, math.inf)),
-                      kernel=kernel)
+                      kernel=kernel, dkernel=dkernel)
 
 
 SAMPLE, _ = empirical_frequencies([0, 1, 2, 3, 3, 4, 4, 5, 6, 9], default_partition())

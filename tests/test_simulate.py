@@ -224,6 +224,12 @@ class TestRunExperiment:
         threaded = run_experiment(config, max_workers=4)
         assert serial == threaded
         assert emit_table(serial, "csv") == emit_table(threaded, "csv")
+        assert run_experiment(config, max_workers=np.int64(1)) == serial
+
+    @pytest.mark.parametrize("workers", [0, -3, "x", 2.0, 1.5, True, math.inf])
+    def test_max_workers_is_none_or_a_whole_number_from_1(self, workers):
+        with pytest.raises(InvalidInput, match="max_workers must be None or an integer >= 1"):
+            run_experiment(small_config(reps=1), max_workers=workers)
 
     def test_rows_equal_aggregated_per_replication_selections(self, monkeypatch):
         monkeypatch.setattr(phdsel.simulate, "CHUNK_ROWS", 7)

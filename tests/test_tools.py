@@ -22,6 +22,8 @@ def test_equivalence_of_a_tree_with_itself_is_exact():
                                                    "table_differences",
                                                    "cli_differences",
                                                    "population_differences",
+                                                   "row_core_differences",
+                                                   "max_row_core_rel_delta",
                                                    "scalar_differences",
                                                    "count_fit_differences")}
     assert all(value == "0" for value in experiment.values()), experiment

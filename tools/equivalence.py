@@ -28,12 +28,12 @@ also computes the population values: ``mixture_cell_probs`` at each
 weight in PIS, ``equidistance_gap`` at each weight in GAP_PIS and each h
 in H_VALUES, and the ``pi_star`` and ``degenerate`` flag of
 ``equidistance_pi`` at each h in H_VALUES, for the two families and for
-the Poisson family against itself (the degenerate path), and the public
-wrappers of the selection-variance row core at fixed inputs
-(``row_core_values``: ``jacobian``, ``m_matrix``, ``omega_sq``, the
-``lambda_star_hat`` variance and the DegenerateVariance reason of
-identical fits and of a one-cell sample); it also fits ``mle_binned`` to
-each CLI data file on the default cells.  It calls
+the Poisson family against itself (the degenerate path); it also fits
+``mle_binned`` to each CLI data file on the default cells.  On the same
+cut sets it calls the public wrappers of the selection-variance row core
+at fixed inputs (``row_core_values``: ``jacobian``, ``m_matrix``,
+``omega_sq``, the ``lambda_star_hat`` variance and the DegenerateVariance
+reason of identical fits and of a one-cell sample).  It calls
 the scalar functions ``power_approx``, ``required_sample_size``,
 ``chi2_quantile`` and ``normal_quantile`` on a fixed grid
 of valid inputs (``scalar_values``), numpy scalars, the sample sizes 1 and
@@ -53,16 +53,20 @@ estimates, so they need not be the objectives); then, over the
 ``run_experiment`` rows, the largest relative difference of a mean or SD
 and the counts of rows whose percentages or ``n_degenerate`` differ, and
 the count of rendered tables and of CLI stdout texts that are not
-byte-identical, and the counts of population values (mixture cell vectors,
-gaps and equidistance weights), of scalar values (a result, or the name
-of the error raised) and of count-vector fits (estimate, objective,
+byte-identical, the counts of population values (mixture cell vectors,
+gaps, equidistance weights and ``mle_binned`` fits) and of row-core values
+that are not bit-identical, with the largest difference of a row-core
+value (a Jacobian, a projection or a variance) relative to its largest
+number, so that a change of the limit laws shows on its own lines; then
+the counts of scalar values (a result, or the name of the error raised)
+and of count-vector fits (estimate, objective,
 evaluations, convergence and bound flag, or the name of the error raised)
 that are not bit-identical, and over the count-vector fits that both trees
 completed, the largest move of an estimate in its model's box widths and
 the count of fits whose objective rose.  Exits 1 when any decision,
 degenerate flag, fit objective, count or flag, percentage,
-``n_degenerate``, table, CLI text, population, scalar or count-vector fit
-value differs, 2 on a usage or import error.
+``n_degenerate``, table, CLI text, population, row-core, scalar or
+count-vector fit value differs, 2 on a usage or import error.
 """
 
 from __future__ import annotations
@@ -185,22 +189,37 @@ def row_core_values(ph, part, phats) -> list:
     at = ((pois, [4.0]), (geom, [0.2]))
     values = [f(model, theta).tolist() for f in (ph.jacobian, ph.m_matrix) for model, theta in at]
     values += [ph.omega_sq(phats[0], model, theta, h) for model, theta in at for h in H_VALUES]
-    values += [ph.lambda_star_hat(phat, pois, [4.0], geom, [0.2], h).GammaSq
-               for phat in phats for h in H_VALUES]
+    for phat in phats:
+        for h in H_VALUES:
+            gamma_sq = ph.lambda_star_hat(phat, pois, [4.0], geom, [0.2], h)
+            # a float, or the one-field SelectionVariance of older trees
+            values.append(getattr(gamma_sq, "GammaSq", gamma_sq))
     one_cell = [0.0] * 3 + [1.0] + [0.0] * (part.m - 4)
     return values + [degenerate_reason(ph, phats[0], pois, [4.0], pois, [4.0], 0.5),
                      degenerate_reason(ph, one_cell, pois, [3.0], geom, [0.3], 0.5)]
 
 
+def row_core(ph) -> list:
+    """Worker side: ``row_core_values`` on each cut set of POPULATION_CUTS,
+    against the mixture with weight 1/2 and the binned Poisson draws of the
+    CLI."""
+    data = cli_data(ph)
+    values = []
+    for cuts in POPULATION_CUTS:
+        part = ph.default_partition() if cuts is None else ph.parse_cuts(cuts)
+        draws = ph.empirical_frequencies(data["draws.txt"], part)[1]
+        values += row_core_values(ph, part, (ph.mixture_cell_probs(0.5, part), draws))
+    return values
+
+
 def population_values(ph) -> list:
     """Worker side: on each cut set of POPULATION_CUTS, the mixture cells at
     each weight in PIS, the gap at each weight in GAP_PIS and each h in
-    H_VALUES, the equidistance solve (``pi_star`` and ``degenerate``) of
-    the two families and of the Poisson family against itself at each h in
-    H_VALUES, and ``row_core_values`` against the mixture with weight 1/2
-    and the binned Poisson draws of the CLI; then the ``mle_binned`` fit
-    (estimate, objective, evaluations) of each family to each CLI data
-    file on the default cells, or the name of the error it raised."""
+    H_VALUES, and the equidistance solve (``pi_star`` and ``degenerate``)
+    of the two families and of the Poisson family against itself at each h
+    in H_VALUES; then the ``mle_binned`` fit (estimate, objective,
+    evaluations) of each family to each CLI data file on the default
+    cells, or the name of the error it raised."""
     values = []
     data = cli_data(ph)
     for cuts in POPULATION_CUTS:
@@ -213,8 +232,6 @@ def population_values(ph) -> list:
         values += [[r.pi_star, r.degenerate]
                    for r in (ph.equidistance_pi(pois, model, part, h)
                              for model in (geom, pois) for h in H_VALUES)]
-        draws = ph.empirical_frequencies(data["draws.txt"], part)[1]
-        values += row_core_values(ph, part, (ph.mixture_cell_probs(0.5, part), draws))
     part = ph.default_partition()
     for observations in data.values():
         sample = ph.empirical_frequencies(observations, part)[0]
@@ -290,7 +307,7 @@ def replay(src: str, reps: int) -> dict:
                                         fit.at_bound] for fit in (r.fit1, r.fit2)])
     fits, widths = count_fits(ph)
     return {"bounds": bounds, "rows": rows, "experiment": experiment, "tables": tables,
-            "cli": cli_outputs(ph), "population": population_values(ph),
+            "cli": cli_outputs(ph), "population": population_values(ph), "row_core": row_core(ph),
             "scalars": scalar_values(ph), "count_fits": fits, "count_fit_widths": widths}
 
 
@@ -341,6 +358,10 @@ def compare(old: dict, new: dict) -> dict:
     out["cli_differences"] = sum(a != b for a, b in zip(old["cli"], new["cli"]))
     out["population_differences"] = sum(a != b for a, b in zip(old["population"],
                                                               new["population"]))
+    if len(old["row_core"]) != len(new["row_core"]):
+        _fail("the trees computed different numbers of row-core values")
+    out["row_core_differences"] = sum(a != b for a, b in zip(old["row_core"], new["row_core"]))
+    out["max_row_core_rel_delta"] = max(map(_rel_to_largest, old["row_core"], new["row_core"]))
     if len(old["scalars"]) != len(new["scalars"]):
         _fail("the trees computed different numbers of scalar values")
     out["scalar_differences"] = sum(a != b for a, b in zip(old["scalars"], new["scalars"]))
@@ -350,6 +371,22 @@ def compare(old: dict, new: dict) -> dict:
                                                              new["count_fits"]))
     out.update(compare_count_fits(old["count_fits"], new["count_fits"], new["count_fit_widths"]))
     return out
+
+
+def _numbers(value) -> list[float]:
+    """The numbers of a value of nested lists, depth first; strings and None
+    are left out."""
+    if isinstance(value, list):
+        return [x for v in value for x in _numbers(v)]
+    return [value] if isinstance(value, float | int) else []
+
+
+def _rel_to_largest(a, b) -> float:
+    """The largest difference between the numbers of two values, relative
+    to their largest magnitude."""
+    pairs = list(zip(_numbers(a), _numbers(b)))
+    scale = max((max(abs(x), abs(y)) for x, y in pairs), default=0.0)
+    return max(abs(x - y) for x, y in pairs) / scale if scale else 0.0
 
 
 def compare_count_fits(old: list, new: list, widths: list[float]) -> dict:
@@ -399,7 +436,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{key}={value:.3g}" if isinstance(value, float) else f"{key}={value}")
     differing = ("decision_differences", "degenerate_differences", "fit_differences",
                  "row_pct_differences", "row_degenerate_differences", "table_differences",
-                 "cli_differences", "population_differences", "scalar_differences",
+                 "cli_differences", "population_differences", "row_core_differences",
+                 "scalar_differences",
                  "count_fit_differences")
     return 1 if any(result[key] for key in differing) else 0
 
