@@ -60,7 +60,8 @@ def _model_rows(model: DiscreteModel, t: np.ndarray) -> _Rows:
         raise BoundaryParameter(
             f"theta[0]={float(t[outside][0])!r} is outside the box [{lo}, {hi}]")
     q = model.cell_prob(t[:, None])
-    J = model.dcell_fn(t[:, None])
+    J = np.empty_like(q)
+    model.dkernel(t[:, None], J)
     qf = np.maximum(q, PROB_FLOOR)
     g = J / qf
     info = np.add.reduce(J * g, axis=-1)
@@ -108,14 +109,9 @@ def _selection_rows(P: np.ndarray, model1: DiscreteModel, theta1: np.ndarray,
                       (rows1.q == rows2.q).all(axis=-1))
 
 
-def _one(model: DiscreteModel, theta) -> _Rows:
-    """``model`` at the single parameter vector ``theta``."""
-    return _model_rows(model, model.theta_array(theta))
-
-
 def jacobian(model: DiscreteModel, theta) -> np.ndarray:
     """m x 1 derivative of the cell probabilities, one-sided on a box bound."""
-    return _one(model, theta).J.T
+    return _model_rows(model, model.theta_array(theta)).J.T
 
 
 def sigma(p) -> np.ndarray:
@@ -127,7 +123,7 @@ def sigma(p) -> np.ndarray:
 
 def m_matrix(model: DiscreteModel, theta) -> np.ndarray:
     """Projection M = J I^{-1} J^T diag(1/q_f); satisfies M J = J."""
-    rows = _one(model, theta)
+    rows = _model_rows(model, model.theta_array(theta))
     return np.outer(rows.J[0], rows.g[0] / rows.info[0])
 
 

@@ -38,7 +38,7 @@ def _number(rule, wanted: str):
 
 
 def _partition_arg(args) -> CellPartition:
-    return parse_cuts(args.cuts) if args.cuts else default_partition()
+    return parse_cuts(args.cuts) if args.cuts is not None else default_partition()
 
 
 def _load_data(path: str) -> np.ndarray:

@@ -2,11 +2,11 @@
 and the two-model selection test.
 
 The goodness-of-fit statistic 2n times the fitted penalized Hellinger
-distance is compared against a chi-square quantile with m - k - 1 degrees of
-freedom.  The selection statistic is sqrt(n) times the difference of the two
-fitted distances, studentized by the plug-in standard deviation; it is
-driven toward minus infinity when the first model fits better, so values
-below -z favor the first model.
+distance is compared against a chi-square quantile with m - 2 degrees of
+freedom, one fewer for the fitted parameter.  The selection statistic is
+sqrt(n) times the difference of the two fitted distances, studentized by
+the plug-in standard deviation; it is driven toward minus infinity when
+the first model fits better, so values below -z favor the first model.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ def gof_test(sample: BinnedSample, model: DiscreteModel, h: float,
              alpha: float = 0.05) -> GofReport:
     """Goodness-of-fit test of ``model`` against the binned sample."""
     alpha = _check_test_level(alpha, "alpha")
-    df = model.partition.m - model.k - 1  # >= 1: a model has k = 1 and m >= 3
+    df = model.partition.m - 2  # >= 1: a model has one parameter and m >= 3
     fit = minimize_phd(model, sample, h)
     statistic = 2.0 * sample.n * fit.objective
     critical = chi2_quantile(1.0 - alpha, df)
@@ -95,12 +95,12 @@ def power_approx(D: float, omega_sq: float, n: int, alpha: float, df: int) -> fl
     """Normal approximation to the rejection probability at a population
     distance ``D`` and variance ``omega_sq``; increasing in both D and n.
 
-    ``D``, ``omega_sq`` and ``n >= 1`` must be finite numbers, else
+    ``D >= 0``, ``omega_sq`` and ``n >= 1`` must be finite numbers, else
     InvalidInput, and ``omega_sq <= 0`` raises DegenerateVariance.
     """
     alpha = _check_test_level(alpha, "alpha")
-    if not _is_finite_real(D):
-        raise InvalidInput(f"D must be a finite number, got {D!r}")
+    if not (_is_finite_real(D) and D >= 0.0):
+        raise InvalidInput(f"D must be a finite number >= 0, got {D!r}")
     _check_omega_sq(omega_sq)
     if not (_is_finite_real(n) and n >= 1):
         raise InvalidInput(f"n must be a finite number >= 1, got {n!r}")

@@ -17,7 +17,7 @@ completes it once for the rows of all its models.  The derivative rule
 derivative of the tail P(X >= e), cell [a, b) gets D(a) - D(b) and the
 last cell D(e_{m-1}) (``_tail_differences``), which keeps digits that
 minus the sum of the others would round away.  ``DiscreteModel.cell_fn``
-and ``dcell_fn`` are the allocating (B, m) calls.
+is the kernel's allocating (B, m) call, its last cell completed.
 
 * Poisson: the cumulative pmf, pmf(0) = exp(-lam) and
   pmf(x) = pmf(x-1) * lam / x by cumulative product, differenced at the
@@ -70,8 +70,8 @@ class DiscreteModel:
     ``kernel(theta, out)`` writes the interior cell probabilities of the
     (B, 1) parameters ``theta`` into the (B, m - 1) array ``out``, and
     ``dkernel(theta, out)`` the derivatives of all m cells into a (B, m)
-    one (see the module docstring); ``cell_fn`` and ``dcell_fn`` are their
-    allocating calls, and ``cell_prob`` the validated cell call.
+    one (see the module docstring); ``cell_fn`` is the kernel's allocating
+    call, and ``cell_prob`` the validated cell call.
     ``bounds`` holds the one box (lo, hi) the optimizer searches; a second
     box is refused at construction.  A box narrower than about 1e-7 of its
     magnitude is too narrow for its fit's bracket to close: such a fit
@@ -92,14 +92,10 @@ class DiscreteModel:
         if not lo < hi:
             raise InvalidInput(f"the box must satisfy lo < hi, got {self.bounds[0]!r}")
 
-    @property
-    def k(self) -> int:
-        return len(self.bounds)
-
     def theta_array(self, theta) -> np.ndarray:
         arr = np.atleast_1d(np.asarray(_numbers(theta, "theta"), dtype=float))
-        if arr.shape != (self.k,):
-            raise InvalidInput(f"theta must have shape ({self.k},), got {arr.shape}")
+        if arr.shape != (1,):
+            raise InvalidInput(f"theta must have shape (1,), got {arr.shape}")
         return arr
 
     def cell_fn(self, theta: np.ndarray) -> np.ndarray:
@@ -110,22 +106,15 @@ class DiscreteModel:
         _residual_last(probs[:, :-1], probs[:, -1])
         return probs
 
-    def dcell_fn(self, theta: np.ndarray) -> np.ndarray:
-        """(B, 1) parameters -> the (B, m) derivatives of their cells, without
-        validation."""
-        slopes = np.empty((theta.shape[0], self.partition.m))
-        self.dkernel(theta, slopes)
-        return slopes
-
     def cell_prob(self, theta) -> np.ndarray:
-        """Cell probabilities at ``theta``, one parameter vector of shape
-        (k,) or a block of R of them of shape (R, k): one validated kernel
-        call, giving a simplex point per parameter vector, shape (m,) or
-        (R, m).  Cells that are not one raise InvalidParameter naming theta."""
+        """Cell probabilities at ``theta``, one parameter of shape (1,) or a
+        block of R of them of shape (R, 1): one validated kernel call, giving
+        a simplex point per parameter, shape (m,) or (R, m).  Cells that are
+        not one raise InvalidParameter naming theta."""
         arr = np.asarray(_numbers(theta, "theta"), dtype=float)
         rows = arr if arr.ndim == 2 else self.theta_array(arr)[None, :]
-        if rows.shape[1] != self.k:
-            raise InvalidInput(f"theta must have shape (R, {self.k}), got {arr.shape}")
+        if rows.shape[1] != 1:
+            raise InvalidInput(f"theta must have shape (R, 1), got {arr.shape}")
         with np.errstate(all="ignore"):
             q = self.cell_fn(rows)
         try:

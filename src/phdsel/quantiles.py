@@ -69,9 +69,9 @@ def _check_df(df) -> None:
         raise InvalidInput(f"df must be an integer >= 1, got {df!r}")
 
 
-def _check_level(value, name: str = "q") -> float:
+def _check_level(value) -> float:
     if not _is_open_unit(value):
-        raise InvalidInput(f"{name} must be a number in (0,1), got {value!r}")
+        raise InvalidInput(f"q must be a number in (0,1), got {value!r}")
     return float(value)
 
 

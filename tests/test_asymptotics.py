@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -16,7 +17,7 @@ from phdsel import (BinnedSample, BoundaryParameter, CellPartition,
                     minimize_phd,
                     mixture_cell_probs, model_select, omega_sq, parse_cuts,
                     penalized_hellinger, poisson_model, sample_mixture, sigma)
-from phdsel.asymptotics import PROB_FLOOR, _gradient_rows, _model_rows, _one, _selection_rows
+from phdsel.asymptotics import PROB_FLOOR, _gradient_rows, _model_rows, _selection_rows
 from phdsel.inference import _select_rows
 
 from kernel_helpers import permuted_model
@@ -74,7 +75,9 @@ def ref_jacobian(model, theta):
     for j, (lo, hi) in enumerate(model.bounds):
         if th[j] < lo or th[j] > hi:
             raise BoundaryParameter(f"theta[{j}] outside the box")
-    return model.dcell_fn(th[None, :]).T
+    J = np.empty((1, model.partition.m))
+    model.dkernel(th[None, :], J)
+    return J.T
 
 
 def ref_local(model, theta):
@@ -215,7 +218,7 @@ class TestJacobian:
              else np.array([0.2, lo, 0.9, hi, 0.01, 0.5]))
         rows = _model_rows(model, t)
         for r, theta in enumerate(t):
-            one = _one(model, [theta])
+            one = _model_rows(model, model.theta_array([theta]))
             np.testing.assert_array_equal(rows.J[r], one.J[0])
             np.testing.assert_array_equal(rows.q[r], one.q[0])
             np.testing.assert_array_equal(jacobian(model, [theta])[:, 0], rows.J[r])
@@ -225,7 +228,7 @@ class TestJacobian:
 def fisher_info(model, theta):
     """The scalar information sum J^2 / q_f by which every projection
     divides, as a 1 x 1 matrix."""
-    return _one(model, theta).info[:, None]
+    return _model_rows(model, model.theta_array(theta)).info[:, None]
 
 
 class TestFisherInfo:
@@ -602,15 +605,21 @@ class TestRowCore:
         data = sample_mixture(MixtureDGP(pi=0.5), 300, np.random.default_rng(5))
         phat = np.tile(np.bincount(part.bin_indices(data), minlength=part.m) / 300.0, (4, 1))
         calls = []
+        plain_cell_fn = DiscreteModel.cell_fn
 
-        def counted(method):
-            def call(model, theta):
-                calls.append((method.__name__, theta.shape[0]))
-                return method(model, theta)
+        def cell_fn(model, theta):
+            calls.append(("cell_fn", theta.shape[0]))
+            return plain_cell_fn(model, theta)
+
+        def counted_dkernel(dkernel):
+            def call(theta, out):
+                calls.append(("dkernel", theta.shape[0]))
+                dkernel(theta, out)
             return call
 
-        for method in (DiscreteModel.cell_fn, DiscreteModel.dcell_fn):
-            monkeypatch.setattr(DiscreteModel, method.__name__, counted(method))
+        monkeypatch.setattr(DiscreteModel, "cell_fn", cell_fn)
+        pois, geom = (dataclasses.replace(model, dkernel=counted_dkernel(model.dkernel))
+                      for model in (pois, geom))
         _selection_rows(phat, pois, np.full(4, 4.0), geom, np.full(4, 0.2), 0.5)
         # the cells and the derivatives of the 4 estimates, one call each
-        assert calls == [("cell_fn", 4), ("dcell_fn", 4)] * 2
+        assert calls == [("cell_fn", 4), ("dkernel", 4)] * 2

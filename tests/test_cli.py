@@ -110,6 +110,16 @@ class TestEstimate:
                                     "--model", "poisson", "--cuts", "2,4,6,8"])
         assert code == 0
 
+    @pytest.mark.parametrize("command", ["estimate", "equidistance"])
+    def test_empty_cut_text_exits_2(self, capsys, poisson_file, command):
+        # an empty --cuts is a cut list, not a missing option
+        argv = ([command, "--data", poisson_file, "--model", "poisson"]
+                if command == "estimate" else [command])
+        code, out, err = run(capsys, argv + ["--cuts", ""])
+        assert code == 2
+        assert out == ""
+        assert "cut list is empty" in err
+
 
 class TestGof:
     def test_reports_statistic_and_threshold(self, capsys, poisson_file):

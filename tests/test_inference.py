@@ -158,6 +158,11 @@ class TestPowerApprox:
         with pytest.raises(InvalidInput):
             power_approx(D, om, n, 0.05, 6)
 
+    @pytest.mark.parametrize("D", [-0.5, -5e-324])
+    def test_rejects_a_negative_distance(self, D):
+        with pytest.raises(InvalidInput, match=r"D must be a finite number >= 0"):
+            power_approx(D, 0.1, 100, 0.05, 6)
+
 
 class TestRequiredSampleSize:
     def test_half_target_reduces_to_critical_point(self):
