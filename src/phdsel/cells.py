@@ -126,6 +126,13 @@ class CellPartition:
         vals = np.asarray(values, dtype=float)
         return np.searchsorted(np.asarray(self.cuts[1:-1]), vals, side="right")
 
+    def bin_counts(self, samples) -> np.ndarray:
+        """The (R, m) cell counts of R unchecked 1-D samples of any lengths: one
+        search for the cells of all values, one count of them offset by m * row."""
+        rows = np.repeat(np.arange(0, len(samples) * self.m, self.m), [s.size for s in samples])
+        cells = self.bin_indices(np.concatenate(samples)) + rows
+        return np.bincount(cells, minlength=len(samples) * self.m).reshape(-1, self.m)
+
 
 def default_partition() -> CellPartition:
     """Eight cells: [0,1), [1,2), ..., [6,7) and [7, +inf).
@@ -198,7 +205,8 @@ class BinnedSample:
 
 
 def empirical_frequencies(data, part: CellPartition) -> tuple[BinnedSample, np.ndarray]:
-    """Bin raw observations and return (counts, observed cell frequencies)."""
+    """Check and bin raw observations (``part.bin_counts`` on one sample);
+    return the BinnedSample and its ``frequencies()``, not checked again."""
     values = np.asarray(_numbers(data, "data"), dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise InvalidInput("data must be a nonempty 1-D sequence")
@@ -206,7 +214,5 @@ def empirical_frequencies(data, part: CellPartition) -> tuple[BinnedSample, np.n
         raise InvalidInput("data contains non-finite values")
     if np.any(values < 0.0):
         raise InvalidInput("data contains negative values")
-    idx = part.bin_indices(values)
-    counts = np.bincount(idx, minlength=part.m)
-    sample = BinnedSample(counts=counts)
-    return sample, as_prob_vector(sample.frequencies())
+    sample = BinnedSample(counts=part.bin_counts([values])[0])
+    return sample, sample.frequencies()

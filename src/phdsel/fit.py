@@ -47,6 +47,7 @@ GRID_POINTS = 32
 # the golden steps that take a first bracket of two grid spacings below the
 # tolerance of 1e-8 of the box width: ceil(log(31e-8 / 2) / log(GOLDEN))
 STEPS = 33
+EVALUATIONS = GRID_POINTS + 2 + STEPS  # every row's: grid, golden pair, steps
 _BRACKET = np.array([[-1], [1]])  # grid neighbours of the best start
 
 
@@ -56,7 +57,7 @@ class FitResult:
 
     ``evaluations`` counts the points evaluated for the row: its 32 grid
     starts, whose values come from the start cells, the first bracket's two
-    golden points, then one per golden step, 67 on every row.  ``converged``
+    golden points, then one per golden step, 67 (``EVALUATIONS``).  ``converged``
     reports whether the final bracket is narrower than the stopping
     tolerance, 1e-8 of the box width.
     ``at_bound`` is set when the estimate lies within that tolerance of a
@@ -72,19 +73,18 @@ class FitResult:
 
 
 class FitRows(NamedTuple):
-    """Outcome of an R-row minimization, one array entry per row."""
+    """Outcome of an R-row minimization, one array entry per row; every
+    row makes ``EVALUATIONS`` evaluations, so no column holds them."""
 
     x: np.ndarray
     fun: np.ndarray
-    evaluations: np.ndarray
     converged: np.ndarray
     at_bound: np.ndarray
 
     def fit(self, r: int) -> FitResult:
         """Row ``r`` as the FitResult of a one-parameter fit."""
         return FitResult(theta_hat=np.array([self.x[r]]), objective=float(self.fun[r]),
-                         evaluations=int(self.evaluations[r]),
-                         converged=bool(self.converged[r]),
+                         evaluations=EVALUATIONS, converged=bool(self.converged[r]),
                          at_bound=bool(self.at_bound[r]))
 
 
@@ -152,7 +152,7 @@ def _lockstep(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
     best_f = np.minimum.reduce(cand[:, 1])
     best_x = np.minimum.reduce(np.where(cand[:, 1] == best_f, cand[:, 0], np.inf))
     at_bound = np.minimum(best_x - lo, hi - best_x) <= tol
-    return FitRows(best_x, best_f, np.full(rows, GRID_POINTS + 2 + STEPS), w < tol, at_bound)
+    return FitRows(best_x, best_f, w < tol, at_bound)
 
 
 def _fit_phd_rows(models: tuple[DiscreteModel, ...], phat: np.ndarray,

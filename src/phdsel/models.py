@@ -48,13 +48,14 @@ from typing import Callable
 import numpy as np
 
 from .cells import (CellPartition, _as_prob_rows, _is_real, _is_whole, _numbers,
-                    as_prob_vector, default_partition)
+                    default_partition)
 from .errors import InvalidInput, InvalidParameter
 
 POISSON_BOUNDS = (1e-6, 50.0)
 GEOMETRIC_BOUNDS = (1e-6, 1.0 - 1e-6)
 POISSON_RATE = 4.0
 GEOMETRIC_P = 0.2
+MIN_CELLS = 3  # the fewest cells of a family, which leave m - 2 >= 1 degrees of freedom
 # 0-d arrays: as ufunc operands they skip the conversion a Python float
 # needs, which is a measurable share of a kernel call on a few rows
 _ZERO, _ONE = np.zeros(()), np.ones(())
@@ -65,7 +66,7 @@ Kernel = Callable[[np.ndarray, np.ndarray], None]
 @dataclass(frozen=True)
 class DiscreteModel:
     """A named one-parameter family of cell-probability vectors on a
-    partition of at least 3 cells.
+    partition of at least ``MIN_CELLS`` cells.
 
     ``kernel(theta, out)`` writes the interior cell probabilities of the
     (B, 1) parameters ``theta`` into the (B, m - 1) array ``out``, and
@@ -85,9 +86,9 @@ class DiscreteModel:
     dkernel: Kernel
 
     def __post_init__(self):
-        if len(self.bounds) != 1 or self.partition.m < 3:
-            raise InvalidInput(f"a family has one parameter and at least 3 cells, got the "
-                               f"boxes {self.bounds!r} on {self.partition.m} cells")
+        if len(self.bounds) != 1 or self.partition.m < MIN_CELLS:
+            raise InvalidInput(f"a family has one parameter and at least {MIN_CELLS} cells, "
+                               f"got the boxes {self.bounds!r} on {self.partition.m} cells")
         lo, hi = self.bounds[0]
         if not lo < hi:
             raise InvalidInput(f"the box must satisfy lo < hi, got {self.bounds[0]!r}")
@@ -295,5 +296,5 @@ def _mixture_rows(pis, part: CellPartition) -> np.ndarray:
 
 def mixture_cell_probs(pi: float, part: CellPartition) -> np.ndarray:
     """Exact cell probabilities of the mixture (no sampling): the families'
-    own cells at the component parameters, weighted by ``pi`` and 1 - ``pi``."""
-    return as_prob_vector(_mixture_rows([MixtureDGP(pi=pi).pi], part)[0])
+    validated cells at the component parameters, weighted by ``pi`` and 1 - ``pi``."""
+    return _mixture_rows([MixtureDGP(pi=pi).pi], part)[0]

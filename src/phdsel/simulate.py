@@ -7,7 +7,7 @@ keyed by (seed, n, h, replication index), so results do not depend on
 execution order.
 
 ``run_experiment`` takes all replications of a config one chunk of rows at
-a time: one binning call for the chunk's samples, then one selection call
+a time: one ``CellPartition.bin_counts`` call, then one selection call
 that fits both families in lockstep (see ``phdsel.fit``) and studentizes
 every row (see ``phdsel.asymptotics``).
 """
@@ -31,8 +31,8 @@ from .fit import _fit_phd_rows
 # requires this module to bind it
 from .inference import model_select  # noqa: F401
 from .inference import _check_shared_partition, _critical_z, _select_rows
-from .models import (DiscreteModel, MixtureDGP, _is_mixing_weight, _mixture_rows,
-                     geometric_model, poisson_model, sample_mixture)
+from .models import (MIN_CELLS, DiscreteModel, MixtureDGP, _is_mixing_weight,
+                     _mixture_rows, geometric_model, poisson_model, sample_mixture)
 
 DEFAULT_SIZES = (20, 30, 40, 50, 300)
 DEFAULT_H_VALUES = (1.0, 0.5)
@@ -44,14 +44,18 @@ DEFAULT_SEED = 20260809
 # seed 1003) peaks at 38.7 MB RSS in 1.20 s in chunks of 128 rows, and at
 # 123.7 MB in 1.06 s in one chunk of all rows.
 CHUNK_ROWS = 128
+# The largest study size: a chunk holds CHUNK_ROWS samples of n draws, so one
+# chunk of 128 rows at n = 10**5 (pi = 0.5, default cells) peaks near 525 MB
+# RSS, against 84 MB at n = 10**4 and 29 MB before the run.
+MAX_STUDY_SIZE = 10**5
 # The equidistance solve's bisection levels per fit call and its tolerance
 EQUI_LEVELS, EQUI_TOL = 5, 1e-10
 
 
-def _nonempty_list_of(test):
-    """Rule for a nonempty list or tuple whose every item passes ``test``;
-    a string or a bare number is refused, not iterated or wrapped."""
-    return lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(map(test, v))
+def _list_of(test, least: int = 1):
+    """Rule for a list or tuple of at least ``least`` items, each passing
+    ``test``; a string or a bare number is refused, not iterated or wrapped."""
+    return lambda v: isinstance(v, (list, tuple)) and len(v) >= least and all(map(test, v))
 
 
 def _h_key(h) -> int:
@@ -62,7 +66,7 @@ def _h_key(h) -> int:
 def _distinct_list_of(test, key):
     """Rule for a nonempty list of items that pass ``test`` with distinct
     substream keys ``key(item)``: two items with one key draw the same samples."""
-    return lambda v: _nonempty_list_of(test)(v) and len(set(map(key, v))) == len(v)
+    return lambda v: _list_of(test)(v) and len(set(map(key, v))) == len(v)
 
 
 def _as_partition(cuts) -> CellPartition:
@@ -72,19 +76,22 @@ def _as_partition(cuts) -> CellPartition:
 # The one rule of each config field: the test that its value, as given to
 # ExperimentConfig or read from JSON, must pass (so true is no number and "3"
 # no integer), what the value must be, and how a JSON value that passed becomes
-# the field.  JSON names the partition by its finite cuts.
+# the field.  JSON names the partition by its finite cuts, and a partition
+# must have the MIN_CELLS cells of a family.
 _RULES = {
     "pi": (_is_mixing_weight, "a number in [0,1]", float),
-    "sizes": (_distinct_list_of(lambda n: _is_whole(n, 1), int),
-              "a nonempty list of distinct integers >= 1", tuple),
+    "sizes": (_distinct_list_of(lambda n: _is_whole(n, 1) and n <= MAX_STUDY_SIZE, int),
+              f"a nonempty list of distinct integers in [1, {MAX_STUDY_SIZE}]", tuple),
     "reps": (lambda v: _is_whole(v, 1), "an integer >= 1", int),
     "h_values": (_distinct_list_of(is_penalty_weight, _h_key),
                  f"a nonempty list of numbers in (0, {MAX_PENALTY_WEIGHT:g}], no two equal when "
                  "rounded to millionths", lambda v: tuple(map(float, v))),
     "alpha": (_is_test_level, "a number in (0,1) above 2**-53", float),
     "seed": (lambda v: _is_whole(v, 0), "an integer >= 0", int),
-    "cuts": (_nonempty_list_of(_is_real), "a nonempty list of numbers", _as_partition),
-    "partition": (lambda v: isinstance(v, CellPartition), "a CellPartition", None),
+    "cuts": (_list_of(_is_real, MIN_CELLS - 1), f"a list of at least {MIN_CELLS - 1} numbers",
+             _as_partition),
+    "partition": (lambda v: isinstance(v, CellPartition) and v.m >= MIN_CELLS,
+                  f"a CellPartition of at least {MIN_CELLS} cells", None),
 }
 _CONFIG_KEYS = tuple(key for key in _RULES if key != "partition")
 
@@ -152,20 +159,12 @@ def substream(seed: int, n: int, h: float, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, n, _h_key(h), rep)))
 
 
-def _binned_rows(part: CellPartition, draws: list[np.ndarray]) -> np.ndarray:
-    """The (R, m) cell counts of R samples: one search for the cells of all
-    draws and one count of the cells offset by m times the sample's row."""
-    rows = np.repeat(np.arange(0, len(draws) * part.m, part.m), [d.size for d in draws])
-    cells = part.bin_indices(np.concatenate(draws)) + rows
-    return np.bincount(cells, minlength=len(draws) * part.m).reshape(-1, part.m)
-
-
 def run_experiment(config: ExperimentConfig,
                    max_workers: int | None = None) -> list[ExperimentRow]:
     """Run the full grid of (n, h) blocks.
 
     The R = len(sizes) * len(h_values) * reps replications go
-    ``CHUNK_ROWS`` at a time through one binning call (``_binned_rows``)
+    ``CHUNK_ROWS`` at a time through one ``CellPartition.bin_counts`` call
     and one selection call (``inference._select_rows``: both fits, HI and
     the degenerate flags); each replication draws its sample from its own
     substream keyed by (seed, n, h, rep).  Row r of a selection call is
@@ -198,7 +197,7 @@ def run_experiment(config: ExperimentConfig,
         sl = slice(start, start + CHUNK_ROWS)
         draws = [sample_mixture(dgp, n, substream(config.seed, n, h, rep))
                  for n, h, rep in keys[sl]]
-        phat = _binned_rows(part, draws) / sizes[sl, None]
+        phat = part.bin_counts(draws) / sizes[sl, None]
         fits1, fits2, values[4, sl], degenerate[sl] = _select_rows(phat, sizes[sl], pois, geom,
                                                                    weights[sl])
         values[:4, sl] = fits1.x, fits2.x, fits1.fun, fits2.fun

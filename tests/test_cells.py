@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phdsel import (BinnedSample, CellPartition, InvalidInput, as_prob_vector,
                     default_partition, empirical_frequencies, parse_cuts)
@@ -80,6 +82,45 @@ class TestCellPartition:
     def test_parse_cuts_refuses_a_non_string(self, value):
         with pytest.raises(InvalidInput, match="cuts must be a comma-separated string"):
             parse_cuts(value)
+
+
+BINNING_PARTITIONS = (default_partition(), parse_cuts("1,2,5,10,20,50,100,1000,10000"),
+                      parse_cuts("2,4,6,8,10,15"))
+
+
+def samples_on(part):
+    """One to six samples of 1 to 30 observations on the cells of ``part``:
+    values on a cut, fractional values inside the cuts, values at or beyond
+    the last cut and whole numbers, then a one-value sample at the last cut."""
+    top = part.cuts[-2]
+    value = st.one_of(st.sampled_from(part.cuts[:-1]), st.floats(0.0, top),
+                      st.floats(top, 1e300), st.integers(0, int(2 * top)))
+    sample = st.lists(value, min_size=1, max_size=30).map(lambda s: np.array(s, dtype=float))
+    return st.lists(sample, min_size=1, max_size=6).map(lambda s: s + [np.array([top])])
+
+
+class TestBinCounts:
+    @pytest.mark.parametrize("part", BINNING_PARTITIONS, ids=["default", "wide", "even"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_rows_equal_each_sample_binned_alone(self, part, data):
+        # one search and one count for R samples of different lengths: row r
+        # is sample r's own count, and empirical_frequencies' R = 1 call
+        samples = data.draw(samples_on(part))
+        counts = part.bin_counts(samples)
+        assert counts.shape == (len(samples), part.m)
+        for row, s in zip(counts, samples, strict=True):
+            alone = np.bincount(part.bin_indices(s), minlength=part.m)
+            sample, phat = empirical_frequencies(s, part)
+            assert row.tolist() == alone.tolist() == sample.counts.tolist()
+            assert phat.tobytes() == (row / s.size).tobytes()
+
+    def test_observations_on_and_beyond_the_cuts(self):
+        part = parse_cuts("2,4,6,8,10,15")
+        samples = [np.array([0.0, 2.0, 1.999, 15.0, 1e300]), np.array([4.0]), np.array([14.5])]
+        assert part.bin_counts(samples).tolist() == [[2, 1, 0, 0, 0, 0, 2],
+                                                     [0, 0, 1, 0, 0, 0, 0],
+                                                     [0, 0, 0, 0, 0, 1, 0]]
 
 
 class TestProbVector:

@@ -280,6 +280,24 @@ class TestSimulate:
         assert "h_values" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("key,value,named", [
+        ("sizes", [4611686018427387904], "config key 'sizes' is invalid"),
+        ("sizes", [20, 100001], "config key 'sizes' is invalid"),
+        ("cuts", [1], "config key 'cuts' is invalid")])
+    def test_config_the_study_cannot_run_exits_2(self, capsys, tmp_path, key, value, named):
+        # a size too large to draw, and a partition of fewer than the 3 cells
+        # of a family, are refused before any block runs
+        raw = dict(pi=1.0, sizes=[20], reps=5, h_values=[0.5], alpha=0.05,
+                   seed=3, cuts=[1, 2, 3, 4, 5, 6, 7])
+        raw[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        code, out, err = run(capsys, ["simulate", "--config", str(path)])
+        assert code == 2
+        assert out == ""
+        assert named in err
+        assert "running" not in err and "Traceback" not in err
+
 
 class TestEquidistance:
     def test_reports_mixing_weight(self, capsys):

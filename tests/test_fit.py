@@ -12,7 +12,7 @@ from phdsel import (BinnedSample, CellPartition, DiscreteModel, FitFailed,
                     penalized_hellinger, poisson_model, sample_mixture)
 import phdsel.fit
 from phdsel.divergence import _phd_rows
-from phdsel.fit import (GOLDEN, GRID_POINTS, STEPS, FitRows, _fit_phd_rows,
+from phdsel.fit import (EVALUATIONS, GOLDEN, GRID_POINTS, STEPS, FitRows, _fit_phd_rows,
                         _grid, _lockstep, _start_cells)
 from phdsel.simulate import CHUNK_ROWS
 
@@ -87,7 +87,8 @@ def closing_lockstep(f, lo, hi, fs, max_steps=200):
     wide, is narrower than 1e-8 of its box, or after ``max_steps`` steps,
     and keeps its interior points as they were then.  A first bracket at a
     box end is one spacing wide, so its bracket must close to half the
-    tolerance, and every row closes after 33 steps."""
+    tolerance, and every row closes after 33 steps, which it asserts: so
+    each row makes the ``EVALUATIONS`` that every FitResult reports."""
     rows, tol, xs = lo.size, 1e-8 * (hi - lo), _grid(lo, hi)
     j = np.argmin(fs, axis=1)
     each = np.arange(rows)
@@ -119,7 +120,8 @@ def closing_lockstep(f, lo, hi, fs, max_steps=200):
     best_f = cand_f.min(axis=0)
     best_x = np.where(cand_f == best_f, cand_x, np.inf).min(axis=0)
     at_bound = np.minimum(best_x - lo, hi - best_x) <= tol
-    return FitRows(best_x, best_f, GRID_POINTS + 2 + steps, closed, at_bound)
+    assert (GRID_POINTS + 2 + steps == EVALUATIONS).all()
+    return FitRows(best_x, best_f, closed, at_bound)
 
 
 def sparse_counts(part, rows, seed):
@@ -268,7 +270,7 @@ class TestLockstepRows:
                 alone = minimize_phd(model, BinnedSample(counts=c), h[r])
                 assert rows.x[r] == alone.theta_hat[0]
                 assert rows.fun[r] == alone.objective
-                assert rows.evaluations[r] == alone.evaluations
+                assert alone.evaluations == EVALUATIONS
                 assert rows.converged[r] == alone.converged
                 assert rows.at_bound[r] == alone.at_bound
 
@@ -285,8 +287,7 @@ class TestLockstepRows:
             for r, c in enumerate(counts):
                 alone = minimize_phd(model, BinnedSample(counts=c), h[r])
                 assert tuple(a[r] for a in rows) == tuple(a[r] for a in one) == (
-                    alone.theta_hat[0], alone.objective, alone.evaluations,
-                    alone.converged, alone.at_bound)
+                    alone.theta_hat[0], alone.objective, alone.converged, alone.at_bound)
 
     def test_chunk_of_wide_cut_rows_equals_fits_alone(self):
         # a full chunk of run_experiment, both families in one call, on the
@@ -308,8 +309,8 @@ class TestLockstepRows:
             for r, c in enumerate(counts):
                 alone = minimize_phd(model, BinnedSample(counts=c), h[r])
                 assert tuple(a[r] for a in rows) == (
-                    alone.theta_hat[0], alone.objective, alone.evaluations,
-                    alone.converged, alone.at_bound), (model.name, r)
+                    alone.theta_hat[0], alone.objective, alone.converged,
+                    alone.at_bound), (model.name, r)
 
     @pytest.mark.parametrize("part", ORACLE_PARTITIONS)
     def test_start_cells_are_the_cells_at_each_rows_grid(self, part):
@@ -364,8 +365,8 @@ class TestGoldenSteps:
             return (x - 1.5) ** 2
 
         fs = grid_values(lambda x: (x - 1.5) ** 2, self.LO, self.HI)
-        fits = _lockstep(f, self.LO, self.HI, fs)
-        assert len(seen) == 2 + (fits.evaluations - GRID_POINTS - 2).max() == 2 + STEPS == 35
+        _lockstep(f, self.LO, self.HI, fs)
+        assert len(seen) == EVALUATIONS - GRID_POINTS == 2 + STEPS == 35
         assert set(seen) == {(np.ndarray, (self.LO.size,), np.dtype(float))}
 
     def test_multimodal_rows_equal_the_closing_reference(self):
@@ -384,7 +385,7 @@ class TestGoldenSteps:
         ref, fits = closing_lockstep(f, lo, hi, fs), _lockstep(f, lo, hi, fs)
         for name, expected, got in zip(FitRows._fields, ref, fits):
             assert np.array_equal(expected, got), name
-        assert set(fits.evaluations) == {67}
+        assert EVALUATIONS == 67  # closing_lockstep asserts every row's count
         # the reference closes rows at both box ends and inside the box
         starts = np.argmin(fs, axis=1)
         assert {0, GRID_POINTS - 1} <= set(starts) and (starts % (GRID_POINTS - 1)).any()
@@ -413,7 +414,7 @@ class TestGoldenSteps:
                            _start_cells(model), 0.5)
             end = np.isin(np.argmin(fs, axis=1), (0, GRID_POINTS - 1))
             assert end.any() and not end.all(), model.name
-            assert fits.evaluations.tolist() == [67] * len(phat)
+            assert [fits.fit(r).evaluations for r in range(len(phat))] == [67] * len(phat)
             assert fits.converged.all()
 
     def test_box_too_narrow_to_close_reports_not_converged(self):

@@ -111,6 +111,38 @@ class TestConfig:
             with pytest.raises(InvalidInput, match="sizes must be a nonempty list of distinct"):
                 ExperimentConfig(pi=0.5, sizes=sizes)
 
+    def test_sizes_above_the_cap_are_refused(self):
+        # a chunk holds CHUNK_ROWS samples of n draws: 2**62 draws cannot be
+        # drawn, and 10**5 is the largest size a config takes
+        cap = phdsel.simulate.MAX_STUDY_SIZE
+        raw = dict(pi=0.5, sizes=[20], reps=1, h_values=[0.5], alpha=0.05,
+                   seed=1, cuts=[1, 2, 3, 4, 5, 6, 7])
+        for bad in (cap + 1, np.int64(cap + 1), 2**62, 10**400):
+            with pytest.raises(InvalidInput, match=re.escape(f"sizes must be a nonempty list "
+                                                             f"of distinct integers in [1, {cap}]")):
+                ExperimentConfig(pi=0.5, sizes=(20, bad))
+            with pytest.raises(InvalidInput, match="config key 'sizes' is invalid"):
+                config_from_dict({**raw, "sizes": [20, bad]})
+        assert cap == 10**5
+        assert ExperimentConfig(pi=0.5, sizes=(1, cap)).sizes == (1, cap)
+        assert config_from_dict({**raw, "sizes": [cap]}).sizes == (cap,)
+
+    def test_partition_needs_the_cells_of_a_family(self):
+        # a family has at least 3 cells: a config on fewer is refused before
+        # run_experiment builds its families
+        raw = dict(pi=1.0, sizes=[20], reps=1, h_values=[0.5], alpha=0.05,
+                   seed=1, cuts=[1, 2, 3, 4, 5, 6, 7])
+        with pytest.raises(InvalidInput, match="partition must be a CellPartition of at least "
+                                               "3 cells"):
+            ExperimentConfig(pi=1.0, partition=parse_cuts("1"))
+        for bad in ([1], [0.5], (7,)):
+            with pytest.raises(InvalidInput, match=re.escape("config key 'cuts' is invalid: "
+                                                             "must be a list of at least 2")):
+                config_from_dict({**raw, "cuts": bad})
+        config = config_from_dict({**raw, "cuts": [1, 2]})
+        assert config.partition == parse_cuts("1,2") and config.partition.m == 3
+        assert len(run_experiment(config)) == 1
+
     def test_h_values_must_be_nonempty_numeric_weights(self):
         # an empty grid has no blocks to run, and true is not the weight 1
         for bad in ((), (True,), (0.5, True)):
